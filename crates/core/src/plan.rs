@@ -19,16 +19,23 @@
 //! execution charges the precalculation kernel and the host-side
 //! B-Splitting cost exactly as `BlockReorganizer::multiply` always has; a
 //! [`Cached`] execution skips both, which is precisely the amortization a
-//! plan cache buys.
+//! plan cache buys. A plan's Cached-mode profiles depend only on the plan
+//! and the device, so the first Cached execution memoizes them and every
+//! later one on that device replays them and runs only the numeric merge.
 //!
 //! [`Cold`]: PlanMode::Cold
 //! [`Cached`]: PlanMode::Cached
 
+use std::borrow::Cow;
+use std::fmt;
+use std::sync::OnceLock;
+
 use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
+use br_gpu_sim::profiler::KernelProfile;
+use br_gpu_sim::sim::{record_replays, GpuSimulator};
 use br_gpu_sim::trace::KernelLaunch;
 use br_sparse::error::SparseError;
-use br_sparse::{Result, Scalar};
+use br_sparse::{CsrMatrix, Result, Scalar};
 use br_spgemm::accum::{
     effective_thresholds_for, global_thresholds, spgemm_adaptive_planned, RowBins, ScratchPool,
 };
@@ -40,7 +47,6 @@ use br_spgemm::estimate::{
 use br_spgemm::expansion::outer::outer_pair_block;
 use br_spgemm::merge::kway::binned_merge_launches;
 use br_spgemm::numeric::default_threads;
-use br_spgemm::pipeline::assemble_run_on;
 use br_spgemm::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
@@ -72,6 +78,11 @@ pub enum PlanMode {
 /// stored values. It is plain data (`Serialize`/`Deserialize`), cheap to
 /// share across threads behind an `Arc`, and device-tagged because split
 /// factors depend on the SM count.
+///
+/// The plan also memoizes its first [`PlanMode::Cached`] simulation (see
+/// [`ReorgPlan::execute_with_scratch`]). Clones start without the memo, so
+/// rewrite fields on a clone: rewriting them in place after a Cached
+/// execution would leave the memo describing the old fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReorgPlan {
     /// Configuration the plan was built under.
@@ -115,6 +126,73 @@ pub struct ReorgPlan {
     pub permutation: Option<Permutation>,
     /// How this plan's workloads were obtained (exact vs estimated).
     pub build: PlanBuild,
+    /// The first Cached execution's simulation, replayed by later ones.
+    #[serde(skip)]
+    replay: ReplayMemo,
+}
+
+/// The simulated half of one execution: everything
+/// [`ReorgPlan::execute_with_scratch`] reports besides the numeric result.
+#[derive(Debug, Clone)]
+struct Simulated {
+    profiles: Vec<KernelProfile>,
+    host_ms: f64,
+    stats: ReorgStats,
+}
+
+/// Memo of a plan's [`PlanMode::Cached`] simulation, tagged with the
+/// [`DeviceConfig::fingerprint`] it ran on.
+///
+/// Replaying it is exact: every `run_sequence` starts from a fresh L2,
+/// launch traces read the operands' structure (which the plan's signature
+/// pins) and never their values, and profiles are bit-identical at any
+/// simulator thread count. Cold executions neither read nor fill it — their
+/// precalc kernel leaves L2 state the expansion then reads.
+///
+/// Derived data, never part of the plan's identity: a clone starts empty,
+/// equality ignores it, and serialization skips it.
+#[derive(Default)]
+struct ReplayMemo(OnceLock<(u64, Simulated)>);
+
+impl ReplayMemo {
+    /// The Cached-mode simulation on `device`. Replayed when the memo holds
+    /// that device's; otherwise `simulate` runs, filling an empty memo
+    /// exactly once even under concurrent callers, and leaving another
+    /// device's memo in place.
+    fn get_or_simulate(&self, device: u64, simulate: &mut dyn FnMut() -> Simulated) -> Simulated {
+        let mut filled = false;
+        let (memo_device, memo) = self.0.get_or_init(|| {
+            filled = true;
+            (device, simulate())
+        });
+        if *memo_device != device {
+            return simulate();
+        }
+        if !filled {
+            record_replays(&memo.profiles);
+        }
+        memo.clone()
+    }
+}
+
+impl Clone for ReplayMemo {
+    fn clone(&self) -> Self {
+        ReplayMemo::default()
+    }
+}
+
+impl PartialEq for ReplayMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for ReplayMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ReplayMemo")
+            .field(&self.0.get().map(|(device, _)| device))
+            .finish()
+    }
 }
 
 /// Provenance of a plan's workload quantities: whether they were exactly
@@ -239,6 +317,7 @@ impl ReorgPlan {
             reorder: ReorderStrategy::None,
             permutation: None,
             build: PlanBuild::exact(exact_plan_ops(ctx)),
+            replay: ReplayMemo::default(),
         }
     }
 
@@ -369,6 +448,7 @@ impl ReorgPlan {
                 ops: est.ops,
                 estimator_fingerprint: estimator.fingerprint(),
             },
+            replay: ReplayMemo::default(),
         }
     }
 
@@ -401,6 +481,11 @@ impl ReorgPlan {
     /// reuse warmed accumulators instead of allocating per execution. The
     /// host numeric multiply runs through the adaptive row-binned engine
     /// using the plan's cached [`RowBins`] (no re-binning, no weights scan).
+    ///
+    /// The first [`PlanMode::Cached`] execution memoizes its profiles and
+    /// stats; every later one on a device with the same
+    /// [`DeviceConfig::fingerprint`] replays them (counted under
+    /// `br_sim_kernel_replays_total`) and runs only the numeric merge.
     pub fn execute_with_scratch<T: Scalar>(
         &self,
         sim: &GpuSimulator,
@@ -416,25 +501,85 @@ impl ReorgPlan {
                 ctx.signature()
             )));
         }
-        // Replay the plan's row reordering: every launch (and the host
-        // numeric multiply) runs over the permuted problem the analysis
-        // saw; the output rows are scattered back below, so callers get
-        // the bit-identical unreordered result. Workspace totals are
-        // permutation-invariant, so the layout is unchanged either way.
-        let permuted;
-        let ctx = match &self.permutation {
-            Some(p) => {
-                permuted = ctx.permute_rows(p.forward());
-                &permuted
-            }
-            None => ctx,
+        // The numeric multiply runs over the permuted problem the analysis
+        // saw (when the plan reorders), and its rows are scattered back:
+        // row i of the permuted product is row forward[i] of the real one,
+        // so gathering by the inverse restores the original order without
+        // touching any within-row entry — callers get the bit-identical
+        // unreordered result.
+        let numeric = |a: &CsrMatrix<T>| -> Result<CsrMatrix<T>> {
+            let c = spgemm_adaptive_planned(a, &ctx.b, default_threads(), &self.bins, pool)?;
+            Ok(match &self.permutation {
+                Some(p) => c.permute_rows(p.inverse()),
+                None => c,
+            })
         };
+        let mut result = None;
+        // Runs at most once per execution (see `ReplayMemo`).
+        let mut simulate = || {
+            let ctx = match &self.permutation {
+                Some(p) => Cow::Owned(ctx.permute_rows(p.forward())),
+                None => Cow::Borrowed(ctx),
+            };
+            let (ws, launches, host_ms, stats) = self.launch_stream(&ctx, mode);
+            // Merge while trace generation has left the operands
+            // cache-warm, then simulate.
+            result = Some(numeric(&ctx.a));
+            Simulated {
+                profiles: sim.run_sequence(&launches, &ws.layout),
+                host_ms,
+                stats,
+            }
+        };
+        let Simulated {
+            profiles,
+            host_ms,
+            stats,
+        } = match mode {
+            PlanMode::Cold => simulate(),
+            PlanMode::Cached => self
+                .replay
+                .get_or_simulate(sim.device().fingerprint(), &mut simulate),
+        };
+        // A replay permutes only `A`'s rows: the numerics read nothing else.
+        let result = match (result, &self.permutation) {
+            (Some(result), _) => result?,
+            (None, Some(p)) => numeric(&ctx.a.permute_rows(p.forward()))?,
+            (None, None) => numeric(&ctx.a)?,
+        };
+        let kernel_ms: f64 = profiles.iter().map(|p| p.time_ms).sum();
+        Ok(ReorganizerRun {
+            result,
+            profiles,
+            preprocess_ms: host_ms,
+            total_ms: kernel_ms + host_ms,
+            flops: ctx.flops,
+            stats,
+        })
+    }
+
+    /// [`DeviceConfig::fingerprint`] of the device whose Cached-mode
+    /// simulation this plan has memoized, `None` before its first Cached
+    /// execution.
+    pub fn replay_device(&self) -> Option<u64> {
+        self.replay.0.get().map(|(device, _)| *device)
+    }
+
+    /// This plan's launch stream over `ctx` (already permuted when the plan
+    /// reorders), with the host preprocessing time and stats the execution
+    /// reports. Workspace totals are permutation-invariant, so the layout
+    /// matches the unpermuted one.
+    fn launch_stream<T: Scalar>(
+        &self,
+        ctx: &ProblemContext<T>,
+        mode: PlanMode,
+    ) -> (Workspace, Vec<KernelLaunch>, f64, ReorgStats) {
         let ws = Workspace::for_context(ctx);
         // The chosen method swaps the simulated launch stream; the host
-        // numeric multiply below always runs the adaptive engine with the
-        // plan's bins, so the result is bit-identical whichever method the
+        // numeric multiply always runs the adaptive engine with the plan's
+        // bins, so the result is bit-identical whichever method the
         // estimator picked.
-        let (name, launches, host_ms, stats) = match self.method {
+        let (launches, host_ms, stats) = match self.method {
             MethodChoice::Reorganized => {
                 let (expansion, mut stats) = self.expansion_launch(ctx, &ws);
                 stats.limited_rows = self.limit_plan.limited_count();
@@ -462,7 +607,7 @@ impl ReorgPlan {
                         (v, 0.0)
                     }
                 };
-                ("Block-Reorganizer", launches, host_ms, stats)
+                (launches, host_ms, stats)
             }
             // Baseline methods carry no reorganizer preprocessing, and
             // their launch streams already include any symbolic phase the
@@ -470,49 +615,27 @@ impl ReorgPlan {
             // and Cached execute identically, matching the standalone
             // baselines in `br_spgemm::methods`.
             MethodChoice::RowProduct => (
-                self.method.name(),
                 br_spgemm::methods::row_product::launches(ctx, &ws),
                 0.0,
                 ReorgStats::default(),
             ),
             MethodChoice::OuterProduct => (
-                self.method.name(),
                 br_spgemm::methods::outer_product::launches(ctx, &ws),
                 0.0,
                 ReorgStats::default(),
             ),
             MethodChoice::Esc => (
-                self.method.name(),
                 br_spgemm::methods::cusp_esc::launches(ctx, &ws),
                 0.0,
                 ReorgStats::default(),
             ),
             MethodChoice::Hash => (
-                self.method.name(),
                 br_spgemm::methods::cusparse_like::launches(ctx, &ws),
                 0.0,
                 ReorgStats::default(),
             ),
         };
-        let mut numeric =
-            spgemm_adaptive_planned(&ctx.a, &ctx.b, default_threads(), &self.bins, pool)?;
-        if let Some(p) = &self.permutation {
-            // Row i of the permuted product is row forward[i] of the real
-            // one; gathering by the inverse restores the original order
-            // without touching any within-row entry.
-            numeric = numeric.permute_rows(p.inverse());
-        }
-        let run = assemble_run_on(
-            sim, name, numeric, &launches, &ws.layout, host_ms, ctx.flops,
-        );
-        Ok(ReorganizerRun {
-            result: run.result,
-            profiles: run.profiles,
-            preprocess_ms: run.preprocess_ms,
-            total_ms: run.total_ms,
-            flops: run.flops,
-            stats,
-        })
+        (ws, launches, host_ms, stats)
     }
 
     /// Builds the reorganized expansion launch from the stored plans:
@@ -625,7 +748,6 @@ mod tests {
     use super::*;
     use crate::pass::BlockReorganizer;
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
-    use br_sparse::CsrMatrix;
 
     fn skewed() -> CsrMatrix<f64> {
         chung_lu(ChungLuConfig {
@@ -674,6 +796,107 @@ mod tests {
         // The numeric result is identical either way.
         assert_eq!(warm.result.ptr(), cold.result.ptr());
         assert_eq!(warm.result.idx(), cold.result.idx());
+    }
+
+    /// Bitwise equality of two executions: profiles (via `{:?}`), times,
+    /// stats, and the result.
+    fn assert_same_run(x: &ReorganizerRun<f64>, y: &ReorganizerRun<f64>) {
+        assert_eq!(format!("{:?}", x.profiles), format!("{:?}", y.profiles));
+        assert_eq!(x.total_ms.to_bits(), y.total_ms.to_bits());
+        assert_eq!(x.stats, y.stats);
+        assert_eq!(x.result.ptr(), y.result.ptr());
+        assert_eq!(x.result.idx(), y.result.idx());
+        assert!(x.result.approx_eq(&y.result, 0.0));
+    }
+
+    #[test]
+    fn second_cached_execution_replays_the_first() {
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        // Cold executions neither read nor fill the memo.
+        plan.execute(&ctx, &dev, PlanMode::Cold).unwrap();
+        assert_eq!(plan.replay_device(), None);
+        let first = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        assert_eq!(plan.replay_device(), Some(dev.fingerprint()));
+        let replay = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        assert_same_run(&first, &replay);
+        // Clones start empty; equality ignores the memo.
+        let clone = plan.clone();
+        assert_eq!(clone.replay_device(), None);
+        assert_eq!(clone, plan);
+    }
+
+    #[test]
+    fn another_device_simulates_fresh_and_keeps_the_memo() {
+        let a = skewed();
+        let titan = DeviceConfig::titan_xp();
+        let v100 = DeviceConfig::tesla_v100();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &titan);
+        plan.execute(&ctx, &titan, PlanMode::Cached).unwrap();
+        let titan_replay = plan.execute(&ctx, &titan, PlanMode::Cached).unwrap();
+        let on_v100 = plan.execute(&ctx, &v100, PlanMode::Cached).unwrap();
+        let fresh_v100 = plan.clone().execute(&ctx, &v100, PlanMode::Cached).unwrap();
+        assert_same_run(&on_v100, &fresh_v100);
+        assert_ne!(on_v100.total_ms, titan_replay.total_ms);
+        // The V100 run did not overwrite the Titan Xp memo.
+        assert_eq!(plan.replay_device(), Some(titan.fingerprint()));
+        let again = plan.execute(&ctx, &titan, PlanMode::Cached).unwrap();
+        assert_same_run(&again, &titan_replay);
+    }
+
+    #[test]
+    fn a_clone_with_rewritten_bins_never_replays_the_original() {
+        // What the bench suite's KwayMerge case does, but after the
+        // original plan has already replayed.
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let original = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let kway_bins = RowBins::classify(
+            &plan.bins.row_products,
+            br_spgemm::accum::BinThresholds {
+                kway_min: 128,
+                ..effective_thresholds_for(ctx.ncols())
+            },
+        );
+        let mut kway = plan.clone();
+        kway.bins = kway_bins.clone();
+        let run = kway.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let mut fresh = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        fresh.bins = kway_bins;
+        assert_same_run(&run, &fresh.execute(&ctx, &dev, PlanMode::Cached).unwrap());
+        assert_eq!(original.profiles.len(), 2, "expansion + merge");
+        assert_eq!(run.profiles.len(), 3, "expansion + merge + k-way merge");
+    }
+
+    #[test]
+    fn a_filled_memo_is_not_serialized() {
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build_with_reorder(
+            &ctx,
+            &ReorganizerConfig::default(),
+            &dev,
+            ReorderStrategy::Degree,
+        );
+        let empty_json = serde_json::to_string(&plan).unwrap();
+        plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let replay = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let json = serde_json::to_string(&plan).unwrap();
+        assert_eq!(json, empty_json, "the memo writes nothing");
+        let back: ReorgPlan = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, plan);
+        assert_eq!(back.replay_device(), None);
+        let run = back.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        let fresh = plan.clone().execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        assert_same_run(&run, &fresh);
+        assert_same_run(&replay, &fresh);
     }
 
     #[test]

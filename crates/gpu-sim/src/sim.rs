@@ -50,6 +50,23 @@ fn record_profile(profile: &KernelProfile) {
     .set(profile.l2.hit_rate());
 }
 
+/// Records launches served from a memoized profile instead of simulated
+/// (a plan's replayed Cached-mode execution) under their own counter, so
+/// `br_sim_kernel_launches_total` keeps counting only real simulations.
+/// A replay records no makespan histogram and no LBI / L2 gauges: the
+/// simulated launch it repeats already did.
+pub fn record_replays(profiles: &[KernelProfile]) {
+    let reg = br_obs::global();
+    for profile in profiles {
+        reg.counter(
+            "br_sim_kernel_replays_total",
+            "Kernel launches replayed from a memoized profile instead of simulated, per kernel name.",
+            &[("kernel", profile.name.as_str())],
+        )
+        .inc();
+    }
+}
+
 /// Below this block count the per-block passes run sequentially — spawn
 /// overhead would dominate, and small launches are the common case inside
 /// already-parallel benchmark grids.

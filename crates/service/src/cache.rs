@@ -174,6 +174,10 @@ struct Inner {
     /// (single-flight: later requesters wait instead of rebuilding).
     building: HashSet<PlanKey>,
     tick: u64,
+    /// This cache's own hit/miss/eviction counts (see [`PlanCache::stats`]).
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl Inner {
@@ -198,10 +202,13 @@ impl Inner {
 
 /// Thread-safe LRU plan cache.
 ///
-/// Counters live in a [`br_obs::Registry`] (one private registry per cache
-/// by default, or a shared one via [`PlanCache::with_registry`]), so the
-/// same numbers that [`PlanCache::stats`] reports are exported by the
-/// service's Prometheus/JSONL exposition. Hits, misses, and evictions are
+/// The cache counts its own hits, misses, and evictions (what
+/// [`PlanCache::stats`] reports) and mirrors every increment into a
+/// [`br_obs::Registry`] (one private registry per cache by default, or a
+/// shared one via [`PlanCache::with_registry`]) for the service's
+/// Prometheus/JSONL exposition. A shared registry hands every cache the
+/// *same* named counters, so the exposition sums all caches on it while
+/// each cache's `stats()` stays its own. Hits, misses, and evictions are
 /// deterministic under single-flight; the single-flight *wait* counter is
 /// timing-flagged because whether a waiter actually blocks depends on
 /// scheduling.
@@ -215,13 +222,6 @@ pub struct PlanCache {
     misses: Counter,
     evictions: Counter,
     single_flight_waits: Counter,
-    /// Counter readings at construction. A shared registry (e.g. the
-    /// process-wide one) hands every cache the *same* named counters, so
-    /// [`PlanCache::stats`] subtracts these to report this cache's own
-    /// activity while the exposition keeps the cumulative totals.
-    hits_base: u64,
-    misses_base: u64,
-    evictions_base: u64,
 }
 
 /// Removes `key` from the building set and wakes waiters when dropped —
@@ -272,13 +272,15 @@ impl PlanCache {
             "Requests that blocked on another worker's in-flight build (scheduling-dependent).",
             &[],
         );
-        let (hits_base, misses_base, evictions_base) = (hits.get(), misses.get(), evictions.get());
         PlanCache {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 building: HashSet::new(),
                 tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
             }),
             ready: Condvar::new(),
             registry,
@@ -286,9 +288,27 @@ impl PlanCache {
             misses,
             evictions,
             single_flight_waits,
-            hits_base,
-            misses_base,
-            evictions_base,
+        }
+    }
+
+    /// Counts a hit in `inner` and mirrors it into the registry.
+    fn count_hit(&self, inner: &mut Inner) {
+        inner.hits += 1;
+        self.hits.inc();
+    }
+
+    /// Counts a miss in `inner` and mirrors it into the registry.
+    fn count_miss(&self, inner: &mut Inner) {
+        inner.misses += 1;
+        self.misses.inc();
+    }
+
+    /// Makes room for `key` (see [`Inner::make_room_for`]), counting and
+    /// mirroring the eviction if one happened.
+    fn make_room_for(&self, inner: &mut Inner, key: &PlanKey) {
+        if inner.make_room_for(key, self.capacity) {
+            inner.evictions += 1;
+            self.evictions.inc();
         }
     }
 
@@ -306,11 +326,11 @@ impl PlanCache {
             Some(entry) => {
                 entry.last_used = tick;
                 let plan = entry.plan.clone();
-                self.hits.inc();
+                self.count_hit(&mut inner);
                 Some(plan)
             }
             None => {
-                self.misses.inc();
+                self.count_miss(&mut inner);
                 None
             }
         }
@@ -322,9 +342,7 @@ impl PlanCache {
         let mut inner = lock_recover(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
-        if inner.make_room_for(&key, self.capacity) {
-            self.evictions.inc();
-        }
+        self.make_room_for(&mut inner, &key);
         inner.map.insert(
             key,
             Entry {
@@ -361,7 +379,7 @@ impl PlanCache {
                 entry.last_used = tick;
                 let plan = entry.plan.clone();
                 if !counted_hit {
-                    self.hits.inc();
+                    self.count_hit(&mut inner);
                 }
                 return (plan, true);
             }
@@ -372,7 +390,7 @@ impl PlanCache {
             // outcome is already determined) and wait for it to land. The
             // wait itself is scheduling-dependent, hence a timing counter.
             if !counted_hit {
-                self.hits.inc();
+                self.count_hit(&mut inner);
                 self.single_flight_waits.inc();
                 counted_hit = true;
             }
@@ -382,7 +400,7 @@ impl PlanCache {
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
         // This call is the builder for `key`.
-        self.misses.inc();
+        self.count_miss(&mut inner);
         inner.building.insert(key.clone());
         drop(inner);
 
@@ -392,9 +410,7 @@ impl PlanCache {
             let mut inner = lock_recover(&self.inner);
             inner.tick += 1;
             let tick = inner.tick;
-            if inner.make_room_for(key, self.capacity) {
-                self.evictions.inc();
-            }
+            self.make_room_for(&mut inner, key);
             inner.map.insert(
                 key.clone(),
                 Entry {
@@ -412,9 +428,9 @@ impl PlanCache {
     pub fn stats(&self) -> CacheStats {
         let inner = lock_recover(&self.inner);
         CacheStats {
-            hits: self.hits.get() - self.hits_base,
-            misses: self.misses.get() - self.misses_base,
-            evictions: self.evictions.get() - self.evictions_base,
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
             entries: inner.map.len(),
             capacity: self.capacity,
         }
@@ -835,6 +851,32 @@ mod tests {
         let text = registry.render_prometheus(false);
         assert!(text.contains("br_cache_hits_total 3"), "{text}");
         assert!(text.contains("br_cache_misses_total 2"), "{text}");
+    }
+
+    #[test]
+    fn interleaved_caches_on_one_registry_keep_exact_stats() {
+        // Two live caches on one registry, lookups interleaved: each
+        // cache's stats() counts only its own activity, and the exposition
+        // shows the sum.
+        let registry = Arc::new(Registry::new());
+        let first = PlanCache::with_registry(1, registry.clone());
+        let second = PlanCache::with_registry(1, registry.clone());
+        let (ka, pa, _) = plan_for(100);
+        let (kb, pb, _) = plan_for(101);
+        first.get_or_build(&ka, || pa.clone()); // first: miss
+        second.get_or_build(&kb, || pb.clone()); // second: miss
+        first.get_or_build(&ka, || unreachable!()); // first: hit
+        second.get_or_build(&ka, || pa.clone()); // second: miss + eviction
+        assert!(first.lookup(&kb).is_none()); // first: miss
+        assert!(second.lookup(&ka).is_some()); // second: hit
+        second.get_or_build(&ka, || unreachable!()); // second: hit
+        let (s1, s2) = (first.stats(), second.stats());
+        assert_eq!((s1.hits, s1.misses, s1.evictions), (1, 2, 0));
+        assert_eq!((s2.hits, s2.misses, s2.evictions), (2, 2, 1));
+        let text = registry.render_prometheus(false);
+        assert!(text.contains("br_cache_hits_total 3"), "{text}");
+        assert!(text.contains("br_cache_misses_total 4"), "{text}");
+        assert!(text.contains("br_cache_evictions_total 1"), "{text}");
     }
 
     #[test]

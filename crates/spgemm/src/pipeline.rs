@@ -103,7 +103,8 @@ impl<T> SpgemmRun<T> {
     }
 }
 
-/// Executes a sequence of launches (shared L2) and assembles a run.
+/// Executes a sequence of launches (shared L2, starting cold) and
+/// assembles a run.
 pub fn assemble_run<T: Scalar>(
     method: &str,
     result: CsrMatrix<T>,
@@ -113,31 +114,7 @@ pub fn assemble_run<T: Scalar>(
     preprocess_ms: f64,
     flops: u64,
 ) -> SpgemmRun<T> {
-    assemble_run_on(
-        &GpuSimulator::new(device.clone()),
-        method,
-        result,
-        launches,
-        layout,
-        preprocess_ms,
-        flops,
-    )
-}
-
-/// [`assemble_run`] against a caller-owned simulator — the `br-service`
-/// worker pool keeps one [`GpuSimulator`] per worker and executes many
-/// prebuilt launch sequences (reorganization plans) against it. Each call
-/// still starts from a cold L2, matching [`GpuSimulator::run_sequence`].
-pub fn assemble_run_on<T: Scalar>(
-    sim: &GpuSimulator,
-    method: &str,
-    result: CsrMatrix<T>,
-    launches: &[KernelLaunch],
-    layout: &MemoryLayout,
-    preprocess_ms: f64,
-    flops: u64,
-) -> SpgemmRun<T> {
-    let profiles = sim.run_sequence(launches, layout);
+    let profiles = GpuSimulator::new(device.clone()).run_sequence(launches, layout);
     let kernel_ms: f64 = profiles.iter().map(|p| p.time_ms).sum();
     SpgemmRun {
         method: method.to_string(),

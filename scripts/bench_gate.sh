@@ -62,13 +62,23 @@ if ! cmp -s metrics.t8.prom metrics.rerun.prom; then
     exit 1
 fi
 # Sanity: the dump actually carries the pipeline's instruments.
-for family in br_sim_kernel_launches_total br_spgemm_rows_merged_total \
-              br_cache_hits_total br_jobs_submitted_total br_span_total; do
+for family in br_sim_kernel_launches_total br_sim_kernel_replays_total \
+              br_spgemm_rows_merged_total br_cache_hits_total \
+              br_jobs_submitted_total br_span_total; do
     if ! grep -q "^$family" metrics.t8.prom; then
         echo "error: expected metric family $family missing from metrics.t8.prom" >&2
         exit 1
     fi
 done
+# The service batch repeats each dataset's job three times: a miss (Cold),
+# a first hit that fills the plan's replay memo, and a second hit that
+# replays it — so the quick suite must replay at least one launch.
+if ! awk '/^br_sim_kernel_replays_total\{/ { n += $NF } END { exit (n == 0) }' \
+        metrics.t8.prom; then
+    echo "error: the quick suite replayed no kernel launches" >&2
+    grep '^br_sim_kernel' metrics.t8.prom >&2 || true
+    exit 1
+fi
 rm -f metrics.t1.prom metrics.t8.prom metrics.rerun.prom \
       metrics.t1.prom.jsonl metrics.t8.prom.jsonl metrics.rerun.prom.jsonl \
       BENCH_quick.rerun.json
@@ -78,10 +88,11 @@ echo "== baseline byte-identity: instrumentation must not move a single byte =="
 # Everything the report tracks is a pure function of simulated execution,
 # so a fresh --no-host run must reproduce the checked-in baseline exactly.
 # Legitimate differences only: the git_sha provenance line, and the
-# explicit '"plan": null' / '"host": null' a current run writes where
-# pre-section baselines omitted those keys entirely.
+# explicit '"plan": null' / '"chain": null' / '"host": null' a current run
+# writes where pre-section baselines omitted those keys entirely.
 normalize() {
-    grep -v '"git_sha"' "$1" | sed -z 's/,\n  "host": null//; s/,\n  "plan": null//'
+    grep -v '"git_sha"' "$1" |
+        sed -z 's/,\n  "host": null//; s/,\n  "chain": null//; s/,\n  "plan": null//'
 }
 if ! cmp -s <(normalize BENCH_quick.t1.json) <(normalize "$baseline"); then
     echo "error: BENCH_quick.json deviates byte-for-byte from $baseline" >&2
