@@ -7,18 +7,22 @@
 //! downstream user of the crates cares about), complementing the simulated
 //! GPU times the fig/table binaries report.
 
-use block_reorganizer::classify::Classification;
+use block_reorganizer::classify::{precalc_launch, Classification};
 use block_reorganizer::config::ReorganizerConfig;
+use block_reorganizer::plan::ReorgPlan;
 use block_reorganizer::split::{plan_splits, SplitPlan};
 use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::l2cache::L2Cache;
-use br_gpu_sim::trace::{AccessPattern, MemSegment, MemoryLayout};
+use br_gpu_sim::sim::GpuSimulator;
+use br_gpu_sim::trace::{AccessPattern, KernelLaunch, MemSegment, MemoryLayout};
 use br_sparse::ops::{block_products, spgemm_gustavson, symbolic_nnz};
 use br_sparse::CsrMatrix;
 use br_spgemm::context::ProblemContext;
+use br_spgemm::merge::kway::binned_merge_launches;
 use br_spgemm::numeric::{spgemm_dense_spa, spgemm_hash, spgemm_sort_reduce};
+use br_spgemm::workspace::Workspace;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
@@ -149,7 +153,36 @@ fn bench_l2_simulator(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // A whole Cold request of the `rmat=9,8` size class: precalculation,
+    // expansion and merge launches on one L2, as a plan-cache miss runs.
+    let (ws, launches) = cold_rmat_9_8_launches(&dev);
+    let sim = GpuSimulator::new(dev.clone()).with_threads(1);
+    g.bench_function("simulate-cold-rmat-9-8", |b| {
+        b.iter(|| sim.run_sequence(black_box(&launches), black_box(&ws.layout)))
+    });
     g.finish();
+}
+
+/// The Cold-mode launch stream of the exact reorganizer plan for
+/// `rmat=9,8` squared (seed 7).
+fn cold_rmat_9_8_launches(dev: &DeviceConfig) -> (Workspace, Vec<KernelLaunch>) {
+    let a = rmat(RmatConfig::graph500(9, 8, 7)).to_csr();
+    let ctx = ProblemContext::new(&a, &a).unwrap();
+    let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), dev);
+    let ws = Workspace::for_context(&ctx);
+    let mut launches = vec![
+        precalc_launch(&ctx, &ws),
+        plan.expansion_launch(&ctx, &ws).0,
+    ];
+    launches.extend(binned_merge_launches(
+        &ctx,
+        &ws,
+        plan.config.block_size,
+        true,
+        &plan.bins,
+        |r| plan.limit_plan.extra_smem(r),
+    ));
+    (ws, launches)
 }
 
 criterion_group!(

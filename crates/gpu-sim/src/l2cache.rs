@@ -10,6 +10,10 @@
 //! timing model converts into latency, plus kernel-level byte counters for
 //! the L2-throughput figures (12 and 14).
 
+use std::cell::Cell;
+use std::mem;
+use std::sync::OnceLock;
+
 use crate::device::DeviceConfig;
 use crate::trace::{AccessPattern, MemSegment, MemoryLayout};
 
@@ -43,14 +47,58 @@ impl BlockL2 {
     }
 }
 
+/// Accesses a `Random` segment simulates; longer scatters are sampled and
+/// their hit ratio extrapolated, keeping the pass O(1)-bounded per segment.
+const SAMPLE_CAP: u64 = 4096;
+
+/// Step of the Weyl sequence that spreads `Random` accesses: 1/φ.
+const WEYL_STEP: f64 = 0.618_033_988_749_894_9;
+
+/// The first [`SAMPLE_CAP`] points of the Weyl sequence every `Random`
+/// segment walks from x₀ = 1/φ. Computed once, with the same float steps
+/// (`x += 1/φ; x -= x.floor()`) a per-segment loop takes, so each point is
+/// bit-identical to the one that loop would produce.
+fn weyl_points() -> &'static [f64; SAMPLE_CAP as usize] {
+    static POINTS: OnceLock<[f64; SAMPLE_CAP as usize]> = OnceLock::new();
+    POINTS.get_or_init(|| {
+        let mut x = WEYL_STEP;
+        std::array::from_fn(|_| {
+            x += WEYL_STEP;
+            x -= x.floor();
+            x
+        })
+    })
+}
+
+/// A cache's flat storage: `(tags, fill)`, see [`L2Cache`].
+type Storage = (Vec<u64>, Vec<usize>);
+
+thread_local! {
+    /// Storage of the last cache dropped on this thread. Every launch
+    /// sequence simulates on a fresh cache; building it from the previous
+    /// one's arrays keeps a 128–256 KiB allocation, and the page faults
+    /// that follow it, off every simulated request.
+    static SPARE: Cell<Option<Storage>> = const { Cell::new(None) };
+}
+
 /// A set-associative LRU cache over 64-bit line addresses.
+///
+/// Tags live in one flat `num_sets × assoc` array; set `s` holds its
+/// `fill[s]` valid tags at `tags[s * assoc..]`, least-recently-used first
+/// and most-recently-used last (DESIGN.md §5.1). Tags past `fill[s]` are
+/// never read, so a cache built from a dropped cache's storage only resets
+/// the fill counts.
 #[derive(Debug, Clone)]
 pub struct L2Cache {
-    line_bytes: u64,
-    num_sets: u64,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// `num_sets - 1`; the set count is a power of two.
+    set_mask: u64,
     assoc: usize,
-    /// `sets[s]` holds up to `assoc` tags, most-recently-used last.
-    sets: Vec<Vec<u64>>,
+    /// `num_sets × assoc` tags, laid out as above.
+    tags: Vec<u64>,
+    /// Valid tags per set.
+    fill: Vec<usize>,
     accesses: u64,
     hits: u64,
 }
@@ -73,11 +121,20 @@ impl L2Cache {
         let lines = (capacity_bytes / line_bytes).max(1);
         let sets = (lines / assoc as u64).max(1);
         let num_sets = 1u64 << (63 - sets.leading_zeros()); // prev power of 2
+        let sets = num_sets as usize;
+        let (tags, fill) = match SPARE.try_with(Cell::take).ok().flatten() {
+            Some((tags, mut fill)) if tags.len() == sets * assoc && fill.len() == sets => {
+                fill.fill(0);
+                (tags, fill)
+            }
+            _ => (vec![0; sets * assoc], vec![0; sets]),
+        };
         L2Cache {
-            line_bytes,
-            num_sets,
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: num_sets - 1,
             assoc,
-            sets: vec![Vec::with_capacity(assoc); num_sets as usize],
+            tags,
+            fill,
             accesses: 0,
             hits: 0,
         }
@@ -85,7 +142,7 @@ impl L2Cache {
 
     /// Effective capacity in bytes after rounding.
     pub fn capacity_bytes(&self) -> u64 {
-        self.num_sets * self.assoc as u64 * self.line_bytes
+        ((self.set_mask + 1) * self.assoc as u64) << self.line_shift
     }
 
     /// Total accesses so far.
@@ -100,22 +157,36 @@ impl L2Cache {
 
     /// Touches one byte address; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.line_bytes;
-        let set_idx = (line & (self.num_sets - 1)) as usize;
-        let set = &mut self.sets[set_idx];
+        self.access_line(addr >> self.line_shift)
+    }
+
+    /// Touches one line; returns `true` on hit. A hit moves the line to the
+    /// set's most-recently-used end; a miss appends it, first dropping the
+    /// least-recently-used front when the set is full.
+    fn access_line(&mut self, line: u64) -> bool {
         self.accesses += 1;
-        if let Some(pos) = set.iter().position(|&t| t == line) {
-            set.remove(pos);
-            set.push(line);
+        let set = (line & self.set_mask) as usize;
+        let len = self.fill[set];
+        let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
+        // Re-touching the most recent line leaves the order as it is.
+        if len > 0 && ways[len - 1] == line {
             self.hits += 1;
-            true
-        } else {
-            if set.len() == self.assoc {
-                set.remove(0);
-            }
-            set.push(line);
-            false
+            return true;
         }
+        let hit = ways[..len].iter().position(|&t| t == line);
+        let from = match hit {
+            Some(pos) => pos,
+            None if len == self.assoc => 0,
+            None => {
+                ways[len] = line;
+                self.fill[set] = len + 1;
+                return false;
+            }
+        };
+        ways.copy_within(from + 1..len, from);
+        ways[len - 1] = line;
+        self.hits += hit.is_some() as u64;
+        hit.is_some()
     }
 
     /// Streams one segment through the cache, returning
@@ -126,60 +197,53 @@ impl L2Cache {
     /// (deterministic low-discrepancy sequence, so runs are reproducible).
     pub fn stream_segment(&mut self, layout: &MemoryLayout, seg: &MemSegment) -> (u64, u64) {
         let base = layout.base(seg.region) + seg.offset;
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let shift = self.line_shift;
+        let mut hits = 0u64;
         match seg.pattern {
             AccessPattern::Coalesced => {
-                let first = base / self.line_bytes;
-                let last = (base + seg.bytes.max(1) - 1) / self.line_bytes;
+                let first = base >> shift;
+                let last = (base + seg.bytes.max(1) - 1) >> shift;
                 for line in first..=last {
-                    if self.access(line * self.line_bytes) {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
+                    hits += self.access_line(line) as u64;
                 }
+                (hits, last - first + 1 - hits)
             }
             AccessPattern::Strided(stride) => {
                 let stride = stride.max(1) as u64;
                 let mut addr = base;
                 let end = base + seg.bytes;
                 let mut prev_line = u64::MAX;
+                let mut touched = 0u64;
                 while addr < end {
-                    let line = addr / self.line_bytes;
+                    let line = addr >> shift;
                     if line != prev_line {
-                        if self.access(addr) {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
+                        hits += self.access_line(line) as u64;
+                        touched += 1;
                         prev_line = line;
                     }
                     addr += stride;
                 }
+                (hits, touched - hits)
             }
             AccessPattern::Random { count, width } => {
                 // Weyl sequence over the range: uniform, deterministic,
-                // uncorrelated with set indexing. Very long scatters are
-                // sampled and extrapolated to keep the pass O(1)-bounded.
+                // uncorrelated with set indexing.
                 let range = seg.bytes.max(width as u64);
                 let slots = (range / width.max(1) as u64).max(1);
-                let lines_per_access = (width as u64).div_ceil(self.line_bytes).max(1);
-                const SAMPLE_CAP: u64 = 4096;
+                let lines_per_access = (width as u64).div_ceil(1 << shift).max(1);
                 let simulated = count.min(SAMPLE_CAP);
-                let mut x = 0.618_033_988_749_894_9_f64; // 1/φ
-                for _ in 0..simulated {
-                    x += 0.618_033_988_749_894_9;
-                    x -= x.floor();
-                    let slot = (x * slots as f64) as u64 % slots;
-                    let first = base + slot * width as u64;
-                    for l in 0..lines_per_access {
-                        if self.access(first + l * self.line_bytes) {
-                            hits += 1;
-                        } else {
-                            misses += 1;
-                        }
+                for &x in &weyl_points()[..simulated as usize] {
+                    // `x < 1`, but the product can round up to `slots`.
+                    let mut slot = (x * slots as f64) as u64;
+                    if slot >= slots {
+                        slot %= slots;
+                    }
+                    let first = (base + slot * width as u64) >> shift;
+                    for line in first..first + lines_per_access {
+                        hits += self.access_line(line) as u64;
                     }
                 }
+                let mut misses = simulated * lines_per_access - hits;
                 if simulated < count {
                     // Extrapolate the sampled hit ratio to the full count,
                     // keeping the bookkeeping counters consistent.
@@ -191,9 +255,18 @@ impl L2Cache {
                     self.hits += extra_h;
                     self.accesses += extra_h + extra_m;
                 }
+                (hits, misses)
             }
         }
-        (hits, misses)
+    }
+}
+
+impl Drop for L2Cache {
+    /// Leaves the storage to the next cache built on this thread.
+    fn drop(&mut self) {
+        let storage = (mem::take(&mut self.tags), mem::take(&mut self.fill));
+        // Fails only while the thread is exiting; the storage is freed then.
+        let _ = SPARE.try_with(|spare| spare.set(Some(storage)));
     }
 }
 
@@ -220,6 +293,19 @@ mod tests {
         assert!(c.access(0));
         assert_eq!(c.hits(), 2);
         assert_eq!(c.accesses(), 3);
+    }
+
+    #[test]
+    fn a_cache_built_from_dropped_storage_starts_empty() {
+        let mut c = tiny_cache();
+        for addr in (0..16).map(|l| l * 128) {
+            c.access(addr);
+        }
+        drop(c);
+        let mut c = tiny_cache();
+        assert!(!c.access(0), "stale tag read as a hit");
+        assert!(!c.access(15 * 128));
+        assert_eq!((c.accesses(), c.hits()), (2, 0));
     }
 
     #[test]

@@ -237,13 +237,14 @@ impl GpuSimulator {
         // to concurrent interference: on real silicon, `num_sms × resident`
         // blocks interleave their accesses, and every block's **private**
         // scatter working set (dense-accumulator slices, per-row chunks)
-        // stays resident only for its share of the cache. We compute the
-        // kernel's total concurrently-live private footprint and retain
-        // scatter hits in proportion to how much of it fits — heavy-row
-        // merge blocks inflate the footprint for *everyone*, which is
-        // precisely the contention B-Limiting relieves by shrinking their
-        // residency (Figure 7: "Large memory contention" → "Small memory
-        // contention").
+        // stays resident only for its share of the cache. We estimate how
+        // many blocks are live at once, give each an even share of the
+        // cache, and retain a block's scatter hits in proportion to how much
+        // of its private working set fits in that share. Heavy-row merge
+        // blocks carry most of the private traffic, so their residency sets
+        // the live count for *everyone* — precisely the contention
+        // B-Limiting relieves by shrinking their residency (Figure 7:
+        // "Large memory contention" → "Small memory contention").
         // Only scattered accesses with *reuse* form a working set that
         // concurrency can evict: atomic RMW (accumulators) and random
         // reads. One-shot scatter writes (row relocation streams) have no
@@ -259,47 +260,39 @@ impl GpuSimulator {
                 .map(|s| s.logical_bytes().min(s.bytes))
                 .sum()
         };
-        // Per group: Σ private, Σ private² (blocks' own scatter traffic is
-        // the duration proxy — a block stays resident roughly in proportion
-        // to it). Expected concurrently-live private bytes:
+        // Expected concurrently-live blocks, weighting each shape group by
+        // its share of the private bytes (a block's own scatter traffic is
+        // the duration proxy — it stays resident roughly in proportion to
+        // it):
         //
-        //   CP = num_sms × Σ_g timeshare_g × resident_g × E_time[private]_g
+        //   live_blocks = num_sms × Σ_g timeshare_g × resident_g
         //
-        // with timeshare_g = Σ private_g / Σ private_all and
-        // E_time[private]_g = Σ private²_g / Σ private_g (time-weighted mean
-        // — long-running heavy blocks dominate the instantaneous picture).
+        // with timeshare_g = Σ private_g / Σ private_all and resident_g the
+        // group's per-SM residency limit.
         //
         // The per-block segment scans parallelize; the group fold and the
         // `live_blocks` sum run on this thread, the latter over groups in
         // first-appearance (launch) order so the float sum never depends on
         // hash-map iteration order.
         let private: Vec<u64> = par::ordered_map(&launch.blocks, threads, |_, b| private_bytes(b));
-        let mut group_order: Vec<ShapeKey> = Vec::new();
-        let mut group_private: HashMap<ShapeKey, (f64, f64)> = HashMap::new(); // (Σp, Σp²)
-        for (b, &p) in launch.blocks.iter().zip(&private) {
-            let p = p as f64;
-            let key = ShapeKey::of(b);
-            let e = group_private.entry(key).or_insert_with(|| {
-                group_order.push(key);
-                (0.0, 0.0)
+        // Per group, in launch order: (index of its first block, Σ private).
+        let mut groups: Vec<(usize, f64)> = Vec::new();
+        let mut group_of: HashMap<ShapeKey, usize> = HashMap::new();
+        for (i, (b, &p)) in launch.blocks.iter().zip(&private).enumerate() {
+            let g = *group_of.entry(ShapeKey::of(b)).or_insert_with(|| {
+                groups.push((i, 0.0));
+                groups.len() - 1
             });
-            e.0 += p;
-            e.1 += p * p;
+            groups[g].1 += p as f64;
         }
-        let total_private: f64 = group_order.iter().map(|k| group_private[k].0).sum();
+        let total_private: f64 = groups.iter().map(|&(_, sum_p)| sum_p).sum();
         let mut live_blocks = 0.0f64;
         if total_private > 0.0 {
-            for key in &group_order {
-                let (sum_p, _sum_p2) = group_private[key];
+            for &(first, sum_p) in &groups {
                 if sum_p <= 0.0 {
                     continue;
                 }
-                let sample = launch
-                    .blocks
-                    .iter()
-                    .find(|b| ShapeKey::of(b) == *key)
-                    .expect("group exists");
-                let resident = max_resident_blocks(dev, sample) as f64;
+                let resident = max_resident_blocks(dev, &launch.blocks[first]) as f64;
                 let timeshare = sum_p / total_private;
                 live_blocks += dev.num_sms as f64 * timeshare * resident;
             }
