@@ -11,6 +11,7 @@ use block_reorganizer::classify::{precalc_launch, Classification};
 use block_reorganizer::config::ReorganizerConfig;
 use block_reorganizer::plan::ReorgPlan;
 use block_reorganizer::split::{plan_splits, SplitPlan};
+use block_reorganizer::PlanSettings;
 use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
@@ -168,7 +169,7 @@ fn bench_l2_simulator(c: &mut Criterion) {
 fn cold_rmat_9_8_launches(dev: &DeviceConfig) -> (Workspace, Vec<KernelLaunch>) {
     let a = rmat(RmatConfig::graph500(9, 8, 7)).to_csr();
     let ctx = ProblemContext::new(&a, &a).unwrap();
-    let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), dev);
+    let plan = ReorgPlan::build(&ctx, dev, &PlanSettings::default());
     let ws = Workspace::for_context(&ctx);
     let mut launches = vec![
         precalc_launch(&ctx, &ws),

@@ -274,7 +274,7 @@ pub struct ObsHostStats {
     pub families: u64,
     /// Label-distinct instruments across all families.
     pub samples: u64,
-    /// Span enter/exit events buffered across all threads.
+    /// Span enter/exit events: two per completed span.
     pub span_events: u64,
 }
 

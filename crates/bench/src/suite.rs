@@ -28,20 +28,16 @@ use crate::schema::{
 };
 use block_reorganizer::plan::{PlanMode, ReorgPlan};
 use block_reorganizer::reorder::ReorderStrategy;
-use block_reorganizer::{BlockReorganizer, ReorganizerConfig};
+use block_reorganizer::PlanSettings;
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::profiler::KernelProfile;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::Registry;
-use br_service::cache::config_fingerprint;
-use br_service::chain as service_chain;
 use br_service::prelude::*;
 use br_sparse::par;
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::accum::{effective_thresholds_for, RowBins};
-use br_spgemm::estimate::effective_estimator;
-use br_spgemm::pipeline::{run_method, SpgemmMethod, SpgemmRun};
+use br_spgemm::accum::{BinThresholds, RowBins};
+use br_spgemm::estimate::EstimatorConfig;
+use br_spgemm::pipeline::{run_method_binned, SpgemmMethod, SpgemmRun};
 use br_workloads::Workload;
 use std::sync::Arc;
 use std::time::Instant;
@@ -255,21 +251,18 @@ pub enum MethodSel {
     /// Build a [`ReorgPlan`] with exact precalculation and execute it cold
     /// (`estplan` suite).
     PlanExact,
-    /// Build a [`ReorgPlan`] with the sampling estimator (per-problem
+    /// Build a [`ReorgPlan`] under the run's estimator setting (per-problem
     /// method selection, estimated bin thresholds) and execute it cold
-    /// (`estplan` suite). Honors the process-wide estimator override:
-    /// `--no-estimate` makes this flavor plan exactly too.
+    /// (`estplan` suite). Without an estimator (`--no-estimate`) this
+    /// flavor plans exactly too.
     PlanEstimate,
     /// The reorganizer plan with the k-way tournament bin forced open at
     /// [`KWAY_SUITE_MIN`] products (`kway` suite): the plan is built
-    /// exactly, then its bins are re-classified per case — no process-wide
-    /// threshold override, so parallel grid cells cannot race.
+    /// exactly, then its bins are re-classified per case.
     KwayMerge,
     /// The reorganizer plan built under a forced row-reorder strategy and
-    /// executed from the cached plan (`reorder` suite). The strategy is
-    /// carried per case — no process-wide override, so parallel grid cells
-    /// cannot race — and the numeric result stays bit-identical because
-    /// the plan un-permutes its output.
+    /// executed from the cached plan (`reorder` suite). The numeric result
+    /// stays bit-identical because the plan un-permutes its output.
     Reordered(ReorderStrategy),
 }
 
@@ -297,12 +290,23 @@ impl MethodSel {
 pub const KWAY_SUITE_MIN: u64 = 128;
 
 /// The thresholds a [`MethodSel::KwayMerge`] case (and the `kway` suite's
-/// census) applies: what the engine would use for the width, with the
-/// k-way bin opened at [`KWAY_SUITE_MIN`] intermediate products.
-fn kway_suite_thresholds(ncols: usize) -> br_spgemm::accum::BinThresholds {
-    br_spgemm::accum::BinThresholds {
+/// census) applies: what `settings` give the width, with the k-way bin
+/// opened at [`KWAY_SUITE_MIN`] intermediate products.
+fn kway_suite_thresholds(settings: &PlanSettings, ncols: usize) -> BinThresholds {
+    BinThresholds {
         kway_min: KWAY_SUITE_MIN,
-        ..effective_thresholds_for(ncols)
+        ..settings.thresholds_for(ncols)
+    }
+}
+
+/// The plan settings `bench run` uses without flags: the reorganizer's
+/// defaults and the width-recommended bins, with the default estimator for
+/// the `estplan` suite's `plan-estimate` flavor. Every other case plans
+/// exactly whatever the estimator setting.
+pub fn default_settings() -> PlanSettings {
+    PlanSettings {
+        estimator: Some(EstimatorConfig::default()),
+        ..PlanSettings::default()
     }
 }
 
@@ -363,12 +367,12 @@ impl BenchCase {
     }
 }
 
-/// Runs a whole suite and assembles the report, with the worker count
-/// resolved from the ambient [`par`] configuration (`--threads` override,
-/// `BR_THREADS`, else available cores). `progress` receives one line per
-/// completed case (pass `|_| {}` to silence).
-pub fn run_suite(suite: Suite, progress: impl FnMut(&str)) -> BenchReport {
-    run_suite_threaded(suite, par::effective_threads(None), progress)
+/// Runs a whole suite under `settings` and assembles the report, with the
+/// worker count resolved from the ambient [`par`] configuration
+/// (`--threads` override, `BR_THREADS`, else available cores). `progress`
+/// receives one line per completed case (pass `|_| {}` to silence).
+pub fn run_suite(suite: Suite, settings: &PlanSettings, progress: impl FnMut(&str)) -> BenchReport {
+    run_suite_threaded(suite, par::effective_threads(None), settings, progress)
 }
 
 /// [`run_suite`] with an explicit host worker count.
@@ -381,14 +385,14 @@ pub fn run_suite(suite: Suite, progress: impl FnMut(&str)) -> BenchReport {
 pub fn run_suite_threaded(
     suite: Suite,
     threads: usize,
+    settings: &PlanSettings,
     mut progress: impl FnMut(&str),
 ) -> BenchReport {
     let started = Instant::now();
     let threads = threads.max(1);
-    let config = ReorganizerConfig::default();
     let grid = suite.cases();
     let results: Vec<(CaseReport, Option<PlanCaseReport>)> =
-        par::ordered_map(&grid, threads, |_, case| run_case(case, &config));
+        par::ordered_map(&grid, threads, |_, case| run_case(case, settings));
     let mut cases = Vec::with_capacity(results.len());
     let mut plan_cases = Vec::new();
     for (case, plan_case) in results {
@@ -405,7 +409,7 @@ pub fn run_suite_threaded(
         let grid = chain_cases();
         let cases: Vec<ChainCaseReport> =
             par::ordered_map(&grid, threads, |_, &(dataset, workload)| {
-                run_chain_case(dataset, workload)
+                run_chain_case(dataset, workload, settings)
             });
         for case in &cases {
             progress(&format!(
@@ -419,7 +423,7 @@ pub fn run_suite_threaded(
         }
         ChainSection { cases }
     });
-    let service = run_service_batch(suite, threads);
+    let service = run_service_batch(suite, threads, settings);
     progress(&format!(
         "service batch: {} jobs, cache hit rate {:.2}",
         service.jobs, service.cache_hit_rate
@@ -441,7 +445,7 @@ pub fn run_suite_threaded(
         wall_ms,
         cases_per_sec: per_sec(cases.len() as u64),
         jobs_per_sec: per_sec(service.jobs),
-        bins: Some(bin_census(suite)),
+        bins: Some(bin_census(suite, settings)),
         obs: Some(ObsHostStats {
             families: obs_totals.families,
             samples: obs_totals.samples,
@@ -450,23 +454,16 @@ pub fn run_suite_threaded(
     });
     // The estimator setting that planned the estplan cases identifies the
     // section the same way config_fingerprint identifies the grid.
-    let plan = (suite == Suite::Estplan).then(|| {
-        let setting = effective_estimator();
-        PlanSection {
-            estimator_fingerprint: if setting.enabled {
-                setting.config.fingerprint()
-            } else {
-                0
-            },
-            cases: plan_cases,
-        }
+    let plan = (suite == Suite::Estplan).then(|| PlanSection {
+        estimator_fingerprint: settings.estimator.map_or(0, |e| e.fingerprint()),
+        cases: plan_cases,
     });
     BenchReport {
         schema_version: SCHEMA_VERSION,
         suite: suite.name().to_string(),
         git_sha: git_sha(),
         model_version: br_gpu_sim::MODEL_VERSION,
-        config_fingerprint: config_fingerprint(&config),
+        config_fingerprint: settings.config.fingerprint(),
         cases,
         service,
         plan,
@@ -488,35 +485,24 @@ pub fn chain_cases() -> Vec<(&'static str, Workload)> {
 }
 
 /// Runs one chain case: the workload's program over the dataset at tiny
-/// scale, step by step through the plan-cached service path against a
-/// fresh cache and a private registry — so the recorded hit/miss pattern
-/// is intra-chain and a pure function of the program, independent of what
-/// other grid cells run concurrently.
-fn run_chain_case(dataset: &'static str, workload: Workload) -> ChainCaseReport {
+/// scale, step by step through an engine with a fresh cache and a private
+/// registry — so the recorded hit/miss pattern is intra-chain and a pure
+/// function of the program, independent of what other grid cells run
+/// concurrently.
+fn run_chain_case(
+    dataset: &'static str,
+    workload: Workload,
+    settings: &PlanSettings,
+) -> ChainCaseReport {
     let a = RealWorldRegistry::get(dataset)
         .unwrap_or_else(|| panic!("chain suite references unknown dataset {dataset:?}"))
         .generate(ScaleFactor::Tiny);
-    let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
-    let registry = Arc::new(Registry::new());
-    let instruments = service_chain::register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(8, registry.clone());
+    let engine = Engine::new(exact(settings), 8, Arc::new(Registry::new()));
+    let worker = Worker::new(0, DeviceConfig::titan_xp());
     let request = ChainRequest::workload(0, workload, &a);
-    let outcome = service_chain::execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        None,
-        ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .unwrap_or_else(|e| panic!("chain case {dataset}/{} failed: {e:?}", workload.spec()));
+    let outcome = engine
+        .run_chain(&worker, &request, 0.0)
+        .unwrap_or_else(|e| panic!("chain case {dataset}/{} failed: {e:?}", workload.spec()));
     ChainCaseReport {
         id: format!("{dataset}@tiny/{}/titan-xp", workload.spec()),
         dataset: dataset.to_string(),
@@ -543,50 +529,63 @@ fn run_chain_case(dataset: &'static str, workload: Workload) -> ChainCaseReport 
     }
 }
 
+/// `settings` with exact precalculation: what every case but the estplan
+/// suite's `plan-estimate` flavor plans under.
+fn exact(settings: &PlanSettings) -> PlanSettings {
+    PlanSettings {
+        estimator: None,
+        ..*settings
+    }
+}
+
 /// Runs one grid point. Plan-building cases (`estplan` suite) also return
 /// the planner's decision record for the report's plan section.
-fn run_case(case: &BenchCase, config: &ReorganizerConfig) -> (CaseReport, Option<PlanCaseReport>) {
+fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<PlanCaseReport>) {
     let spec = RealWorldRegistry::get(case.dataset)
         .unwrap_or_else(|| panic!("suite references unknown dataset {:?}", case.dataset));
     let a = spec.generate(case.scale);
     let ctx = crate::harness::square_context(&a);
     let device = case.device.config();
+    let exact = exact(settings);
     let mut plan_case = None;
     let run: SpgemmRun<f64> = match case.method {
-        MethodSel::Baseline(m) => run_method(&ctx, m, &device).expect("square shapes always agree"),
-        MethodSel::Reorganizer => BlockReorganizer::new(*config)
-            .multiply_ctx(&ctx, &device)
+        MethodSel::Baseline(m) => {
+            run_method_binned(&ctx, m, &device, settings.thresholds_for(ctx.b.ncols()))
+                .expect("square shapes always agree")
+        }
+        MethodSel::Reorganizer => ReorgPlan::build(&ctx, &device, &exact)
+            .execute(&ctx, &device, PlanMode::Cold)
             .expect("square shapes always agree")
             .to_spgemm_run(),
         MethodSel::KwayMerge => {
             // Exact plan, then the bins re-classified with the k-way bin
             // forced open. Bin membership only redirects rows between
             // merge kernels — the numeric result stays bit-identical.
-            let mut plan = ReorgPlan::build(&ctx, config, &device);
+            let mut plan = ReorgPlan::build(&ctx, &device, &exact);
             plan.bins = RowBins::classify(
                 &plan.bins.row_products.clone(),
-                kway_suite_thresholds(a.ncols()),
+                kway_suite_thresholds(settings, a.ncols()),
             );
             plan.execute(&ctx, &device, PlanMode::Cached)
                 .expect("square shapes always agree")
                 .to_spgemm_run()
         }
-        MethodSel::Reordered(strategy) => {
+        MethodSel::Reordered(reorder) => {
             // The permutation is planned once and stored in the plan, so
             // the cached execution replays it exactly like a cache hit in
             // the service would.
-            let plan = ReorgPlan::build_with_reorder(&ctx, config, &device, strategy);
+            let plan = ReorgPlan::build(&ctx, &device, &PlanSettings { reorder, ..exact });
             plan.execute(&ctx, &device, PlanMode::Cached)
                 .expect("square shapes always agree")
                 .to_spgemm_run()
         }
         MethodSel::PlanExact | MethodSel::PlanEstimate => {
-            let setting = effective_estimator();
-            let plan = if case.method == MethodSel::PlanEstimate && setting.enabled {
-                ReorgPlan::build_estimated(&ctx, config, &device, &setting.config)
+            let planned = if case.method == MethodSel::PlanEstimate {
+                settings
             } else {
-                ReorgPlan::build(&ctx, config, &device)
+                &exact
             };
+            let plan = ReorgPlan::build(&ctx, &device, planned);
             plan_case = Some(PlanCaseReport {
                 id: case.id(),
                 mode: if plan.build.fallback {
@@ -664,12 +663,12 @@ fn worst_lbi(profiles: &[KernelProfile]) -> f64 {
 /// The thresholds [`bin_census`] applies to a problem of width `ncols` in
 /// `suite`: the `kway` suite censuses under its forced k-way thresholds —
 /// the same ones its merge cases execute with — every other suite under
-/// what the engine would actually apply (the `--bins` override when set,
-/// else the width-aware recommendation).
-fn suite_thresholds(suite: Suite, ncols: usize) -> br_spgemm::accum::BinThresholds {
+/// what an exact plan applies (the forced `--bins` when set, else the
+/// width-aware recommendation).
+fn suite_thresholds(suite: Suite, settings: &PlanSettings, ncols: usize) -> BinThresholds {
     match suite {
-        Suite::Kway => kway_suite_thresholds(ncols),
-        _ => effective_thresholds_for(ncols),
+        Suite::Kway => kway_suite_thresholds(settings, ncols),
+        _ => settings.thresholds_for(ncols),
     }
 }
 
@@ -681,9 +680,9 @@ fn suite_thresholds(suite: Suite, ncols: usize) -> br_spgemm::accum::BinThreshol
 /// their run counts (A-row nonzeros): the tournament-tree widths the k-way
 /// bin actually builds. Structure-only and deterministic; recorded in the
 /// report's informational `host` section, never compared.
-fn bin_census(suite: Suite) -> BinHostStats {
+fn bin_census(suite: Suite, settings: &PlanSettings) -> BinHostStats {
     let mut seen: Vec<(&'static str, String)> = Vec::new();
-    let mut recorded: Option<br_spgemm::accum::BinThresholds> = None;
+    let mut recorded: Option<BinThresholds> = None;
     let mut runs_hist: Vec<u64> = Vec::new();
     let mut stats = BinHostStats {
         tiny_max: 0,
@@ -708,7 +707,7 @@ fn bin_census(suite: Suite) -> BinHostStats {
         let a = RealWorldRegistry::get(case.dataset)
             .expect("suite datasets are registered")
             .generate(case.scale);
-        let thresholds = suite_thresholds(suite, a.ncols());
+        let thresholds = suite_thresholds(suite, settings, a.ncols());
         if recorded.is_none() {
             recorded = Some(thresholds);
             stats.tiny_max = thresholds.tiny_max;
@@ -742,7 +741,7 @@ fn bin_census(suite: Suite) -> BinHostStats {
 /// Exercises the `br-service` plan cache with a deterministic batch: a few
 /// distinct matrices, each multiplied several times, so the cache sees
 /// both cold misses and warm hits regardless of worker interleaving.
-fn run_service_batch(suite: Suite, threads: usize) -> ServiceSection {
+fn run_service_batch(suite: Suite, threads: usize, settings: &PlanSettings) -> ServiceSection {
     let (repeats, scale) = match suite {
         Suite::Quick => (3usize, ScaleFactor::Tiny),
         Suite::Full => (4, ScaleFactor::Default),
@@ -769,7 +768,8 @@ fn run_service_batch(suite: Suite, threads: usize) -> ServiceSection {
     // so `bench run --metrics` covers the service batch too.
     let batch = SpgemmService::run_batch(
         ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8)
-            .with_registry(br_obs::global_arc()),
+            .with_registry(br_obs::global_arc())
+            .with_settings(exact(settings)),
         jobs,
     );
     let stats = &batch.stats;
@@ -832,8 +832,8 @@ mod tests {
 
     #[test]
     fn quick_suite_run_is_deterministic() {
-        let mut a = run_suite(Suite::Quick, |_| {});
-        let mut b = run_suite(Suite::Quick, |_| {});
+        let mut a = run_suite(Suite::Quick, &default_settings(), |_| {});
+        let mut b = run_suite(Suite::Quick, &default_settings(), |_| {});
         // Whole-report equality except provenance (git_sha is stable here
         // anyway) and the wall-clock host section, which is the one part
         // that legitimately differs between runs.
@@ -849,8 +849,8 @@ mod tests {
         // The tentpole contract: with the host section stripped, the
         // report file is byte-for-byte the same whether the grid and the
         // service batch ran on 1 worker or several.
-        let mut seq = run_suite_threaded(Suite::Quick, 1, |_| {});
-        let mut par4 = run_suite_threaded(Suite::Quick, 4, |_| {});
+        let mut seq = run_suite_threaded(Suite::Quick, 1, &default_settings(), |_| {});
+        let mut par4 = run_suite_threaded(Suite::Quick, 4, &default_settings(), |_| {});
         assert_eq!(seq.host.as_ref().map(|h| h.threads), Some(1));
         assert_eq!(par4.host.as_ref().map(|h| h.threads), Some(4));
         seq.host = None;
@@ -860,14 +860,14 @@ mod tests {
 
     #[test]
     fn bin_census_is_deterministic_and_counts_every_row() {
-        let census = bin_census(Suite::Quick);
-        assert_eq!(census, bin_census(Suite::Quick));
+        let census = bin_census(Suite::Quick, &default_settings());
+        assert_eq!(census, bin_census(Suite::Quick, &default_settings()));
         // The recorded pair is what the engine applies to the suite's
         // first problem (harbor, tiny scale).
         let harbor = RealWorldRegistry::get("harbor")
             .unwrap()
             .generate(ScaleFactor::Tiny);
-        let thresholds = effective_thresholds_for(harbor.ncols());
+        let thresholds = BinThresholds::recommended(harbor.ncols());
         assert_eq!(census.tiny_max, thresholds.tiny_max);
         assert_eq!(census.heavy_min, thresholds.heavy_min);
         // The quick suite censuses under the engine's own thresholds,
@@ -898,8 +898,8 @@ mod tests {
         // Under the kway suite's forced thresholds the census must move
         // rows into the k-way bin and the runs histogram must cover
         // exactly those rows.
-        let census = bin_census(Suite::Kway);
-        assert_eq!(census, bin_census(Suite::Kway));
+        let census = bin_census(Suite::Kway, &default_settings());
+        assert_eq!(census, bin_census(Suite::Kway, &default_settings()));
         assert_eq!(census.kway_min, Some(KWAY_SUITE_MIN));
         let kway_rows = census.kway_rows.expect("kway census records the bin");
         assert!(kway_rows > 0, "{census:?}");
@@ -910,7 +910,7 @@ mod tests {
 
     #[test]
     fn quick_suite_measures_real_work() {
-        let report = run_suite(Suite::Quick, |_| {});
+        let report = run_suite(Suite::Quick, &default_settings(), |_| {});
         assert_eq!(report.cases.len(), 9);
         for case in &report.cases {
             assert!(
@@ -940,7 +940,7 @@ mod tests {
     /// stays within the compare gate's makespan tolerance.
     #[test]
     fn estplan_estimate_flavor_halves_cold_plan_cost_at_matched_makespan() {
-        let report = run_suite(Suite::Estplan, |_| {});
+        let report = run_suite(Suite::Estplan, &default_settings(), |_| {});
         let plan = report
             .plan
             .as_ref()
@@ -994,7 +994,7 @@ mod tests {
     /// merge-phase improvement on at least one heavy-row dataset.
     #[test]
     fn kway_suite_improves_the_merge_phase_on_a_heavy_dataset() {
-        let report = run_suite(Suite::Kway, |_| {});
+        let report = run_suite(Suite::Kway, &default_settings(), |_| {});
         assert_eq!(report.cases.len(), 6);
         let merge_cycles = |case: &CaseReport| -> f64 {
             case.metrics
@@ -1037,8 +1037,8 @@ mod tests {
     /// quick suite — the contract the bench_gate kway step byte-compares.
     #[test]
     fn kway_suite_is_byte_identical_at_any_thread_count() {
-        let mut seq = run_suite_threaded(Suite::Kway, 1, |_| {});
-        let mut par4 = run_suite_threaded(Suite::Kway, 4, |_| {});
+        let mut seq = run_suite_threaded(Suite::Kway, 1, &default_settings(), |_| {});
+        let mut par4 = run_suite_threaded(Suite::Kway, 4, &default_settings(), |_| {});
         seq.host = None;
         par4.host = None;
         assert_eq!(seq.to_json(), par4.to_json());
@@ -1049,8 +1049,8 @@ mod tests {
     /// bench_gate estimator step byte-compares.
     #[test]
     fn estplan_suite_is_byte_identical_at_any_thread_count() {
-        let mut seq = run_suite_threaded(Suite::Estplan, 1, |_| {});
-        let mut par4 = run_suite_threaded(Suite::Estplan, 4, |_| {});
+        let mut seq = run_suite_threaded(Suite::Estplan, 1, &default_settings(), |_| {});
+        let mut par4 = run_suite_threaded(Suite::Estplan, 4, &default_settings(), |_| {});
         seq.host = None;
         par4.host = None;
         assert_eq!(seq.to_json(), par4.to_json());
@@ -1062,7 +1062,7 @@ mod tests {
     /// least one dataset.
     #[test]
     fn reorder_suite_improves_lbi_or_l2_somewhere_without_changing_results() {
-        let report = run_suite(Suite::Reorder, |_| {});
+        let report = run_suite(Suite::Reorder, &default_settings(), |_| {});
         assert_eq!(report.cases.len(), 12);
         let mut improved = Vec::new();
         for dataset in ["harbor", "emailEnron", "patents_main"] {
@@ -1100,8 +1100,8 @@ mod tests {
     /// quick suite — the contract the bench_gate reorder step byte-compares.
     #[test]
     fn reorder_suite_is_byte_identical_at_any_thread_count() {
-        let mut seq = run_suite_threaded(Suite::Reorder, 1, |_| {});
-        let mut par4 = run_suite_threaded(Suite::Reorder, 4, |_| {});
+        let mut seq = run_suite_threaded(Suite::Reorder, 1, &default_settings(), |_| {});
+        let mut par4 = run_suite_threaded(Suite::Reorder, 4, &default_settings(), |_| {});
         seq.host = None;
         par4.host = None;
         assert_eq!(seq.to_json(), par4.to_json());
@@ -1113,7 +1113,7 @@ mod tests {
     /// misses on every step (structure churn).
     #[test]
     fn chain_suite_caches_galerkin_and_churns_squaring() {
-        let report = run_suite(Suite::Chain, |_| {});
+        let report = run_suite(Suite::Chain, &default_settings(), |_| {});
         assert!(report.cases.is_empty(), "the chain suite has no grid cases");
         let chain = report.chain.as_ref().expect("chain suite records chains");
         assert_eq!(chain.cases.len(), 12, "3 datasets x 4 canonical workloads");
@@ -1161,8 +1161,8 @@ mod tests {
     /// quick suite — the contract the bench_gate chain step byte-compares.
     #[test]
     fn chain_suite_is_byte_identical_at_any_thread_count() {
-        let mut seq = run_suite_threaded(Suite::Chain, 1, |_| {});
-        let mut par4 = run_suite_threaded(Suite::Chain, 4, |_| {});
+        let mut seq = run_suite_threaded(Suite::Chain, 1, &default_settings(), |_| {});
+        let mut par4 = run_suite_threaded(Suite::Chain, 4, &default_settings(), |_| {});
         seq.host = None;
         par4.host = None;
         assert_eq!(seq.to_json(), par4.to_json());

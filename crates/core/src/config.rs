@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::reorder::{fnv_mix, FNV_OFFSET};
+
 /// Bytes of one shared-memory allocation unit used by B-Limiting; the paper
 /// "increases the allocated memory by 6144 bytes" per limiting step.
 pub const LIMIT_UNIT_BYTES: u32 = 6144;
@@ -103,6 +105,31 @@ impl ReorganizerConfig {
     /// Extra shared-memory bytes a limited merge block receives.
     pub fn limit_bytes(&self) -> u32 {
         self.limiting_units * LIMIT_UNIT_BYTES
+    }
+
+    /// FNV fingerprint over every field: part of the plan-cache key (the
+    /// thresholds and split policy change the plan), and the identity of
+    /// a bench report's grid.
+    pub fn fingerprint(&self) -> u64 {
+        let policy = match self.split_policy {
+            SplitPolicy::Auto => 1u64 << 32,
+            SplitPolicy::Fixed(f) => (2u64 << 32) | f as u64,
+            SplitPolicy::Greedy => 3u64 << 32,
+        };
+        let toggles = (self.enable_split as u64)
+            | ((self.enable_gather as u64) << 1)
+            | ((self.enable_limit as u64) << 2);
+        [
+            self.alpha.to_bits(),
+            self.beta.to_bits(),
+            self.limiting_units as u64,
+            self.block_size as u64,
+            self.gather_block as u64,
+            policy,
+            toggles,
+        ]
+        .iter()
+        .fold(FNV_OFFSET, |h, &v| fnv_mix(h, v))
     }
 }
 

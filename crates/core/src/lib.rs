@@ -45,6 +45,7 @@ pub mod pass;
 pub mod plan;
 pub mod reorder;
 pub mod report;
+pub mod settings;
 pub mod split;
 pub mod tune;
 
@@ -55,4 +56,5 @@ pub use pass::{BlockReorganizer, ReorganizerRun};
 pub use plan::{PlanMode, ReorgPlan};
 pub use reorder::{Permutation, ReorderParseError, ReorderStrategy};
 pub use report::WorkloadReport;
+pub use settings::PlanSettings;
 pub use tune::{tune, TuneResult};

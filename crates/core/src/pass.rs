@@ -130,13 +130,13 @@ impl BlockReorganizer {
         ctx: &ProblemContext<T>,
         device: &DeviceConfig,
     ) -> Result<ReorganizerRun<T>> {
-        ReorgPlan::build(ctx, &self.config, device).execute(ctx, device, PlanMode::Cold)
+        self.plan(ctx, device).execute(ctx, device, PlanMode::Cold)
     }
 
     /// Builds the reusable preprocessing artifact for this configuration —
     /// the analysis half of [`BlockReorganizer::multiply_ctx`].
     pub fn plan<T: Scalar>(&self, ctx: &ProblemContext<T>, device: &DeviceConfig) -> ReorgPlan {
-        ReorgPlan::build(ctx, &self.config, device)
+        ReorgPlan::build(ctx, device, &self.config.into())
     }
 
     /// Multiplies using a previously built (e.g. cached) plan: only the

@@ -36,13 +36,11 @@ use br_gpu_sim::sim::{record_replays, GpuSimulator};
 use br_gpu_sim::trace::KernelLaunch;
 use br_sparse::error::SparseError;
 use br_sparse::{CsrMatrix, Result, Scalar};
-use br_spgemm::accum::{
-    effective_thresholds_for, global_thresholds, spgemm_adaptive_planned, RowBins, ScratchPool,
-};
+use br_spgemm::accum::{spgemm_adaptive_planned, RowBins, ScratchPool};
 use br_spgemm::context::{ProblemContext, ProblemSignature};
 use br_spgemm::estimate::{
     estimate_workload, exact_plan_ops, select_method, select_thresholds, EstimatorConfig,
-    MethodChoice,
+    MethodChoice, WorkloadEstimate,
 };
 use br_spgemm::expansion::outer::outer_pair_block;
 use br_spgemm::merge::kway::binned_merge_launches;
@@ -56,6 +54,7 @@ use crate::gather::{combined_block_trace, compacted_block_trace, plan_gathers, G
 use crate::limit::LimitPlan;
 use crate::pass::{ReorgStats, ReorganizerRun};
 use crate::reorder::{self, Permutation, ReorderStrategy};
+use crate::settings::PlanSettings;
 use crate::split::{plan_splits, preprocess_ms, split_blocks, SplitPlan};
 
 /// How a plan execution charges preprocessing overhead.
@@ -232,174 +231,95 @@ impl PlanBuild {
             estimator_fingerprint: 0,
         }
     }
+
+    /// Provenance of a plan that sampled its workloads with `estimator`,
+    /// having spent `ops` in total.
+    fn sampled(
+        estimator: &EstimatorConfig,
+        est: &WorkloadEstimate,
+        fallback: bool,
+        ops: u64,
+    ) -> Self {
+        PlanBuild {
+            estimated: true,
+            fallback,
+            sampled_cols: est.sampled_cols as u64,
+            rel_band_ppm: (est.rel_band * 1e6) as u64,
+            ops,
+            estimator_fingerprint: estimator.fingerprint(),
+        }
+    }
 }
 
 impl ReorgPlan {
-    /// Runs the full analysis pipeline: precalculation, classification, and
-    /// B-Splitting / B-Gathering / B-Limiting planning.
+    /// Runs the full analysis pipeline under `settings`: the optional
+    /// row-reordering stage, then precalculation (exact, or sampled when
+    /// `settings.estimator` is set), classification, and B-Splitting /
+    /// B-Gathering / B-Limiting planning. Every plan is built here;
+    /// [`ReorgPlan::build_with_reorder`] is a shorthand for exact settings.
+    ///
+    /// A reordering strategy's [`Permutation`] over `A`'s row structure is
+    /// computed once and the whole analysis (classification, splitting,
+    /// gathering, limiting, row binning) runs over the *permuted* problem;
+    /// the resolved strategy and the permutation are stored in the plan so
+    /// executions replay them. The plan's signature stays that of the
+    /// **original** operands — callers never permute anything themselves,
+    /// and the executed result is un-permuted on output, so it is
+    /// bit-identical to the unreordered multiply.
+    ///
+    /// The sampled path extrapolates per-row workloads from a seeded
+    /// column/row sample, chooses the expansion method per problem, and
+    /// sizes the merge bins from the estimated distribution (unless
+    /// `settings.bins` forces them). When the estimate's confidence band is
+    /// wider than the estimator's tolerance, the planner falls back to the
+    /// exact workloads, charging both passes. Either way the plan is a
+    /// value-independent artifact: the sample is derived from the operands'
+    /// structure hashes and the sample count.
     pub fn build<T: Scalar>(
         ctx: &ProblemContext<T>,
-        config: &ReorganizerConfig,
         device: &DeviceConfig,
+        settings: &PlanSettings,
     ) -> Self {
-        Self::build_with_reorder(ctx, config, device, ReorderStrategy::None)
+        let (reorder, permutation) = reorder::plan_permutation(&ctx.a, settings.reorder);
+        let permuted = permutation.as_ref().map(|p| ctx.permute_rows(p.forward()));
+        let mut plan = Self::analyze(permuted.as_ref().unwrap_or(ctx), device, settings);
+        plan.signature = ctx.signature();
+        plan.reorder = reorder;
+        plan.permutation = permutation;
+        plan
     }
 
-    /// [`ReorgPlan::build`] with a row-reordering stage in front: the
-    /// strategy's [`Permutation`] over `A`'s row structure is computed
-    /// once, the whole analysis (classification, splitting, gathering,
-    /// limiting, row binning) runs over the *permuted* problem, and both
-    /// the resolved strategy and the permutation are stored in the plan
-    /// so cached executions replay them. The plan's signature stays that
-    /// of the **original** operands — callers never permute anything
-    /// themselves, and the executed result is un-permuted on output, so
-    /// it is bit-identical to the unreordered multiply.
+    /// [`ReorgPlan::build`] with exact precalculation under `config` and
+    /// `strategy`.
     pub fn build_with_reorder<T: Scalar>(
         ctx: &ProblemContext<T>,
         config: &ReorganizerConfig,
         device: &DeviceConfig,
         strategy: ReorderStrategy,
     ) -> Self {
-        let (resolved, permutation) = reorder::plan_permutation(&ctx.a, strategy);
-        match permutation {
-            Some(p) => {
-                let mut plan = Self::build_exact_at(&ctx.permute_rows(p.forward()), config, device);
-                plan.signature = ctx.signature();
-                plan.reorder = resolved;
-                plan.permutation = Some(p);
-                plan
-            }
-            None => {
-                let mut plan = Self::build_exact_at(ctx, config, device);
-                plan.reorder = resolved;
-                plan
-            }
-        }
+        Self::build(
+            ctx,
+            device,
+            &PlanSettings {
+                reorder: strategy,
+                ..(*config).into()
+            },
+        )
     }
 
-    /// The exact analysis pipeline over `ctx` as given (no reordering).
-    fn build_exact_at<T: Scalar>(
+    /// The analysis over `ctx` as given (already permuted when the
+    /// settings reorder).
+    fn analyze<T: Scalar>(
         ctx: &ProblemContext<T>,
-        config: &ReorganizerConfig,
         device: &DeviceConfig,
+        settings: &PlanSettings,
     ) -> Self {
-        let classification = Classification::of(ctx, config);
-        let split_plans = if config.enable_split && !classification.dominators.is_empty() {
-            plan_splits(
-                ctx,
-                &classification.dominators,
-                config.split_policy,
-                device,
-                classification.threshold,
-            )
-        } else {
-            Vec::new()
-        };
-        let host_ms = preprocess_ms(ctx, &split_plans);
-        let gather_plan = if config.enable_gather && !classification.low_performers.is_empty() {
-            plan_gathers(ctx, &classification.low_performers, config.gather_block)
-        } else {
-            GatherPlan::default()
-        };
-        let limit_plan = LimitPlan::of(ctx, config);
-        let bins = RowBins::classify(&ctx.row_products, effective_thresholds_for(ctx.b.ncols()));
-        ReorgPlan {
-            config: *config,
-            device_name: device.name.clone(),
-            signature: ctx.signature(),
-            classification,
-            split_plans,
-            gather_plan,
-            limit_plan,
-            bins,
-            preprocess_ms: host_ms,
-            method: MethodChoice::Reorganized,
-            reorder: ReorderStrategy::None,
-            permutation: None,
-            build: PlanBuild::exact(exact_plan_ops(ctx)),
-            replay: ReplayMemo::default(),
-        }
-    }
-
-    /// [`ReorgPlan::build`] driven by the sampling estimator: per-row
-    /// workloads and `nnz(C)` are extrapolated from a seeded column/row
-    /// sample, the expansion method is chosen per problem, and the merge
-    /// bin thresholds are sized from the estimated distribution. When the
-    /// estimate's confidence band is wider than `estimator.tolerance`, the
-    /// planner falls back to exact precalculation (charging both passes).
-    ///
-    /// The resulting plan is still a value-independent artifact: the sample
-    /// is derived from the operands' structure hashes and the estimator
-    /// fingerprint, so structurally identical problems always produce the
-    /// identical plan.
-    pub fn build_estimated<T: Scalar>(
-        ctx: &ProblemContext<T>,
-        config: &ReorganizerConfig,
-        device: &DeviceConfig,
-        estimator: &EstimatorConfig,
-    ) -> Self {
-        Self::build_estimated_with_reorder(ctx, config, device, estimator, ReorderStrategy::None)
-    }
-
-    /// [`ReorgPlan::build_estimated`] with the reordering stage of
-    /// [`ReorgPlan::build_with_reorder`] in front: the estimator's
-    /// sampling, threshold selection, and method choice all observe the
-    /// *permuted* structure, and the stored plan carries the permutation
-    /// alongside the estimated workloads.
-    pub fn build_estimated_with_reorder<T: Scalar>(
-        ctx: &ProblemContext<T>,
-        config: &ReorganizerConfig,
-        device: &DeviceConfig,
-        estimator: &EstimatorConfig,
-        strategy: ReorderStrategy,
-    ) -> Self {
-        let (resolved, permutation) = reorder::plan_permutation(&ctx.a, strategy);
-        match permutation {
-            Some(p) => {
-                let mut plan = Self::build_estimated_at(
-                    &ctx.permute_rows(p.forward()),
-                    config,
-                    device,
-                    estimator,
-                );
-                plan.signature = ctx.signature();
-                plan.reorder = resolved;
-                plan.permutation = Some(p);
-                plan
-            }
-            None => {
-                let mut plan = Self::build_estimated_at(ctx, config, device, estimator);
-                plan.reorder = resolved;
-                plan
-            }
-        }
-    }
-
-    /// The estimated analysis pipeline over `ctx` as given (no
-    /// reordering).
-    fn build_estimated_at<T: Scalar>(
-        ctx: &ProblemContext<T>,
-        config: &ReorganizerConfig,
-        device: &DeviceConfig,
-        estimator: &EstimatorConfig,
-    ) -> Self {
-        let est = estimate_workload(ctx, estimator);
-        let rel_band_ppm = (est.rel_band * 1e6) as u64;
-        if !est.within(estimator) {
-            // Band too wide: pay for exact precalc on top of the sample.
-            let mut plan = Self::build_exact_at(ctx, config, device);
-            plan.build = PlanBuild {
-                estimated: true,
-                fallback: true,
-                sampled_cols: est.sampled_cols as u64,
-                rel_band_ppm,
-                ops: est.ops + plan.build.ops,
-                estimator_fingerprint: estimator.fingerprint(),
-            };
-            return plan;
-        }
+        let config = &settings.config;
+        let estimate = settings
+            .estimator
+            .map(|estimator| (estimator, estimate_workload(ctx, &estimator)));
         // Classification, splitting, and gathering read only the exact
-        // block-products pass, which both paths share — identical to build.
+        // block-products pass, which both paths share.
         let classification = Classification::of(ctx, config);
         let split_plans = if config.enable_split && !classification.dominators.is_empty() {
             plan_splits(
@@ -418,15 +338,35 @@ impl ReorgPlan {
         } else {
             GatherPlan::default()
         };
-        // Limiting and binning run from the *extrapolated* row workloads.
-        // Under-estimates are safe: the merge hash grows on demand, and bin
-        // choice can never change the numeric result.
-        let limit_plan =
-            LimitPlan::from_products(&est.row_products, ctx.intermediate_total, config);
-        let thresholds =
-            global_thresholds().unwrap_or_else(|| select_thresholds(&est, ctx.ncols()));
-        let bins = RowBins::classify(&est.row_products, thresholds);
-        let method = select_method(ctx, &est);
+        let (limit_plan, bins, method, build) = match &estimate {
+            // Limiting and binning run from the *extrapolated* row
+            // workloads. Under-estimates are safe: the merge hash grows on
+            // demand, and bin choice can never change the numeric result.
+            Some((estimator, est)) if est.within(estimator) => (
+                LimitPlan::from_products(&est.row_products, ctx.intermediate_total, config),
+                RowBins::classify(
+                    &est.row_products,
+                    settings
+                        .bins
+                        .unwrap_or_else(|| select_thresholds(est, ctx.ncols())),
+                ),
+                select_method(ctx, est),
+                PlanBuild::sampled(estimator, est, false, est.ops),
+            ),
+            // Exact, or the band was too wide: pay for exact precalc (on
+            // top of the sample, when there was one).
+            _ => (
+                LimitPlan::of(ctx, config),
+                RowBins::classify(&ctx.row_products, settings.thresholds_for(ctx.ncols())),
+                MethodChoice::Reorganized,
+                match &estimate {
+                    Some((estimator, est)) => {
+                        PlanBuild::sampled(estimator, est, true, est.ops + exact_plan_ops(ctx))
+                    }
+                    None => PlanBuild::exact(exact_plan_ops(ctx)),
+                },
+            ),
+        };
         ReorgPlan {
             config: *config,
             device_name: device.name.clone(),
@@ -440,14 +380,7 @@ impl ReorgPlan {
             method,
             reorder: ReorderStrategy::None,
             permutation: None,
-            build: PlanBuild {
-                estimated: true,
-                fallback: false,
-                sampled_cols: est.sampled_cols as u64,
-                rel_band_ppm,
-                ops: est.ops,
-                estimator_fingerprint: estimator.fingerprint(),
-            },
+            build,
             replay: ReplayMemo::default(),
         }
     }
@@ -749,6 +682,14 @@ mod tests {
     use crate::pass::BlockReorganizer;
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
 
+    /// Sampled planning under `estimator`, everything else default.
+    fn estimated(estimator: EstimatorConfig) -> PlanSettings {
+        PlanSettings {
+            estimator: Some(estimator),
+            ..PlanSettings::default()
+        }
+    }
+
     fn skewed() -> CsrMatrix<f64> {
         chung_lu(ChungLuConfig {
             gamma: 2.0,
@@ -763,7 +704,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let plan = ReorgPlan::build(&ctx, &cfg, &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &cfg.into());
         let planned = plan.execute(&ctx, &dev, PlanMode::Cold).unwrap();
         let oneshot = BlockReorganizer::new(cfg).multiply_ctx(&ctx, &dev).unwrap();
         // The timing model's contention pass accumulates over a HashMap, so
@@ -782,7 +723,7 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         let cold = plan.execute(&ctx, &dev, PlanMode::Cold).unwrap();
         let warm = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         assert_eq!(warm.profiles.len(), 2, "expansion + merge only");
@@ -814,7 +755,7 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         // Cold executions neither read nor fill the memo.
         plan.execute(&ctx, &dev, PlanMode::Cold).unwrap();
         assert_eq!(plan.replay_device(), None);
@@ -834,7 +775,7 @@ mod tests {
         let titan = DeviceConfig::titan_xp();
         let v100 = DeviceConfig::tesla_v100();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &titan);
+        let plan = ReorgPlan::build(&ctx, &titan, &PlanSettings::default());
         plan.execute(&ctx, &titan, PlanMode::Cached).unwrap();
         let titan_replay = plan.execute(&ctx, &titan, PlanMode::Cached).unwrap();
         let on_v100 = plan.execute(&ctx, &v100, PlanMode::Cached).unwrap();
@@ -854,20 +795,20 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let original = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let kway_bins = RowBins::classify(
             &plan.bins.row_products,
             br_spgemm::accum::BinThresholds {
                 kway_min: 128,
-                ..effective_thresholds_for(ctx.ncols())
+                ..PlanSettings::default().thresholds_for(ctx.ncols())
             },
         );
         let mut kway = plan.clone();
         kway.bins = kway_bins.clone();
         let run = kway.execute(&ctx, &dev, PlanMode::Cached).unwrap();
-        let mut fresh = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let mut fresh = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         fresh.bins = kway_bins;
         assert_same_run(&run, &fresh.execute(&ctx, &dev, PlanMode::Cached).unwrap());
         assert_eq!(original.profiles.len(), 2, "expansion + merge");
@@ -904,7 +845,7 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         let json = serde_json::to_string(&plan).unwrap();
         let back: ReorgPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
@@ -918,7 +859,7 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         let other = CsrMatrix::<f64>::identity(a.nrows());
         let other_ctx = ProblemContext::new(&other, &other).unwrap();
         assert!(plan.execute(&other_ctx, &dev, PlanMode::Cached).is_err());
@@ -930,8 +871,8 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let exact = ReorgPlan::build(&ctx, &cfg, &dev);
-        let est = ReorgPlan::build_estimated(&ctx, &cfg, &dev, &EstimatorConfig::default());
+        let exact = ReorgPlan::build(&ctx, &dev, &cfg.into());
+        let est = ReorgPlan::build(&ctx, &dev, &estimated(EstimatorConfig::default()));
         assert!(est.build.estimated);
         assert!(!exact.build.estimated);
         assert!(
@@ -962,8 +903,8 @@ mod tests {
             samples: ctx.inner_dim().max(ctx.nrows()) + 1,
             tolerance: 0.0,
         };
-        let exact = ReorgPlan::build(&ctx, &cfg, &dev);
-        let est = ReorgPlan::build_estimated(&ctx, &cfg, &dev, &full);
+        let exact = ReorgPlan::build(&ctx, &dev, &cfg.into());
+        let est = ReorgPlan::build(&ctx, &dev, &estimated(full));
         assert!(
             !est.build.fallback,
             "full sample is exact, never falls back"
@@ -982,11 +923,11 @@ mod tests {
             samples: 8,
             tolerance: 0.0,
         };
-        let est = ReorgPlan::build_estimated(&ctx, &cfg, &dev, &strict);
+        let est = ReorgPlan::build(&ctx, &dev, &estimated(strict));
         assert!(est.build.fallback);
         assert_eq!(est.method, MethodChoice::Reorganized);
         // Fallback plans carry the exact workloads.
-        let exact = ReorgPlan::build(&ctx, &cfg, &dev);
+        let exact = ReorgPlan::build(&ctx, &dev, &cfg.into());
         assert_eq!(est.bins, exact.bins);
         // And charge both the sample and the exact pass.
         assert!(est.build.ops > exact.build.ops);
@@ -998,7 +939,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let base = ReorgPlan::build(&ctx, &cfg, &dev);
+        let base = ReorgPlan::build(&ctx, &dev, &cfg.into());
         let oracle = base.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         for (method, launches) in [
             (MethodChoice::RowProduct, 2usize),
@@ -1030,7 +971,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let baseline = ReorgPlan::build(&ctx, &cfg, &dev);
+        let baseline = ReorgPlan::build(&ctx, &dev, &cfg.into());
         assert_eq!(baseline.reorder, ReorderStrategy::None);
         assert!(baseline.permutation.is_none());
         let oracle = baseline.execute(&ctx, &dev, PlanMode::Cached).unwrap();
@@ -1063,15 +1004,16 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let oracle = ReorgPlan::build(&ctx, &cfg, &dev)
+        let oracle = ReorgPlan::build(&ctx, &dev, &cfg.into())
             .execute(&ctx, &dev, PlanMode::Cached)
             .unwrap();
-        let plan = ReorgPlan::build_estimated_with_reorder(
+        let plan = ReorgPlan::build(
             &ctx,
-            &cfg,
             &dev,
-            &EstimatorConfig::default(),
-            ReorderStrategy::Degree,
+            &PlanSettings {
+                reorder: ReorderStrategy::Degree,
+                ..estimated(EstimatorConfig::default())
+            },
         );
         assert!(plan.build.estimated);
         assert_eq!(plan.reorder, ReorderStrategy::Degree);
@@ -1092,7 +1034,7 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: ReorgPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        let oracle = ReorgPlan::build(&ctx, &cfg, &dev)
+        let oracle = ReorgPlan::build(&ctx, &dev, &cfg.into())
             .execute(&ctx, &dev, PlanMode::Cached)
             .unwrap();
         let run = back.execute(&ctx, &dev, PlanMode::Cached).unwrap();
@@ -1107,7 +1049,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cfg = ReorganizerConfig::default();
-        let baseline = ReorgPlan::build(&ctx, &cfg, &dev);
+        let baseline = ReorgPlan::build(&ctx, &dev, &cfg.into());
         let degree = ReorgPlan::build_with_reorder(&ctx, &cfg, &dev, ReorderStrategy::Degree);
         let base_run = baseline.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let deg_run = degree.execute(&ctx, &dev, PlanMode::Cached).unwrap();
@@ -1126,7 +1068,7 @@ mod tests {
         let a = skewed();
         let dev = DeviceConfig::titan_xp();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
         // Same structure, different values: the plan still applies, and the
         // result reflects the new values.
         let scaled = a.map_values(|v| v * 2.0);

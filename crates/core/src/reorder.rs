@@ -44,11 +44,11 @@ use br_sparse::{CsrMatrix, Scalar};
 use serde::{Deserialize, Serialize};
 
 /// FNV-1a offset basis (the same constants the plan fingerprints use).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_mix(hash: u64, value: u64) -> u64 {
+pub(crate) fn fnv_mix(hash: u64, value: u64) -> u64 {
     (hash ^ value).wrapping_mul(FNV_PRIME)
 }
 

@@ -38,7 +38,7 @@ fn assert_all_strategies_bit_identical(a: &CsrMatrix<f64>, what: &str) {
     let dev = DeviceConfig::titan_xp();
     let cfg = ReorganizerConfig::default();
     let ctx = ProblemContext::new(a, a).expect("square shapes agree");
-    let oracle = ReorgPlan::build(&ctx, &cfg, &dev)
+    let oracle = ReorgPlan::build(&ctx, &dev, &cfg.into())
         .execute(&ctx, &dev, PlanMode::Cached)
         .expect("baseline executes");
     for strategy in STRATEGIES {

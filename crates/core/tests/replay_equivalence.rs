@@ -9,11 +9,12 @@ use block_reorganizer::config::ReorganizerConfig;
 use block_reorganizer::pass::ReorganizerRun;
 use block_reorganizer::plan::{PlanMode, ReorgPlan};
 use block_reorganizer::reorder::ReorderStrategy;
+use block_reorganizer::PlanSettings;
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::sim::GpuSimulator;
-use br_spgemm::accum::{effective_thresholds_for, BinThresholds, RowBins};
+use br_spgemm::accum::{BinThresholds, RowBins};
 use br_spgemm::context::ProblemContext;
 use br_spgemm::estimate::{EstimatorConfig, MethodChoice};
 use proptest::prelude::*;
@@ -107,10 +108,19 @@ fn with_forced_kway(plan: &ReorgPlan, ncols: usize) -> ReorgPlan {
         &plan.bins.row_products,
         BinThresholds {
             kway_min: KWAY_MIN,
-            ..effective_thresholds_for(ncols)
+            ..BinThresholds::recommended(ncols)
         },
     );
     forced
+}
+
+/// Sampled planning with the default estimator under `reorder`.
+fn sampled(reorder: ReorderStrategy) -> PlanSettings {
+    PlanSettings {
+        estimator: Some(EstimatorConfig::default()),
+        reorder,
+        ..PlanSettings::default()
+    }
 }
 
 /// Every plan family of the bench suites over one problem. Each expansion
@@ -119,7 +129,7 @@ fn with_forced_kway(plan: &ReorgPlan, ncols: usize) -> ReorgPlan {
 fn assert_every_family_replays_exactly(ctx: &ProblemContext<f64>, what: &str) {
     let dev = DeviceConfig::titan_xp();
     let cfg = ReorganizerConfig::default();
-    let exact = ReorgPlan::build(ctx, &cfg, &dev);
+    let exact = ReorgPlan::build(ctx, &dev, &cfg.into());
     let mut families: Vec<(String, ReorgPlan)> = Vec::new();
     for method in METHODS {
         let mut plan = exact.clone();
@@ -132,16 +142,10 @@ fn assert_every_family_replays_exactly(ctx: &ProblemContext<f64>, what: &str) {
         let plan = ReorgPlan::build_with_reorder(ctx, &cfg, &dev, strategy);
         families.push((format!("reorder-{strategy:?}"), plan));
     }
-    let estimator = EstimatorConfig::default();
-    let estimated = ReorgPlan::build_estimated(ctx, &cfg, &dev, &estimator);
-    families.push((format!("estimated/{:?}", estimated.method), estimated));
-    let plan = ReorgPlan::build_estimated_with_reorder(
-        ctx,
-        &cfg,
-        &dev,
-        &estimator,
-        ReorderStrategy::Degree,
-    );
+    let estimated = sampled(ReorderStrategy::None);
+    let plan = ReorgPlan::build(ctx, &dev, &estimated);
+    families.push((format!("estimated/{:?}", plan.method), plan));
+    let plan = ReorgPlan::build(ctx, &dev, &sampled(ReorderStrategy::Degree));
     families.push(("estimated-degree".into(), plan));
     for (i, (family, plan)) in families.iter().enumerate() {
         assert_replay_is_exact(plan, ctx, threads_for(i), &format!("{what}/{family}"));
@@ -166,7 +170,7 @@ fn replays_beyond_the_parallel_block_threshold_are_exact() {
     let a = rmat(RmatConfig::graph500(11, 8, 3)).to_csr();
     let ctx = ProblemContext::new(&a, &a).unwrap();
     let dev = DeviceConfig::titan_xp();
-    let plan = ReorgPlan::build(&ctx, &ReorganizerConfig::default(), &dev);
+    let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
     let run = plan.clone().execute(&ctx, &dev, PlanMode::Cached).unwrap();
     assert!(run.profiles.iter().any(|p| p.num_blocks > 512));
     assert_replay_is_exact(&plan, &ctx, (1, 4), "rmat-11");
@@ -191,9 +195,7 @@ proptest! {
         let dev = DeviceConfig::titan_xp();
         let cfg = ReorganizerConfig::default();
         let mut plan = if estimated == 1 {
-            ReorgPlan::build_estimated_with_reorder(
-                &ctx, &cfg, &dev, &EstimatorConfig::default(), STRATEGIES[strategy],
-            )
+            ReorgPlan::build(&ctx, &dev, &sampled(STRATEGIES[strategy]))
         } else {
             ReorgPlan::build_with_reorder(&ctx, &cfg, &dev, STRATEGIES[strategy])
         };

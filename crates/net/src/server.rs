@@ -43,19 +43,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
-use block_reorganizer::reorder::ReorderStrategy;
-use block_reorganizer::ReorganizerConfig;
-use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{lock_recover, Counter, Gauge, Histogram, Registry};
-use br_service::cache::{PlanCache, PlanKey};
-use br_service::chain::{self, ChainInstruments, ChainRequest};
-use br_service::job::parse_job_file;
-use br_sparse::CsrMatrix;
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
-use br_spgemm::estimate::EstimatorConfig;
+use br_service::chain::ChainRequest;
+use br_service::engine::{Engine, Worker};
+use br_service::job::{parse_job_file, JobRequest};
+use br_service::service::ServiceConfig;
 
 use crate::frame::{
     read_frame, write_frame, ChainStepSummary, Frame, FrameError, Lane, RejectCode, VERSION,
@@ -65,46 +57,24 @@ use crate::lane::{LanePushError, LaneQueue};
 /// How to provision the serving front end.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// One worker per entry (duplicates = several workers on one model).
-    pub devices: Vec<DeviceConfig>,
-    /// Plan-cache capacity (entries).
-    pub cache_capacity: usize,
-    /// Combined lane-queue capacity; submissions beyond it are shed.
-    pub shed_threshold: usize,
+    /// Workers, plan cache, plan settings, and registry, exactly as for the
+    /// job service. `service.queue_capacity` is the shed threshold: the
+    /// combined lane depth at which submissions are shed (`None` never
+    /// sheds).
+    pub service: ServiceConfig,
     /// Max admitted-but-unfinished jobs per client id.
     pub quota: u64,
     /// Start with the worker gate held: admission decisions become a pure
     /// function of arrival order until a `Release` frame opens the gate.
     pub hold: bool,
-    /// Reorganizer configuration applied to every job.
-    pub config: ReorganizerConfig,
-    /// Metrics registry; `None` gives the server a private one.
-    pub registry: Option<Arc<Registry>>,
-    /// Estimation-based planning: `None` (default) builds plans with the
-    /// exact symbolic precalc, `Some(cfg)` builds them from a seeded sample
-    /// (method auto-selection + estimated bin thresholds, exact fallback
-    /// when the confidence band exceeds `cfg.tolerance`). Part of the plan
-    /// cache key, so flipping it never aliases cached plans.
-    pub estimator: Option<EstimatorConfig>,
-    /// Row-reordering strategy applied to every plan the server builds
-    /// ([`ReorderStrategy::None`], the default, is the historical
-    /// pipeline). Part of the plan cache key; results are bit-identical
-    /// either way because plans un-permute their output.
-    pub reorder: ReorderStrategy,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            devices: vec![DeviceConfig::titan_xp()],
-            cache_capacity: 32,
-            shed_threshold: 64,
+            service: ServiceConfig::default().with_queue_capacity(64),
             quota: 256,
             hold: false,
-            config: ReorganizerConfig::default(),
-            registry: None,
-            estimator: None,
-            reorder: ReorderStrategy::None,
         }
     }
 }
@@ -156,7 +126,6 @@ impl std::fmt::Display for ServeReport {
 /// server start, so the exposition's family set is identical no matter
 /// which events actually occur.
 struct NetInstruments {
-    registry: Arc<Registry>,
     connections: Counter,
     requests: [Counter; 2],
     admitted: [Counter; 2],
@@ -175,12 +144,10 @@ struct NetInstruments {
     lane_depth: [Gauge; 2],
     lane_depth_max: [Gauge; 2],
     queue_wait: [Histogram; 2],
-    /// Pre-registered `br_chain_*` families, updated by chain steps.
-    chain: ChainInstruments,
 }
 
 impl NetInstruments {
-    fn new(registry: Arc<Registry>) -> Self {
+    fn new(registry: &Registry) -> Self {
         let per_lane = |name: &str, help: &str| {
             [Lane::Interactive, Lane::Batch]
                 .map(|l| registry.counter(name, help, &[("lane", l.name())]))
@@ -250,8 +217,6 @@ impl NetInstruments {
                     &[("lane", l.name())],
                 )
             }),
-            chain: chain::register_chain_instruments(&registry),
-            registry,
         }
     }
 
@@ -308,10 +273,7 @@ impl Admission {
 /// a whole chain program (`SubmitChain`). Both ride the same lanes, quota,
 /// shed threshold, and deadline check.
 enum NetWork {
-    Single {
-        a: Arc<CsrMatrix<f64>>,
-        b: Arc<CsrMatrix<f64>>,
-    },
+    Single(JobRequest),
     Chain(Box<ChainRequest>),
 }
 
@@ -319,10 +281,8 @@ enum NetWork {
 struct NetJob {
     request_id: u64,
     client_id: String,
-    label: String,
     deadline: Option<Instant>,
     work: NetWork,
-    config: ReorganizerConfig,
     reply: mpsc::Sender<Frame>,
     enqueued: Instant,
 }
@@ -334,16 +294,13 @@ struct ConnHandle {
 
 struct Shared {
     queue: LaneQueue<NetJob>,
-    cache: PlanCache,
+    engine: Engine,
     admission: Admission,
     instruments: NetInstruments,
     draining: AtomicBool,
     conns: Mutex<HashMap<u64, ConnHandle>>,
     next_conn_id: AtomicU64,
     local_addr: SocketAddr,
-    reorg_config: ReorganizerConfig,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
     shed_threshold: usize,
     quota: u64,
 }
@@ -398,26 +355,22 @@ impl NetServer {
     pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let registry = config
-            .registry
-            .clone()
-            .unwrap_or_else(|| Arc::new(Registry::new()));
+        let engine = config.service.engine();
+        let shed_threshold = config.service.queue_capacity.unwrap_or(usize::MAX).max(1);
         let shared = Arc::new(Shared {
-            queue: LaneQueue::new(config.shed_threshold, config.hold),
-            cache: PlanCache::with_registry(config.cache_capacity, registry.clone()),
+            queue: LaneQueue::new(shed_threshold, config.hold),
+            instruments: NetInstruments::new(engine.registry()),
+            engine,
             admission: Admission::new(config.quota),
-            instruments: NetInstruments::new(registry),
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             local_addr,
-            reorg_config: config.config,
-            estimator: config.estimator,
-            reorder: config.reorder,
-            shed_threshold: config.shed_threshold.max(1),
+            shed_threshold,
             quota: config.quota.max(1),
         });
         let workers = config
+            .service
             .devices
             .into_iter()
             .enumerate()
@@ -425,7 +378,7 @@ impl NetServer {
                 let shared = shared.clone();
                 thread::Builder::new()
                     .name(format!("br-net-worker-{index}"))
-                    .spawn(move || worker_loop(index, device, shared))
+                    .spawn(move || worker_loop(Worker::new(index, device), shared))
                     .expect("failed to spawn net worker")
             })
             .collect();
@@ -443,7 +396,7 @@ impl NetServer {
 
     /// The registry holding this server's instruments.
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.shared.instruments.registry
+        self.shared.engine.registry()
     }
 
     /// Serves until a `Shutdown` frame completes the drain, then reports.
@@ -562,7 +515,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                     let _ = tx.send(Frame::HelloAck {
                         version: VERSION,
                         held: shared.queue.is_held(),
-                        shed_threshold: shared.shed_threshold as u32,
+                        shed_threshold: shared.shed_threshold.min(u32::MAX as usize) as u32,
                         quota: shared.quota.min(u32::MAX as u64) as u32,
                     });
                 }
@@ -669,8 +622,8 @@ fn handle_submit(
         );
         return;
     }
-    let (label, work) = match materialize_spec(spec, kind, request_id, &shared.reorg_config) {
-        Ok(job) => job,
+    let work = match materialize_spec(spec, kind, request_id) {
+        Ok(work) => work,
         Err(message) => {
             reject(RejectCode::BadSpec, message);
             return;
@@ -691,10 +644,8 @@ fn handle_submit(
     let job = NetJob {
         request_id,
         client_id: client.to_string(),
-        label,
         deadline,
         work,
-        config: shared.reorg_config,
         reply: tx.clone(),
         enqueued: Instant::now(),
     };
@@ -713,7 +664,7 @@ fn handle_submit(
                 request_id,
                 lane,
                 depth: depth as u32,
-                threshold: shared.shed_threshold as u32,
+                threshold: shared.shed_threshold.min(u32::MAX as usize) as u32,
             });
         }
         Err(LanePushError::Closed) => {
@@ -729,12 +680,7 @@ fn handle_submit(
 /// Parses a one-line job spec and loads its operands (or builds the chain
 /// request, for `SubmitChain`). The spec's `chain=` key must agree with
 /// the frame type that carried it.
-fn materialize_spec(
-    spec: &str,
-    kind: SubmitKind,
-    request_id: u64,
-    config: &ReorganizerConfig,
-) -> Result<(String, NetWork), String> {
+fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<NetWork, String> {
     let specs = parse_job_file(spec)?;
     let [one] = specs.as_slice() else {
         return Err("a Submit frame carries exactly one job line".to_string());
@@ -755,23 +701,24 @@ fn materialize_spec(
                 Some(src) => Arc::new(src.load()?),
                 None => a.clone(),
             };
-            Ok((one.source.label(), NetWork::Single { a, b }))
+            let job = JobRequest::multiply(request_id, a, b).with_label(one.source.label());
+            Ok(NetWork::Single(job))
         }
         (SubmitKind::Chain, Some(workload)) => {
             let base = one.source.load()?;
             let label = format!("{}:{}", one.source.label(), workload.spec());
-            let request = ChainRequest::workload(request_id, workload, &base)
-                .with_label(label.clone())
-                .with_config(*config);
-            Ok((label, NetWork::Chain(Box::new(request))))
+            let request = ChainRequest::workload(request_id, workload, &base).with_label(label);
+            Ok(NetWork::Chain(Box::new(request)))
         }
     }
 }
 
-fn worker_loop(index: usize, device: DeviceConfig, shared: Arc<Shared>) {
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
+/// Pops admitted requests and answers each with exactly one frame: the
+/// engine's typed outcome becomes a `Result` / `ChainResult`, its error a
+/// `Reject(Failed)` naming what went wrong.
+fn worker_loop(worker: Worker, shared: Arc<Shared>) {
     let i = &shared.instruments;
+    let engine = &shared.engine;
     while let Some((lane, job)) = shared.queue.pop() {
         shared.set_depth_gauges();
         i.queue_wait[lane.index()].observe(job.enqueued.elapsed().as_nanos() as u64);
@@ -787,151 +734,62 @@ fn worker_loop(index: usize, device: DeviceConfig, shared: Arc<Shared>) {
                 continue;
             }
         }
-        let response = match &job.work {
-            NetWork::Single { a, b } => execute_job(
-                index,
-                &device,
-                &sim,
-                &shared.cache,
-                &pool,
-                shared.estimator,
-                shared.reorder,
-                &job,
-                a,
-                b,
-            ),
-            NetWork::Chain(request) => execute_chain_job(
-                index,
-                &device,
-                &sim,
-                &shared,
-                &pool,
-                job.request_id,
-                request.as_ref().clone(),
-                job.enqueued,
-            ),
+        let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+        let request_id = job.request_id;
+        let worker_index = worker.index() as u32;
+        let reply = match &job.work {
+            NetWork::Single(request) => {
+                engine
+                    .run_job(&worker, request, queue_ms)
+                    .map(|outcome| Frame::Result {
+                        request_id,
+                        label: outcome.label,
+                        worker: worker_index,
+                        cache_hit: outcome.cache_hit,
+                        total_ms: outcome.total_ms,
+                        gflops: outcome.gflops,
+                        nnz_c: outcome.nnz_c as u64,
+                    })
+            }
+            NetWork::Chain(request) => {
+                engine
+                    .run_chain(&worker, request, queue_ms)
+                    .map(|outcome| Frame::ChainResult {
+                        request_id,
+                        worker: worker_index,
+                        total_ms: outcome.total_ms,
+                        nnz_c: outcome.result.nnz() as u64,
+                        steps: outcome
+                            .steps
+                            .iter()
+                            .map(|s| ChainStepSummary {
+                                label: s.label.clone(),
+                                cache_hit: s.cache_hit,
+                                fresh_structure: s.fresh_structure,
+                                total_ms: s.total_ms,
+                                fill_in_permille: s.fill_in_permille,
+                                output_nnz: s.output_nnz as u64,
+                            })
+                            .collect(),
+                        label: outcome.label,
+                    })
+            }
         };
-        match &response {
-            Frame::Result { .. } | Frame::ChainResult { .. } => i.results[lane.index()].inc(),
-            Frame::Reject { .. } => i.reject_failed.inc(),
-            _ => unreachable!("workers only produce Result, ChainResult, or Reject"),
-        }
+        let response = match reply {
+            Ok(frame) => {
+                i.results[lane.index()].inc();
+                frame
+            }
+            Err(e) => {
+                i.reject_failed.inc();
+                Frame::Reject {
+                    request_id,
+                    code: RejectCode::Failed,
+                    message: e.message,
+                }
+            }
+        };
         let _ = job.reply.send(response);
         shared.admission.release(&job.client_id);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    job: &NetJob,
-    a: &Arc<CsrMatrix<f64>>,
-    b: &Arc<CsrMatrix<f64>>,
-) -> Frame {
-    let fail = |message: String| Frame::Reject {
-        request_id: job.request_id,
-        code: RejectCode::Failed,
-        message,
-    };
-    let ctx = match ProblemContext::from_shared(a.clone(), b.clone()) {
-        Ok(ctx) => ctx,
-        Err(e) => return fail(format!("invalid operands: {e}")),
-    };
-    let key = PlanKey::with_options(
-        ctx.signature(),
-        &device.name,
-        &job.config,
-        estimator.as_ref(),
-        reorder,
-    );
-    // Single-flight get_or_build keeps hit/miss counters a pure function
-    // of the admitted job multiset, independent of worker count.
-    let (plan, cache_hit) = cache.get_or_build(&key, || {
-        Arc::new(match estimator {
-            Some(est) => {
-                ReorgPlan::build_estimated_with_reorder(&ctx, &job.config, device, &est, reorder)
-            }
-            None => ReorgPlan::build_with_reorder(&ctx, &job.config, device, reorder),
-        })
-    });
-    let mode = if cache_hit {
-        PlanMode::Cached
-    } else {
-        PlanMode::Cold
-    };
-    match plan.execute_with_scratch(sim, &ctx, mode, Some(pool)) {
-        Ok(run) => Frame::Result {
-            request_id: job.request_id,
-            label: job.label.clone(),
-            worker: worker as u32,
-            cache_hit,
-            total_ms: run.total_ms,
-            gflops: run.gflops(),
-            nnz_c: run.result.nnz() as u64,
-        },
-        Err(e) => fail(format!("execution failed: {e}")),
-    }
-}
-
-/// Runs one chain through [`br_service::chain::execute_chain`] — every
-/// step goes through the same plan cache the single jobs use, and the
-/// `br_chain_*` instruments registered at server start pick up the
-/// per-step counters. A failed step answers with `Reject(Failed)` naming
-/// the step.
-#[allow(clippy::too_many_arguments)]
-fn execute_chain_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    shared: &Shared,
-    pool: &ScratchPool<f64>,
-    request_id: u64,
-    request: ChainRequest,
-    enqueued: Instant,
-) -> Frame {
-    let queue_ms = enqueued.elapsed().as_secs_f64() * 1e3;
-    match chain::execute_chain(
-        worker,
-        device,
-        sim,
-        &shared.cache,
-        pool,
-        shared.estimator,
-        shared.reorder,
-        &shared.instruments.chain,
-        &shared.instruments.registry,
-        request,
-        queue_ms,
-    ) {
-        Ok(outcome) => Frame::ChainResult {
-            request_id,
-            label: outcome.label.clone(),
-            worker: worker as u32,
-            total_ms: outcome.total_ms,
-            nnz_c: outcome.result.nnz() as u64,
-            steps: outcome
-                .steps
-                .iter()
-                .map(|s| ChainStepSummary {
-                    label: s.label.clone(),
-                    cache_hit: s.cache_hit,
-                    fresh_structure: s.fresh_structure,
-                    total_ms: s.total_ms,
-                    fill_in_permille: s.fill_in_permille,
-                    output_nnz: s.output_nnz as u64,
-                })
-                .collect(),
-        },
-        Err(e) => Frame::Reject {
-            request_id,
-            code: RejectCode::Failed,
-            message: e.message,
-        },
     }
 }

@@ -11,17 +11,16 @@ use br_gpu_sim::device::DeviceConfig;
 use br_net::client::NetClient;
 use br_net::frame::{read_frame, write_frame, Frame, Lane, RejectCode};
 use br_net::server::{NetServer, ServeReport, ServerConfig};
+use br_service::service::ServiceConfig;
 
 const SPEC: &str = "rmat=6,4";
 
 fn held_config(workers: usize, shed_threshold: usize, quota: u64) -> ServerConfig {
     ServerConfig {
-        devices: vec![DeviceConfig::titan_xp(); workers],
-        cache_capacity: 8,
-        shed_threshold,
+        service: ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8)
+            .with_queue_capacity(shed_threshold),
         quota,
         hold: true,
-        ..ServerConfig::default()
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! A zero-dependency instrumentation layer for the Block Reorganizer stack:
 //! a [`Registry`] of typed instruments (monotonic [`Counter`]s, [`Gauge`]s,
-//! fixed power-of-two-bucket [`Histogram`]s, and nested spans with per-thread
-//! ordered event buffers) plus two exposition formats — Prometheus text and a
-//! JSONL event log — whose non-timing output is **byte-deterministic**:
+//! fixed power-of-two-bucket [`Histogram`]s, and nested spans counted by
+//! path) plus two exposition formats — Prometheus text and JSONL — whose
+//! non-timing output is **byte-deterministic**:
 //! sorted label sets, `BTreeMap`-ordered families, and no timestamps unless a
 //! caller supplies a [`Clock`], so `BR_THREADS=1` and `BR_THREADS=8` runs of
 //! the same work render identical bytes.
@@ -38,7 +38,7 @@ pub use registry::{
     lock_recover, Counter, FamilySnapshot, Gauge, Histogram, HistogramSpec, Kind, LabelSet,
     Registry, RegistryTotals, SampleValue,
 };
-pub use span::{SpanEvent, SpanEventKind, SpanGuard};
+pub use span::SpanGuard;
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -182,6 +182,19 @@ mod tests {
         assert_eq!(b.get(), 1);
     }
 
+    /// Completed-span counts by path, from the strict exposition.
+    fn span_totals(reg: &Registry) -> Vec<(String, u64)> {
+        reg.snapshot()
+            .into_iter()
+            .filter(|f| f.name == "br_span_total")
+            .flat_map(|f| f.samples)
+            .map(|(labels, value)| match value {
+                SampleValue::Counter(n) => (labels[0].1.clone(), n),
+                other => panic!("br_span_total is a counter, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn spans_nest_per_thread_and_count_deterministically() {
         let reg = Registry::new();
@@ -194,37 +207,27 @@ mod tests {
             let exec = reg.span("execute");
             assert_eq!(exec.path(), "job/execute");
         }
-        let events = reg.span_store().events();
-        assert_eq!(events.len(), 1);
-        let paths: Vec<(SpanEventKind, &str)> = events[0]
-            .iter()
-            .map(|e| (e.kind, e.path.as_str()))
-            .collect();
+        // A span on another thread starts its own stack.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let plan = reg.span("plan");
+                assert_eq!(plan.path(), "plan");
+            });
+        });
         assert_eq!(
-            paths,
+            span_totals(&reg),
             vec![
-                (SpanEventKind::Enter, "job"),
-                (SpanEventKind::Enter, "job/plan"),
-                (SpanEventKind::Exit, "job/plan"),
-                (SpanEventKind::Enter, "job/execute"),
-                (SpanEventKind::Exit, "job/execute"),
-                (SpanEventKind::Exit, "job"),
+                ("job".to_string(), 1),
+                ("job/execute".to_string(), 1),
+                ("job/plan".to_string(), 1),
+                ("plan".to_string(), 1),
             ]
         );
-        // No clock: no durations anywhere, and no timing histogram family.
-        assert!(events[0].iter().all(|e| e.duration_ns.is_none()));
+        // No clock: no durations, and no timing histogram family.
         assert!(reg
             .snapshot()
             .iter()
             .all(|f| f.name != "br_span_duration_ns"));
-        let count = reg
-            .counter(
-                "br_span_total",
-                "Completed spans by path.",
-                &[("path", "job/plan")],
-            )
-            .get();
-        assert_eq!(count, 1);
     }
 
     #[test]
@@ -234,17 +237,18 @@ mod tests {
         {
             let _s = reg.span("work");
         }
-        let events = reg.span_store().events();
-        let exit = events[0]
-            .iter()
-            .find(|e| e.kind == SpanEventKind::Exit)
-            .unwrap();
-        assert!(exit.duration_ns.is_some());
+        assert_eq!(span_totals(&reg), vec![("work".to_string(), 1)]);
         let strict = reg.render_prometheus(false);
         assert!(!strict.contains("br_span_duration_ns"));
-        assert!(strict.contains("br_span_total"));
+        assert!(
+            strict.contains("br_span_total{path=\"work\"} 1"),
+            "{strict}"
+        );
         let full = reg.render_prometheus(true);
-        assert!(full.contains("br_span_duration_ns_bucket"));
+        assert!(
+            full.contains("br_span_duration_ns_count{path=\"work\"} 1"),
+            "{full}"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::span::{SpanGuard, SpanStore};
+use crate::span::SpanGuard;
 use crate::Clock;
 
 /// Acquire a mutex guard, recovering the inner data if a previous holder
@@ -255,7 +255,8 @@ pub struct RegistryTotals {
     pub families: u64,
     /// Number of samples across all families.
     pub samples: u64,
-    /// Number of recorded span enter/exit events.
+    /// Span enter/exit events: two per completed span, derived from
+    /// `br_span_total`.
     pub span_events: u64,
 }
 
@@ -265,7 +266,6 @@ static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(1);
 pub struct Registry {
     id: u64,
     families: Mutex<BTreeMap<String, Family>>,
-    spans: SpanStore,
     clock: Mutex<Option<Arc<dyn Clock>>>,
 }
 
@@ -292,17 +292,12 @@ impl Registry {
         Registry {
             id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
             families: Mutex::new(BTreeMap::new()),
-            spans: SpanStore::new(),
             clock: Mutex::new(None),
         }
     }
 
     pub(crate) fn id(&self) -> u64 {
         self.id
-    }
-
-    pub(crate) fn span_store(&self) -> &SpanStore {
-        &self.spans
     }
 
     /// Install a clock. Span guards start recording durations (into the
@@ -470,10 +465,19 @@ impl Registry {
     /// Coarse totals for informational report sections.
     pub fn totals(&self) -> RegistryTotals {
         let snap = self.snapshot();
+        let completed_spans: u64 = snap
+            .iter()
+            .filter(|f| f.name == "br_span_total")
+            .flat_map(|f| &f.samples)
+            .map(|(_, value)| match value {
+                SampleValue::Counter(n) => *n,
+                _ => 0,
+            })
+            .sum();
         RegistryTotals {
             families: snap.len() as u64,
             samples: snap.iter().map(|f| f.samples.len() as u64).sum(),
-            span_events: self.spans.events().iter().map(|buf| buf.len() as u64).sum(),
+            span_events: 2 * completed_spans,
         }
     }
 
@@ -485,7 +489,7 @@ impl Registry {
         crate::render::render_prometheus(self, include_timing)
     }
 
-    /// Render the registry as a JSONL event log (one JSON object per line),
+    /// Render the registry as JSONL (one JSON object per metric sample),
     /// with the same timing-family filtering and determinism contract as
     /// [`Registry::render_prometheus`].
     pub fn render_jsonl(&self, include_timing: bool) -> String {

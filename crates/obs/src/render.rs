@@ -1,16 +1,14 @@
-//! Exposition renderers: Prometheus text format and a JSONL event log.
+//! Exposition renderers: Prometheus text format and JSONL.
 //!
 //! Both renderers walk the registry snapshot in sorted (name, label-set)
 //! order, so output bytes are a pure function of registry content. With
-//! `include_timing == false` every timing-flagged family — and the
-//! scheduling-dependent per-thread span event streams — are omitted, which is
-//! what makes the deterministic exposition byte-identical across
+//! `include_timing == false` every timing-flagged family is omitted, which
+//! is what makes the deterministic exposition byte-identical across
 //! `BR_THREADS=1` and `8` for the same work.
 
 use std::fmt::Write as _;
 
 use crate::registry::{FamilySnapshot, LabelSet, Registry, SampleValue};
-use crate::span::SpanEventKind;
 
 /// Render `reg` in Prometheus text exposition format.
 pub(crate) fn render_prometheus(reg: &Registry, include_timing: bool) -> String {
@@ -71,9 +69,8 @@ pub(crate) fn render_prometheus(reg: &Registry, include_timing: bool) -> String 
     out
 }
 
-/// Render `reg` as a JSONL event log: one JSON object per metric sample, in
-/// the same deterministic order as the Prometheus renderer, followed (in
-/// timing mode only) by one object per thread-ordered span event buffer.
+/// Render `reg` as JSONL: one JSON object per metric sample, in the same
+/// deterministic order as the Prometheus renderer.
 pub(crate) fn render_jsonl(reg: &Registry, include_timing: bool) -> String {
     let mut out = String::new();
     for fam in visible(reg, include_timing) {
@@ -114,30 +111,6 @@ pub(crate) fn render_jsonl(reg: &Registry, include_timing: bool) -> String {
                 }
             }
             out.push_str("}\n");
-        }
-    }
-    if include_timing {
-        for (thread, events) in reg.span_store().events().iter().enumerate() {
-            let _ = write!(
-                out,
-                "{{\"type\":\"span_events\",\"thread\":{thread},\"events\":["
-            );
-            for (i, ev) in events.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let kind = match ev.kind {
-                    SpanEventKind::Enter => "enter",
-                    SpanEventKind::Exit => "exit",
-                };
-                let _ = write!(out, "{{\"kind\":\"{kind}\",\"path\":");
-                push_json_str(&mut out, &ev.path);
-                if let Some(ns) = ev.duration_ns {
-                    let _ = write!(out, ",\"duration_ns\":{ns}");
-                }
-                out.push('}');
-            }
-            out.push_str("]}\n");
         }
     }
     out

@@ -1,83 +1,29 @@
-//! Lightweight nested spans with per-thread ordered event buffers.
+//! Lightweight nested spans.
 //!
 //! A span is opened with [`crate::Registry::span`] and closed when the
 //! returned [`SpanGuard`] drops. Nesting is tracked per thread: a span opened
 //! while another is live on the same thread gets a `/`-joined path
-//! (`job/plan`). Every enter/exit is appended to that thread's ordered event
-//! buffer, so within one thread the event stream reconstructs the exact call
-//! tree; buffers from different threads have no defined relative order and
-//! are therefore only exposed through timing-mode output.
+//! (`job/plan`).
 //!
 //! Closing a span increments the deterministic counter `br_span_total{path=}`
 //! (one per completed span, independent of scheduling). If — and only if —
 //! the registry has a [`crate::Clock`], the span duration is also observed
-//! into the timing-flagged histogram `br_span_duration_ns{path=}`.
+//! into the timing-flagged histogram `br_span_duration_ns{path=}`. Nothing
+//! else is kept: a thread holds only the stack of its open spans, so a
+//! long-running process retains no memory per completed span.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
-use crate::registry::{lock_recover, Registry};
+use crate::registry::Registry;
 
-/// Whether a [`SpanEvent`] marks a span opening or closing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SpanEventKind {
-    /// The span was opened.
-    Enter,
-    /// The span was closed.
-    Exit,
-}
-
-/// One entry in a thread's ordered span event buffer.
-#[derive(Clone, Debug)]
-pub struct SpanEvent {
-    /// Enter or exit.
-    pub kind: SpanEventKind,
-    /// Full `/`-joined span path (e.g. `job/plan`).
-    pub path: String,
-    /// Wall-clock duration, present only on `Exit` events and only when the
-    /// registry has a clock installed.
-    pub duration_ns: Option<u64>,
-}
-
-/// Per-registry store of every thread's event buffer.
-pub(crate) struct SpanStore {
-    buffers: Mutex<Vec<Arc<Mutex<Vec<SpanEvent>>>>>,
-}
-
-impl SpanStore {
-    pub(crate) fn new() -> Self {
-        SpanStore {
-            buffers: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn register_thread(&self) -> Arc<Mutex<Vec<SpanEvent>>> {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        lock_recover(&self.buffers).push(Arc::clone(&buf));
-        buf
-    }
-
-    /// Snapshot every thread's event buffer. Buffer order is thread
-    /// first-use order and thus scheduling-dependent; callers must treat it
-    /// as timing data.
-    pub(crate) fn events(&self) -> Vec<Vec<SpanEvent>> {
-        lock_recover(&self.buffers)
-            .iter()
-            .map(|b| lock_recover(b).clone())
-            .collect()
-    }
-}
-
-struct ThreadSpanState {
-    buffer: Arc<Mutex<Vec<SpanEvent>>>,
-    /// Stack of (path, enter timestamp) for the spans open on this thread.
-    stack: Vec<(String, Option<u64>)>,
-}
+/// The (path, enter timestamp) of each span open on one thread against
+/// one registry, innermost last.
+type SpanStack = Vec<(String, Option<u64>)>;
 
 thread_local! {
     /// Keyed by registry id: span state is per (thread, registry).
-    static SPAN_STATE: RefCell<HashMap<u64, ThreadSpanState>> = RefCell::new(HashMap::new());
+    static SPAN_STACKS: RefCell<HashMap<u64, SpanStack>> = RefCell::new(HashMap::new());
 }
 
 /// RAII guard for an open span; closes the span on drop.
@@ -90,24 +36,14 @@ pub struct SpanGuard<'a> {
 impl<'a> SpanGuard<'a> {
     pub(crate) fn enter(registry: &'a Registry, name: &str) -> SpanGuard<'a> {
         let start = registry.clock().map(|c| c.now_ns());
-        let path = SPAN_STATE.with(|state| {
-            let mut state = state.borrow_mut();
-            let slot = state
-                .entry(registry.id())
-                .or_insert_with(|| ThreadSpanState {
-                    buffer: registry.span_store().register_thread(),
-                    stack: Vec::new(),
-                });
-            let path = match slot.stack.last() {
+        let path = SPAN_STACKS.with(|stacks| {
+            let mut stacks = stacks.borrow_mut();
+            let stack = stacks.entry(registry.id()).or_default();
+            let path = match stack.last() {
                 Some((parent, _)) => format!("{parent}/{name}"),
                 None => name.to_string(),
             };
-            lock_recover(&slot.buffer).push(SpanEvent {
-                kind: SpanEventKind::Enter,
-                path: path.clone(),
-                duration_ns: None,
-            });
-            slot.stack.push((path.clone(), start));
+            stack.push((path.clone(), start));
             path
         });
         SpanGuard { registry, path }
@@ -122,29 +58,13 @@ impl<'a> SpanGuard<'a> {
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let end = self.registry.clock().map(|c| c.now_ns());
-        let duration = SPAN_STATE.with(|state| {
-            let mut state = state.borrow_mut();
-            let slot = match state.get_mut(&self.registry.id()) {
-                Some(slot) => slot,
-                None => return None,
-            };
+        let start = SPAN_STACKS.with(|stacks| {
+            let mut stacks = stacks.borrow_mut();
+            let stack = stacks.get_mut(&self.registry.id())?;
             // Guards normally drop in LIFO order; tolerate out-of-order drops
             // by removing the matching entry wherever it sits.
-            let idx = slot.stack.iter().rposition(|(p, _)| p == &self.path);
-            let start = match idx {
-                Some(i) => slot.stack.remove(i).1,
-                None => None,
-            };
-            let duration = match (start, end) {
-                (Some(s), Some(e)) => Some(e.saturating_sub(s)),
-                _ => None,
-            };
-            lock_recover(&slot.buffer).push(SpanEvent {
-                kind: SpanEventKind::Exit,
-                path: self.path.clone(),
-                duration_ns: duration,
-            });
-            duration
+            let idx = stack.iter().rposition(|(p, _)| p == &self.path)?;
+            stack.remove(idx).1
         });
         self.registry
             .counter(
@@ -153,14 +73,14 @@ impl Drop for SpanGuard<'_> {
                 &[("path", &self.path)],
             )
             .inc();
-        if let Some(ns) = duration {
+        if let (Some(s), Some(e)) = (start, end) {
             self.registry
                 .timing_histogram(
                     "br_span_duration_ns",
                     "Wall-clock span durations (present only when a clock is installed).",
                     &[("path", &self.path)],
                 )
-                .observe(ns);
+                .observe(e.saturating_sub(s));
         }
     }
 }

@@ -1,11 +1,11 @@
 //! LRU cache of reorganization plans.
 //!
 //! A [`block_reorganizer::plan::ReorgPlan`] depends only on the operands'
-//! sparsity *structure*, the reorganizer configuration, and the target
-//! device (split factors scale with the SM count). [`PlanKey`] captures
-//! exactly those three inputs, so a cached plan is valid for every request
-//! that maps to the same key — including requests whose matrix *values*
-//! differ, since plans are value-independent.
+//! sparsity *structure*, the target device (split factors scale with the SM
+//! count), and the [`PlanSettings`] it was built under. [`PlanKey`]
+//! captures exactly those three inputs, so a cached plan is valid for every
+//! request that maps to the same key — including requests whose matrix
+//! *values* differ, since plans are value-independent.
 //!
 //! The cache is a plain `Mutex<HashMap>` with a monotonic recency tick:
 //! capacities are small (tens of plans), so `O(n)` eviction is cheaper and
@@ -16,58 +16,12 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
 
-use block_reorganizer::config::SplitPolicy;
 use block_reorganizer::plan::ReorgPlan;
 use block_reorganizer::reorder::ReorderStrategy;
-use block_reorganizer::ReorganizerConfig;
+use block_reorganizer::{PlanSettings, ReorganizerConfig};
 use br_obs::{lock_recover, Counter, Registry};
-use br_spgemm::accum::{global_thresholds, BinThresholds};
 use br_spgemm::context::ProblemSignature;
 use br_spgemm::estimate::EstimatorConfig;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
-/// Fingerprint of a [`ReorganizerConfig`] — part of the cache key, because
-/// classification thresholds and split policies change the plan.
-pub fn config_fingerprint(c: &ReorganizerConfig) -> u64 {
-    let policy = match c.split_policy {
-        SplitPolicy::Auto => 1u64 << 32,
-        SplitPolicy::Fixed(f) => (2u64 << 32) | f as u64,
-        SplitPolicy::Greedy => 3u64 << 32,
-    };
-    let toggles =
-        (c.enable_split as u64) | ((c.enable_gather as u64) << 1) | ((c.enable_limit as u64) << 2);
-    [
-        c.alpha.to_bits(),
-        c.beta.to_bits(),
-        c.limiting_units as u64,
-        c.block_size as u64,
-        c.gather_block as u64,
-        policy,
-        toggles,
-    ]
-    .iter()
-    .fold(FNV_OFFSET, |h, &v| fnv_mix(h, v))
-}
-
-/// Fingerprint of the process-wide `--bins` threshold override, 0 when no
-/// override is installed. Part of the cache key: a forced threshold set
-/// changes the plan's bin membership (most visibly whether rows route
-/// through the k-way tournament merge), so plans built under different
-/// overrides must not alias.
-pub fn thresholds_fingerprint(thresholds: Option<BinThresholds>) -> u64 {
-    match thresholds {
-        None => 0,
-        Some(t) => [t.tiny_max, t.heavy_min, t.kway_min]
-            .iter()
-            .fold(FNV_OFFSET, |h, &v| fnv_mix(h, v)),
-    }
-}
 
 /// The full cache key: what a plan is a function of.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -76,48 +30,24 @@ pub struct PlanKey {
     pub problem: ProblemSignature,
     /// Target device name (split factors depend on the SM count).
     pub device: String,
-    /// [`config_fingerprint`] of the reorganizer configuration.
-    pub config: u64,
-    /// [`EstimatorConfig::fingerprint`] when the service plans via the
-    /// sampling estimator, 0 on the exact path. Plans built from different
-    /// estimator settings (or exactly) are different artifacts — their
-    /// method choice and bin thresholds can differ — so they must not
-    /// alias in the cache.
-    pub estimator: u64,
-    /// [`thresholds_fingerprint`] of the process-wide `--bins` override in
-    /// effect when the key was built, 0 without one. Forced thresholds
-    /// change bin membership (e.g. enabling the k-way merge bin), so plans
-    /// built under different overrides are different artifacts.
-    pub thresholds: u64,
-    /// [`ReorderStrategy::fingerprint`] of the requested row-reordering
-    /// strategy, 0 for the default `none` — legacy keys keep their exact
-    /// historical identity. A reordered plan carries a permutation (and
-    /// analysis taken over the permuted structure), so it must never
-    /// alias the baseline plan for the same problem; `auto` is keyed as
-    /// requested, since its per-problem resolution is deterministic.
-    pub reorder: u64,
+    /// [`PlanSettings::fingerprint`] of the settings the plan is built
+    /// under: plans built under different settings (estimated vs exact,
+    /// forced bins, a reorder strategy) are different artifacts.
+    pub settings: u64,
 }
 
 impl PlanKey {
-    /// Builds the key for one exactly-planned request.
-    pub fn new(problem: ProblemSignature, device: &str, config: &ReorganizerConfig) -> Self {
-        Self::with_estimator(problem, device, config, None)
+    /// The key of the plan `settings` build for `problem` on `device`.
+    pub fn for_settings(problem: ProblemSignature, device: &str, settings: &PlanSettings) -> Self {
+        PlanKey {
+            problem,
+            device: device.to_string(),
+            settings: settings.fingerprint(),
+        }
     }
 
-    /// Builds the key for one request, estimator-planned when `estimator`
-    /// is set.
-    pub fn with_estimator(
-        problem: ProblemSignature,
-        device: &str,
-        config: &ReorganizerConfig,
-        estimator: Option<&EstimatorConfig>,
-    ) -> Self {
-        Self::with_options(problem, device, config, estimator, ReorderStrategy::None)
-    }
-
-    /// Builds the key for one request with every plan-shaping option
-    /// spelled out: the estimator (when the service plans by sampling)
-    /// and the row-reordering strategy the worker pool applies.
+    /// [`PlanKey::for_settings`] with the settings spelled out, bins left
+    /// to the planner.
     pub fn with_options(
         problem: ProblemSignature,
         device: &str,
@@ -125,14 +55,16 @@ impl PlanKey {
         estimator: Option<&EstimatorConfig>,
         reorder: ReorderStrategy,
     ) -> Self {
-        PlanKey {
+        Self::for_settings(
             problem,
-            device: device.to_string(),
-            config: config_fingerprint(config),
-            estimator: estimator.map_or(0, EstimatorConfig::fingerprint),
-            thresholds: thresholds_fingerprint(global_thresholds()),
-            reorder: reorder.fingerprint(),
-        }
+            device,
+            &PlanSettings {
+                config: *config,
+                estimator: estimator.copied(),
+                bins: None,
+                reorder,
+            },
+        )
     }
 }
 
@@ -468,15 +400,16 @@ mod tests {
     use block_reorganizer::plan::PlanMode;
     use br_datasets::rmat::{rmat, RmatConfig};
     use br_gpu_sim::device::DeviceConfig;
+    use br_spgemm::accum::BinThresholds;
     use br_spgemm::context::ProblemContext;
 
     fn plan_for(seed: u64) -> (PlanKey, Arc<ReorgPlan>, ProblemContext<f64>) {
         let a = rmat(RmatConfig::snap_like(7, 6, seed)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let dev = DeviceConfig::titan_xp();
-        let cfg = ReorganizerConfig::default();
-        let key = PlanKey::new(ctx.signature(), &dev.name, &cfg);
-        let plan = Arc::new(ReorgPlan::build(&ctx, &cfg, &dev));
+        let settings = PlanSettings::default();
+        let key = PlanKey::for_settings(ctx.signature(), &dev.name, &settings);
+        let plan = Arc::new(ReorgPlan::build(&ctx, &dev, &settings));
         (key, plan, ctx)
     }
 
@@ -499,15 +432,19 @@ mod tests {
         let a = rmat(RmatConfig::snap_like(7, 6, 3)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let dev = DeviceConfig::titan_xp();
-        let cfg = ReorganizerConfig::default();
-        let key = PlanKey::new(ctx.signature(), &dev.name, &cfg);
-        cache.insert(key, Arc::new(ReorgPlan::build(&ctx, &cfg, &dev)));
+        let settings = PlanSettings::default();
+        let key_of = |ctx: &ProblemContext<f64>| {
+            PlanKey::for_settings(ctx.signature(), &dev.name, &settings)
+        };
+        cache.insert(
+            key_of(&ctx),
+            Arc::new(ReorgPlan::build(&ctx, &dev, &settings)),
+        );
 
         // Same structure, new values → same key → hit.
         let scaled = a.map_values(|v| v + 1.0);
         let scaled_ctx = ProblemContext::new(&scaled, &scaled).unwrap();
-        let scaled_key = PlanKey::new(scaled_ctx.signature(), &dev.name, &cfg);
-        assert!(cache.lookup(&scaled_key).is_some());
+        assert!(cache.lookup(&key_of(&scaled_ctx)).is_some());
 
         // Structure mutated (an entry pruned) → different key → miss.
         let mut val = a.val().to_vec();
@@ -522,23 +459,22 @@ mod tests {
         .unwrap()
         .prune(1e-12);
         let mutated_ctx = ProblemContext::new(&mutated, &mutated).unwrap();
-        let mutated_key = PlanKey::new(mutated_ctx.signature(), &dev.name, &cfg);
-        assert!(cache.lookup(&mutated_key).is_none());
+        assert!(cache.lookup(&key_of(&mutated_ctx)).is_none());
     }
 
     #[test]
     fn different_device_or_config_is_a_different_key() {
         let (key, _, ctx) = plan_for(4);
         let v100 = DeviceConfig::tesla_v100();
-        let cfg = ReorganizerConfig::default();
-        let other_dev = PlanKey::new(ctx.signature(), &v100.name, &cfg);
+        let other_dev =
+            PlanKey::for_settings(ctx.signature(), &v100.name, &PlanSettings::default());
         assert_ne!(key, other_dev);
         let strict = ReorganizerConfig {
             alpha: 64.0,
             ..Default::default()
         };
-        let other_cfg = PlanKey::new(ctx.signature(), "NVIDIA TITAN Xp", &strict);
-        assert_ne!(key.config, other_cfg.config);
+        let other_cfg = PlanKey::for_settings(ctx.signature(), "NVIDIA TITAN Xp", &strict.into());
+        assert_ne!(key.settings, other_cfg.settings);
     }
 
     #[test]
@@ -546,23 +482,23 @@ mod tests {
         let (key, _, ctx) = plan_for(5);
         let cfg = ReorganizerConfig::default();
         let est = EstimatorConfig::default();
+        let none = ReorderStrategy::None;
         let estimated =
-            PlanKey::with_estimator(ctx.signature(), "NVIDIA TITAN Xp", &cfg, Some(&est));
+            PlanKey::with_options(ctx.signature(), "NVIDIA TITAN Xp", &cfg, Some(&est), none);
         // Exact vs estimated must not alias.
         assert_ne!(key, estimated);
-        assert_eq!(key.estimator, 0);
         // Different estimator settings must not alias either.
         let other = EstimatorConfig {
             samples: 128,
             ..est
         };
         let other_key =
-            PlanKey::with_estimator(ctx.signature(), "NVIDIA TITAN Xp", &cfg, Some(&other));
-        assert_ne!(estimated.estimator, other_key.estimator);
-        // And `new` is exactly `with_estimator(.., None)`.
+            PlanKey::with_options(ctx.signature(), "NVIDIA TITAN Xp", &cfg, Some(&other), none);
+        assert_ne!(estimated.settings, other_key.settings);
+        // And the spelled-out exact options are the default settings.
         assert_eq!(
             key,
-            PlanKey::with_estimator(ctx.signature(), "NVIDIA TITAN Xp", &cfg, None)
+            PlanKey::with_options(ctx.signature(), "NVIDIA TITAN Xp", &cfg, None, none)
         );
     }
 
@@ -570,21 +506,9 @@ mod tests {
     fn reorder_strategies_separate_keys() {
         let (key, _, ctx) = plan_for(6);
         let cfg = ReorganizerConfig::default();
-        // The default strategy keeps the legacy key identity.
-        assert_eq!(key.reorder, 0);
-        assert_eq!(
-            key,
-            PlanKey::with_options(
-                ctx.signature(),
-                "NVIDIA TITAN Xp",
-                &cfg,
-                None,
-                ReorderStrategy::None
-            )
-        );
         // Every non-default strategy (auto included — it is keyed as
         // requested) gets its own key.
-        let mut prints = vec![0u64];
+        let mut prints = vec![key.settings];
         for strategy in [
             ReorderStrategy::Degree,
             ReorderStrategy::Rcm,
@@ -595,39 +519,37 @@ mod tests {
                 PlanKey::with_options(ctx.signature(), "NVIDIA TITAN Xp", &cfg, None, strategy);
             assert_ne!(reordered, key, "{strategy:?} must not alias the baseline");
             assert!(
-                !prints.contains(&reordered.reorder),
+                !prints.contains(&reordered.settings),
                 "{strategy:?} fingerprint must be unique"
             );
-            prints.push(reordered.reorder);
+            prints.push(reordered.settings);
         }
     }
 
     #[test]
-    fn threshold_overrides_separate_keys() {
-        // No override → fingerprint 0 (legacy keys unchanged).
-        assert_eq!(thresholds_fingerprint(None), 0);
-        let base = thresholds_fingerprint(Some(BinThresholds::default()));
-        assert_ne!(base, 0);
-        // Enabling the kway bin changes the fingerprint.
-        let kway = thresholds_fingerprint(Some(BinThresholds {
-            kway_min: 4096,
-            ..Default::default()
-        }));
-        assert_ne!(base, kway);
-
-        // A key built under a kway-enabling override must not alias the
-        // same problem's override-free key.
+    fn forced_bins_separate_keys() {
+        // A key built under kway-enabling bins must not alias the same
+        // problem's key under the planner's own bins, nor under the
+        // default thresholds forced explicitly.
         let (key, _, ctx) = plan_for(6);
-        let cfg = ReorganizerConfig::default();
-        br_spgemm::accum::set_global_thresholds(Some(BinThresholds {
+        let forced = |bins: BinThresholds| {
+            PlanKey::for_settings(
+                ctx.signature(),
+                "NVIDIA TITAN Xp",
+                &PlanSettings {
+                    bins: Some(bins),
+                    ..PlanSettings::default()
+                },
+            )
+        };
+        let default_bins = forced(BinThresholds::default());
+        let kway = forced(BinThresholds {
             kway_min: 4096,
             ..Default::default()
-        }));
-        let forced = PlanKey::new(ctx.signature(), "NVIDIA TITAN Xp", &cfg);
-        br_spgemm::accum::set_global_thresholds(None);
-        assert_ne!(key, forced);
-        assert_eq!(key.thresholds, 0);
-        assert_eq!(forced.thresholds, kway);
+        });
+        assert_ne!(key, default_bins);
+        assert_ne!(key, kway);
+        assert_ne!(default_bins, kway);
     }
 
     #[test]

@@ -3,15 +3,13 @@
 //!
 //! A [`ChainRequest`] carries a whole program (iterated squaring, triangle
 //! counting, Markov clustering, the Galerkin triple product, or a generic
-//! parsed spec) plus its `Arc`-shared input matrices. [`execute_chain`]
-//! runs it step by step on one worker: every step goes through the *same*
-//! plan path as a standalone job — [`ProblemContext::from_shared`] →
-//! [`PlanKey::with_options`] → [`PlanCache::get_or_build`] →
-//! [`ReorgPlan::execute_with_scratch`] — so each step gets its own
-//! estimator/reorder decision and its own cache hit or miss. Steps that
-//! repeat an operand structure already planned (the Galerkin refresh
-//! products, repeats of a converged Markov iterate) hit the cache;
-//! structure-churning steps (iterated squaring) miss every time.
+//! parsed spec) plus its `Arc`-shared input matrices.
+//! [`crate::engine::Engine::run_chain`] runs it step by step on one worker:
+//! every step goes through the *same* plan path as a standalone job, so
+//! each step gets its own cache hit or miss. Steps that repeat an operand
+//! structure already planned (the Galerkin refresh products, repeats of a
+//! converged Markov iterate) hit the cache; structure-churning steps
+//! (iterated squaring) miss every time.
 //!
 //! Instrumentation: [`register_chain_instruments`] pre-registers the
 //! `br_chain_*` families — steps executed, per-step plan-cache hits and
@@ -20,22 +18,10 @@
 //! show every family at zero before the first chain runs.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
-use block_reorganizer::reorder::ReorderStrategy;
-use block_reorganizer::ReorganizerConfig;
-use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{Counter, Histogram, Registry};
 use br_sparse::CsrMatrix;
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
-use br_spgemm::estimate::EstimatorConfig;
 use br_workloads::{ChainProgram, Workload};
-
-use crate::cache::{PlanCache, PlanKey};
-use crate::job::JobError;
 
 /// One multi-step chain request.
 #[derive(Debug, Clone)]
@@ -49,44 +35,32 @@ pub struct ChainRequest {
     pub program: ChainProgram,
     /// Positional input matrices (`program.inputs` order).
     pub inputs: Vec<Arc<CsrMatrix<f64>>>,
-    /// Reorganizer configuration applied to every step's plan.
-    pub config: ReorganizerConfig,
 }
 
 impl ChainRequest {
-    /// A canonical-workload request over base matrix `base`, under the
-    /// default configuration.
+    /// A canonical-workload request over base matrix `base`.
     pub fn workload(id: u64, workload: Workload, base: &CsrMatrix<f64>) -> Self {
         ChainRequest {
             id,
             label: workload.spec(),
             program: workload.program(),
             inputs: workload.prepare_inputs(base),
-            config: ReorganizerConfig::default(),
         }
     }
 
-    /// A generic-program request over explicit inputs, under the default
-    /// configuration.
+    /// A generic-program request over explicit inputs.
     pub fn program(id: u64, program: ChainProgram, inputs: Vec<Arc<CsrMatrix<f64>>>) -> Self {
         ChainRequest {
             id,
             label: program.name.clone(),
             program,
             inputs,
-            config: ReorganizerConfig::default(),
         }
     }
 
     /// Replaces the label (builder-style).
     pub fn with_label(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
-        self
-    }
-
-    /// Replaces the configuration (builder-style).
-    pub fn with_config(mut self, config: ReorganizerConfig) -> Self {
-        self.config = config;
         self
     }
 }
@@ -209,134 +183,6 @@ pub fn register_chain_instruments(registry: &Registry) -> ChainInstruments {
             &[],
         ),
     }
-}
-
-/// Timing/plan metadata the runner threads through
-/// [`ChainProgram::execute_with`] per step.
-struct StepMeta {
-    cache_hit: bool,
-    method: &'static str,
-    total_ms: f64,
-    precalc_ms: f64,
-    preprocess_ms: f64,
-    gflops: f64,
-}
-
-/// Runs one chain on one worker through the plan-cached stack. Every step
-/// replicates the standalone-job path exactly, so per-step cache counters
-/// and simulated timings mean the same thing they mean for plain jobs.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_chain(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    instruments: &ChainInstruments,
-    registry: &Registry,
-    request: ChainRequest,
-    queue_ms: f64,
-) -> Result<Box<ChainOutcome>, JobError> {
-    let t0 = Instant::now();
-    let chain_span = registry.span("chain");
-    let run = request
-        .program
-        .execute_with(&request.inputs, |_, _, a, b| {
-            let ctx = ProblemContext::from_shared(a.clone(), b.clone())
-                .map_err(|e| format!("invalid operands: {e}"))?;
-            let key = PlanKey::with_options(
-                ctx.signature(),
-                &device.name,
-                &request.config,
-                estimator.as_ref(),
-                reorder,
-            );
-            let (plan, cache_hit) = {
-                let _plan_span = registry.span("plan");
-                cache.get_or_build(&key, || {
-                    Arc::new(match estimator {
-                        Some(est) => ReorgPlan::build_estimated_with_reorder(
-                            &ctx,
-                            &request.config,
-                            device,
-                            &est,
-                            reorder,
-                        ),
-                        None => {
-                            ReorgPlan::build_with_reorder(&ctx, &request.config, device, reorder)
-                        }
-                    })
-                })
-            };
-            let mode = if cache_hit {
-                PlanMode::Cached
-            } else {
-                PlanMode::Cold
-            };
-            let run = {
-                let _exec_span = registry.span("execute");
-                plan.execute_with_scratch(sim, &ctx, mode, Some(pool))
-                    .map_err(|e| format!("execution failed: {e}"))?
-            };
-            let meta = StepMeta {
-                cache_hit,
-                method: plan.method.name(),
-                total_ms: run.total_ms,
-                precalc_ms: run.phase_ms("precalc"),
-                preprocess_ms: run.preprocess_ms,
-                gflops: run.gflops(),
-            };
-            Ok((run.result, meta))
-        })
-        .map_err(|e: br_workloads::ChainError<String>| JobError {
-            id: request.id,
-            label: request.label.clone(),
-            message: format!("chain failed: {e}"),
-        })?;
-    drop(chain_span);
-
-    let mut steps = Vec::with_capacity(run.steps.len());
-    let mut total_ms = 0.0;
-    for record in run.steps {
-        instruments.steps.inc();
-        if record.meta.cache_hit {
-            instruments.cache_hits.inc();
-        } else {
-            instruments.cache_misses.inc();
-        }
-        if record.fresh_structure {
-            instruments.structure_churn.inc();
-        }
-        instruments.fill_in.observe(record.fill_in_permille);
-        total_ms += record.meta.total_ms;
-        steps.push(StepOutcome {
-            index: record.index,
-            label: record.label,
-            cache_hit: record.meta.cache_hit,
-            method: record.meta.method,
-            total_ms: record.meta.total_ms,
-            precalc_ms: record.meta.precalc_ms,
-            preprocess_ms: record.meta.preprocess_ms,
-            gflops: record.meta.gflops,
-            product_nnz: record.product_nnz,
-            output_nnz: record.output_nnz,
-            fill_in_permille: record.fill_in_permille,
-            fresh_structure: record.fresh_structure,
-        });
-    }
-    Ok(Box::new(ChainOutcome {
-        id: request.id,
-        label: request.label,
-        worker,
-        device: device.name.clone(),
-        steps,
-        total_ms,
-        queue_ms,
-        host_ms: t0.elapsed().as_secs_f64() * 1e3,
-        result: run.result,
-    }))
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! format.
 //!
 //! A [`JobRequest`] is what the service executes: an operand pair (shared
-//! `Arc`s, so a batch of repeats holds one copy of the data) plus a
-//! reorganizer configuration. A [`JobSpec`] is the *declarative* form read
+//! `Arc`s, so a batch of repeats holds one copy of the data); the plan
+//! settings belong to the service. A [`JobSpec`] is the *declarative* form read
 //! from a job file — a matrix source plus a repeat count — which
 //! [`expand_jobs`] realizes into requests.
 //!
@@ -28,7 +28,6 @@
 use std::sync::Arc;
 
 use block_reorganizer::pass::ReorgStats;
-use block_reorganizer::ReorganizerConfig;
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_sparse::io::read_matrix_market_file;
@@ -48,30 +47,21 @@ pub struct JobRequest {
     pub a: Arc<CsrMatrix<f64>>,
     /// Right operand.
     pub b: Arc<CsrMatrix<f64>>,
-    /// Reorganizer configuration for this job.
-    pub config: ReorganizerConfig,
 }
 
 impl JobRequest {
-    /// A squaring request (`C = A²`) under the default configuration.
+    /// A squaring request (`C = A²`).
     pub fn square(id: u64, a: Arc<CsrMatrix<f64>>) -> Self {
-        JobRequest {
-            id,
-            label: format!("job-{id}"),
-            b: a.clone(),
-            a,
-            config: ReorganizerConfig::default(),
-        }
+        Self::multiply(id, a.clone(), a)
     }
 
-    /// A general `A · B` request under the default configuration.
+    /// A general `A · B` request.
     pub fn multiply(id: u64, a: Arc<CsrMatrix<f64>>, b: Arc<CsrMatrix<f64>>) -> Self {
         JobRequest {
             id,
             label: format!("job-{id}"),
             a,
             b,
-            config: ReorganizerConfig::default(),
         }
     }
 
@@ -322,23 +312,17 @@ pub struct Submissions {
 /// operands, so the service sees structurally identical submissions — the
 /// plan-cache amortization case. `chain=` lines are rejected here; use
 /// [`expand_submissions`] when the file may mix jobs and chains.
-pub fn expand_jobs(
-    specs: &[JobSpec],
-    config: ReorganizerConfig,
-) -> Result<Vec<JobRequest>, String> {
+pub fn expand_jobs(specs: &[JobSpec]) -> Result<Vec<JobRequest>, String> {
     if specs.iter().any(|s| s.chain.is_some()) {
         return Err("job list contains chain= lines; use expand_submissions".to_string());
     }
-    Ok(expand_submissions(specs, config)?.jobs)
+    Ok(expand_submissions(specs)?.jobs)
 }
 
 /// Realizes specs into jobs *and* chains. Chain repeats share the same
 /// prepared inputs, so a repeated chain replays identical structures — the
 /// chain-level plan-cache amortization case.
-pub fn expand_submissions(
-    specs: &[JobSpec],
-    config: ReorganizerConfig,
-) -> Result<Submissions, String> {
+pub fn expand_submissions(specs: &[JobSpec]) -> Result<Submissions, String> {
     let mut out = Submissions::default();
     let mut id = 0u64;
     for spec in specs {
@@ -352,7 +336,6 @@ pub fn expand_submissions(
                     label: format!("{base}:{}[{}/{}]", workload.spec(), k + 1, spec.repeat),
                     program: workload.program(),
                     inputs: inputs.clone(),
-                    config,
                 });
                 id += 1;
             }
@@ -368,7 +351,6 @@ pub fn expand_submissions(
                 label: format!("{base}[{}/{}]", k + 1, spec.repeat),
                 a: a.clone(),
                 b: b.clone(),
-                config,
             });
             id += 1;
         }
@@ -448,7 +430,7 @@ mod tests {
     fn expand_submissions_splits_jobs_and_chains_on_one_id_namespace() {
         let specs =
             parse_job_file("rmat=6,4 repeat=2\nchain=triangle rmat=6,4 seed=5 repeat=2\n").unwrap();
-        let subs = expand_submissions(&specs, ReorganizerConfig::default()).unwrap();
+        let subs = expand_submissions(&specs).unwrap();
         assert_eq!(subs.jobs.len(), 2);
         assert_eq!(subs.chains.len(), 2);
         assert_eq!(subs.jobs[1].id, 1);
@@ -465,14 +447,14 @@ mod tests {
             &subs.chains[1].inputs[0]
         ));
         // expand_jobs refuses mixed files with a pointer to the right API.
-        let err = expand_jobs(&specs, ReorganizerConfig::default()).unwrap_err();
+        let err = expand_jobs(&specs).unwrap_err();
         assert!(err.contains("expand_submissions"), "{err}");
     }
 
     #[test]
     fn expand_shares_operands_across_repeats() {
         let specs = parse_job_file("rmat=6,4 repeat=3").unwrap();
-        let jobs = expand_jobs(&specs, ReorganizerConfig::default()).unwrap();
+        let jobs = expand_jobs(&specs).unwrap();
         assert_eq!(jobs.len(), 3);
         assert!(Arc::ptr_eq(&jobs[0].a, &jobs[1].a));
         assert!(Arc::ptr_eq(&jobs[1].a, &jobs[2].a));

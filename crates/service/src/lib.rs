@@ -11,12 +11,18 @@
 //!
 //! This crate is the serving layer that cashes that opportunity in:
 //!
+//! * [`engine::Engine`] — the one request path every job, chain step, and
+//!   `br-net` request takes: plan-cache key → single-flight plan build →
+//!   Cold/Cached execution. It owns the plan cache, the
+//!   [`block_reorganizer::PlanSettings`] every plan is built under, and the
+//!   registry handles; a worker thread brings its own [`engine::Worker`]
+//!   (simulated device plus merge scratch).
 //! * [`queue::JobQueue`] — a blocking MPMC queue feeding a pool of workers,
 //!   one simulated device ([`br_gpu_sim::sim::GpuSimulator`]) per worker.
 //! * [`cache::PlanCache`] — an LRU cache of
 //!   [`block_reorganizer::plan::ReorgPlan`] artifacts keyed by the
 //!   operands' sparsity signature (dims, nnz, pointer/index hash), the
-//!   reorganizer configuration, and the device. Hits skip precalculation
+//!   device, and the plan settings' fingerprint. Hits skip precalculation
 //!   and the host-side B-Splitting cost entirely.
 //! * [`service::SpgemmService`] — submission API, worker lifecycle, and
 //!   result collection.
@@ -25,10 +31,11 @@
 //! * [`job`] — job descriptions, plus the job-file format consumed by
 //!   `blockreorg-cli batch`.
 //!
-//! Observability: every service (and its plan cache) registers its
-//! instruments — job lifecycle spans (`job/submit`, `job`, `job/plan`,
-//! `job/execute`), queue gauges, and cache hit/miss/eviction/single-flight
-//! counters — in a [`br_obs::Registry`]. By default each service gets a
+//! Observability: every service (and its engine's plan cache) registers
+//! its instruments — lifecycle spans (`job/submit`, `job`, `job/plan`,
+//! `job/execute`, and `chain/plan`, `chain/execute` per chain step), queue
+//! gauges, and cache hit/miss/eviction/single-flight counters — in a
+//! [`br_obs::Registry`]. By default each service gets a
 //! private registry; pass one via
 //! [`service::ServiceConfig::with_registry`] (the CLI uses
 //! [`br_obs::global`]) to export them. All queue/cache locks go through
@@ -56,6 +63,7 @@
 
 pub mod cache;
 pub mod chain;
+pub mod engine;
 pub mod job;
 pub mod queue;
 pub mod service;
@@ -67,6 +75,7 @@ pub mod prelude {
     pub use crate::chain::{
         register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
     };
+    pub use crate::engine::{Engine, RunOutcome, Worker};
     pub use crate::job::{
         expand_jobs, expand_submissions, parse_job_file, JobError, JobOutcome, JobRequest, JobSpec,
         MatrixSource, Submissions,
@@ -82,6 +91,7 @@ pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use chain::{
     register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
 };
+pub use engine::{Engine, RunOutcome, Worker};
 pub use job::{JobError, JobOutcome, JobRequest};
 pub use queue::{JobQueue, PushError};
 pub use service::{BatchOutcome, ChainSubmitError, ServiceConfig, SpgemmService, SubmitError};

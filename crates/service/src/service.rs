@@ -1,33 +1,27 @@
 //! The job service: submission API, worker pool, and result collection.
 //!
 //! [`SpgemmService::start`] spawns one worker thread per configured device;
-//! each worker owns a [`GpuSimulator`] and pulls jobs from a shared
-//! [`JobQueue`]. Workers consult the shared [`PlanCache`] before running:
-//! a hit executes in [`PlanMode::Cached`] (no precalculation kernel, no
-//! host-side B-Splitting charge), a miss builds the [`ReorgPlan`], publishes
-//! it, and executes cold. The numeric result is identical either way — the
-//! plan captures only structure-dependent decisions.
+//! each worker owns a [`Worker`] (simulated device plus merge scratch) and
+//! pulls jobs from a shared [`JobQueue`]. Every job and chain runs through
+//! the service's one [`Engine`], whose plan cache makes repeats of a
+//! structure skip the analysis.
 
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use block_reorganizer::plan::{PlanMode, ReorgPlan};
-use block_reorganizer::reorder::ReorderStrategy;
+use block_reorganizer::PlanSettings;
 use br_gpu_sim::device::DeviceConfig;
-use br_gpu_sim::sim::GpuSimulator;
 use br_obs::{Counter, Gauge, Histogram, Registry};
-use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
-use br_spgemm::estimate::EstimatorConfig;
 
-use crate::cache::{PlanCache, PlanKey};
-use crate::chain::{self, ChainInstruments, ChainOutcome, ChainRequest};
+use crate::chain::{ChainOutcome, ChainRequest};
+use crate::engine::{Engine, Worker};
 use crate::job::{JobError, JobOutcome, JobRequest};
 use crate::queue::{JobQueue, PushError};
 use crate::stats::{ServiceStats, WorkerStats};
 
-/// How to provision the service.
+/// How to provision the service (and, through `br-net`'s `ServerConfig`,
+/// the TCP front end).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// One worker is spawned per entry; duplicates give several workers on
@@ -39,7 +33,7 @@ pub struct ServiceConfig {
     /// unbounded; `Some(n)` makes [`SpgemmService::try_submit`] shed with
     /// a typed [`SubmitError::QueueFull`] once `n` jobs are waiting — the
     /// same admission-control rejection the wire front end (`br-net`)
-    /// applies at its shed threshold.
+    /// applies at this bound, its shed threshold.
     pub queue_capacity: Option<usize>,
     /// Metrics registry shared by the service, its plan cache, and its job
     /// lifecycle spans. `None` gives the service a private registry (so
@@ -47,34 +41,17 @@ pub struct ServiceConfig {
     /// [`br_obs::global`] here to fold service metrics into the process
     /// exposition.
     pub registry: Option<Arc<Registry>>,
-    /// Estimation-based planning. `None` (the default) builds every plan
-    /// with the exact symbolic precalculation; `Some(cfg)` builds plans via
-    /// [`ReorgPlan::build_estimated`] — sampled workload estimation with
-    /// per-problem method selection, falling back to exact precalc when the
-    /// confidence band exceeds `cfg.tolerance`. The estimator fingerprint
-    /// is part of the [`PlanKey`], so flipping this setting never aliases
-    /// cached plans built the other way.
-    pub estimator: Option<EstimatorConfig>,
-    /// Row-reordering strategy applied to every plan the pool builds
-    /// ([`ReorderStrategy::None`], the default, is the historical
-    /// pipeline). The strategy fingerprint is part of the [`PlanKey`], so
-    /// reordered plans never alias baseline plans; results are
-    /// bit-identical either way — the plan un-permutes its output.
-    pub reorder: ReorderStrategy,
+    /// The settings every plan is built under: reorganizer knobs, sampled
+    /// or exact workloads, merge bins, row reordering. They are part of
+    /// every plan-cache key; results are bit-identical under any settings.
+    pub settings: PlanSettings,
 }
 
 impl Default for ServiceConfig {
     /// One Titan Xp worker (the paper's primary target) and room for 32
     /// cached plans.
     fn default() -> Self {
-        ServiceConfig {
-            devices: vec![DeviceConfig::titan_xp()],
-            cache_capacity: 32,
-            queue_capacity: None,
-            registry: None,
-            estimator: None,
-            reorder: ReorderStrategy::None,
-        }
+        Self::uniform(DeviceConfig::titan_xp(), 1, 32)
     }
 }
 
@@ -86,8 +63,7 @@ impl ServiceConfig {
             cache_capacity,
             queue_capacity: None,
             registry: None,
-            estimator: None,
-            reorder: ReorderStrategy::None,
+            settings: PlanSettings::default(),
         }
     }
 
@@ -97,23 +73,26 @@ impl ServiceConfig {
         self
     }
 
-    /// Build plans with the sampling estimator instead of exact
-    /// precalculation (builder-style).
-    pub fn with_estimator(mut self, estimator: EstimatorConfig) -> Self {
-        self.estimator = Some(estimator);
-        self
-    }
-
     /// Bound the job queue at `capacity` entries (builder-style).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = Some(capacity);
         self
     }
 
-    /// Reorder A's rows under `strategy` before planning (builder-style).
-    pub fn with_reorder(mut self, strategy: ReorderStrategy) -> Self {
-        self.reorder = strategy;
+    /// Build every plan under `settings` (builder-style).
+    pub fn with_settings(mut self, settings: PlanSettings) -> Self {
+        self.settings = settings;
         self
+    }
+
+    /// The engine these settings describe, with its cache and instruments
+    /// in the configured registry (a private one when none is set).
+    pub fn engine(&self) -> Engine {
+        let registry = self
+            .registry
+            .clone()
+            .unwrap_or_else(|| Arc::new(Registry::new()));
+        Engine::new(self.settings, self.cache_capacity, registry)
     }
 }
 
@@ -217,7 +196,6 @@ struct WorkerReport {
 
 /// Instrument handles shared by the submission side and every worker.
 struct ServiceInstruments {
-    registry: Arc<Registry>,
     submitted: Counter,
     completed: Counter,
     failed: Counter,
@@ -227,12 +205,10 @@ struct ServiceInstruments {
     queue_max_depth: Gauge,
     /// Wall-clock queue wait per job — the "queue" stage of the lifecycle.
     queue_wait: Histogram,
-    /// Pre-registered `br_chain_*` families, updated by chain steps.
-    chain: ChainInstruments,
 }
 
 impl ServiceInstruments {
-    fn new(registry: Arc<Registry>) -> Self {
+    fn new(registry: &Registry) -> Self {
         let submitted = registry.counter(
             "br_jobs_submitted_total",
             "Jobs accepted into the service queue.",
@@ -259,16 +235,13 @@ impl ServiceInstruments {
             "Wall-clock nanoseconds a job waited in the queue.",
             &[],
         );
-        let chain = chain::register_chain_instruments(&registry);
         ServiceInstruments {
-            registry,
             submitted,
             completed,
             failed,
             queue_depth,
             queue_max_depth,
             queue_wait,
-            chain,
         }
     }
 }
@@ -277,7 +250,7 @@ impl ServiceInstruments {
 /// collect all results and the final report.
 pub struct SpgemmService {
     queue: Arc<JobQueue<QueuedJob>>,
-    cache: Arc<PlanCache>,
+    engine: Arc<Engine>,
     instruments: Arc<ServiceInstruments>,
     workers: Vec<JoinHandle<WorkerReport>>,
     results: mpsc::Receiver<Completion>,
@@ -288,19 +261,12 @@ pub struct SpgemmService {
 impl SpgemmService {
     /// Spawns the worker pool and returns a service accepting submissions.
     pub fn start(config: ServiceConfig) -> Self {
-        let registry = config
-            .registry
-            .clone()
-            .unwrap_or_else(|| Arc::new(Registry::new()));
         let queue: Arc<JobQueue<QueuedJob>> = Arc::new(match config.queue_capacity {
             Some(capacity) => JobQueue::bounded(capacity),
             None => JobQueue::new(),
         });
-        let cache = Arc::new(PlanCache::with_registry(
-            config.cache_capacity,
-            registry.clone(),
-        ));
-        let instruments = Arc::new(ServiceInstruments::new(registry));
+        let engine = Arc::new(config.engine());
+        let instruments = Arc::new(ServiceInstruments::new(engine.registry()));
         let (tx, rx) = mpsc::channel();
         let workers = config
             .devices
@@ -308,31 +274,20 @@ impl SpgemmService {
             .enumerate()
             .map(|(index, device)| {
                 let queue = queue.clone();
-                let cache = cache.clone();
+                let engine = engine.clone();
                 let instruments = instruments.clone();
                 let tx = tx.clone();
-                let estimator = config.estimator;
-                let reorder = config.reorder;
                 thread::Builder::new()
                     .name(format!("br-service-worker-{index}"))
                     .spawn(move || {
-                        worker_loop(
-                            index,
-                            device,
-                            queue,
-                            cache,
-                            instruments,
-                            estimator,
-                            reorder,
-                            tx,
-                        )
+                        worker_loop(Worker::new(index, device), queue, engine, instruments, tx)
                     })
                     .expect("failed to spawn service worker")
             })
             .collect();
         SpgemmService {
             queue,
-            cache,
+            engine,
             instruments,
             workers,
             results: rx,
@@ -350,8 +305,8 @@ impl SpgemmService {
 
     /// Non-blocking admission into the service queue.
     pub fn try_submit(&mut self, job: JobRequest) -> Result<(), SubmitError> {
-        let registry = self.instruments.registry.clone();
-        let _span = registry.span("job/submit");
+        let engine = self.engine.clone();
+        let _span = engine.registry().span("job/submit");
         match self.push_item(WorkItem::Job(job)) {
             Ok(()) => Ok(()),
             Err(PushError::Full(WorkItem::Job(job))) => Err(SubmitError::QueueFull(job)),
@@ -369,8 +324,8 @@ impl SpgemmService {
 
     /// Non-blocking admission of a chain into the service queue.
     pub fn try_submit_chain(&mut self, chain: ChainRequest) -> Result<(), ChainSubmitError> {
-        let registry = self.instruments.registry.clone();
-        let _span = registry.span("chain/submit");
+        let engine = self.engine.clone();
+        let _span = engine.registry().span("chain/submit");
         match self.push_item(WorkItem::Chain(Box::new(chain))) {
             Ok(()) => Ok(()),
             Err(PushError::Full(WorkItem::Chain(chain))) => Err(ChainSubmitError::QueueFull(chain)),
@@ -397,14 +352,9 @@ impl SpgemmService {
         }
     }
 
-    /// Shared plan cache (inspectable mid-run).
-    pub fn cache(&self) -> &Arc<PlanCache> {
-        &self.cache
-    }
-
     /// The registry holding this service's instruments (and its cache's).
     pub fn registry(&self) -> &Arc<Registry> {
-        &self.instruments.registry
+        self.engine.registry()
     }
 
     /// Jobs currently waiting for a worker.
@@ -475,7 +425,7 @@ impl SpgemmService {
     pub fn drain(self) -> BatchOutcome {
         let SpgemmService {
             queue,
-            cache,
+            engine,
             instruments,
             workers,
             results,
@@ -522,7 +472,7 @@ impl SpgemmService {
             &outcomes,
             failures.len(),
             wall_ms,
-            cache.stats(),
+            engine.cache().stats(),
             queue.max_depth(),
             worker_stats,
         );
@@ -535,21 +485,13 @@ impl SpgemmService {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
-    index: usize,
-    device: DeviceConfig,
+    worker: Worker,
     queue: Arc<JobQueue<QueuedJob>>,
-    cache: Arc<PlanCache>,
+    engine: Arc<Engine>,
     instruments: Arc<ServiceInstruments>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
     tx: mpsc::Sender<Completion>,
 ) -> WorkerReport {
-    let sim = GpuSimulator::new(device.clone());
-    // Per-worker merge scratch: jobs on this worker reuse the same warmed
-    // accumulators, so steady-state merging allocates nothing per row.
-    let pool = ScratchPool::new();
     let mut jobs = 0usize;
     let mut busy_ms = 0.0f64;
     while let Some(queued) = queue.pop() {
@@ -560,36 +502,14 @@ fn worker_loop(
         let queue_ms = queued.enqueued.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
         let done = match queued.request {
-            WorkItem::Job(job) => execute_job(
-                index,
-                &device,
-                &sim,
-                &cache,
-                &instruments,
-                &pool,
-                estimator,
-                reorder,
-                job,
-                queue_ms,
-                t0,
-            ),
-            WorkItem::Chain(chain_request) => match chain::execute_chain(
-                index,
-                &device,
-                &sim,
-                &cache,
-                &pool,
-                estimator,
-                reorder,
-                &instruments.chain,
-                &instruments.registry,
-                *chain_request,
-                queue_ms,
-            ) {
-                Ok(outcome) => Completion::Chain(outcome),
-                Err(err) => Completion::Err(err),
-            },
-        };
+            WorkItem::Job(job) => engine
+                .run_job(&worker, &job, queue_ms)
+                .map(|outcome| Completion::Ok(Box::new(outcome))),
+            WorkItem::Chain(chain) => engine
+                .run_chain(&worker, &chain, queue_ms)
+                .map(|outcome| Completion::Chain(Box::new(outcome))),
+        }
+        .unwrap_or_else(Completion::Err);
         busy_ms += t0.elapsed().as_secs_f64() * 1e3;
         jobs += 1;
         match &done {
@@ -601,97 +521,9 @@ fn worker_loop(
         }
     }
     WorkerReport {
-        worker: index,
-        device: device.name,
+        worker: worker.index(),
+        device: worker.device().name.clone(),
         jobs,
         busy_ms,
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    worker: usize,
-    device: &DeviceConfig,
-    sim: &GpuSimulator,
-    cache: &PlanCache,
-    instruments: &ServiceInstruments,
-    pool: &ScratchPool<f64>,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
-    job: JobRequest,
-    queue_ms: f64,
-    t0: Instant,
-) -> Completion {
-    let registry = &instruments.registry;
-    let job_span = registry.span("job");
-    let fail = |message: String| {
-        Completion::Err(JobError {
-            id: job.id,
-            label: job.label.clone(),
-            message,
-        })
-    };
-    // `from_shared` bumps the job's `Arc`s instead of deep-cloning A, B,
-    // and the CSC copy per job.
-    let ctx = match ProblemContext::from_shared(job.a.clone(), job.b.clone()) {
-        Ok(ctx) => ctx,
-        Err(e) => return fail(format!("invalid operands: {e}")),
-    };
-    let key = PlanKey::with_options(
-        ctx.signature(),
-        &device.name,
-        &job.config,
-        estimator.as_ref(),
-        reorder,
-    );
-    // Single-flight: concurrent workers racing on the same absent key
-    // produce exactly one build (one miss) and one hit per other job, so
-    // the cache counters in the batch report don't depend on worker count
-    // or scheduling.
-    let (plan, cache_hit) = {
-        let _plan_span = registry.span("plan");
-        cache.get_or_build(&key, || {
-            Arc::new(match estimator {
-                Some(est) => ReorgPlan::build_estimated_with_reorder(
-                    &ctx,
-                    &job.config,
-                    device,
-                    &est,
-                    reorder,
-                ),
-                None => ReorgPlan::build_with_reorder(&ctx, &job.config, device, reorder),
-            })
-        })
-    };
-    let mode = if cache_hit {
-        PlanMode::Cached
-    } else {
-        PlanMode::Cold
-    };
-    let run = {
-        let _exec_span = registry.span("execute");
-        match plan.execute_with_scratch(sim, &ctx, mode, Some(pool)) {
-            Ok(run) => run,
-            Err(e) => return fail(format!("execution failed: {e}")),
-        }
-    };
-    drop(job_span);
-    Completion::Ok(Box::new(JobOutcome {
-        id: job.id,
-        label: job.label,
-        worker,
-        device: device.name.clone(),
-        cache_hit,
-        total_ms: run.total_ms,
-        precalc_ms: run.phase_ms("precalc"),
-        expansion_ms: run.phase_ms("expansion"),
-        merge_ms: run.phase_ms("merge"),
-        preprocess_ms: run.preprocess_ms,
-        queue_ms,
-        host_ms: t0.elapsed().as_secs_f64() * 1e3,
-        gflops: run.gflops(),
-        nnz_c: run.result.nnz(),
-        stats: run.stats,
-        result: run.result,
-    }))
 }

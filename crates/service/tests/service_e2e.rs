@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use block_reorganizer::{BlockReorganizer, ReorganizerConfig};
+use block_reorganizer::{BlockReorganizer, PlanSettings, ReorganizerConfig};
 use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
@@ -338,7 +338,10 @@ fn estimator_enabled_service_matches_exact_results() {
 
     let exact = SpgemmService::run_batch(ServiceConfig::default(), jobs(3));
     let estimated = SpgemmService::run_batch(
-        ServiceConfig::default().with_estimator(EstimatorConfig::default()),
+        ServiceConfig::default().with_settings(PlanSettings {
+            estimator: Some(EstimatorConfig::default()),
+            ..PlanSettings::default()
+        }),
         jobs(3),
     );
     assert!(exact.failures.is_empty(), "{:?}", exact.failures);
@@ -375,8 +378,12 @@ fn reordered_service_matches_baseline_results() {
         ReorderStrategy::Cluster,
         ReorderStrategy::Auto,
     ] {
+        let settings = PlanSettings {
+            reorder: strategy,
+            ..PlanSettings::default()
+        };
         let reordered =
-            SpgemmService::run_batch(ServiceConfig::default().with_reorder(strategy), jobs(3));
+            SpgemmService::run_batch(ServiceConfig::default().with_settings(settings), jobs(3));
         assert!(
             reordered.failures.is_empty(),
             "{strategy:?}: {:?}",

@@ -300,43 +300,6 @@ impl BinThresholds {
     }
 }
 
-/// Process-wide threshold override (`--bins` on the CLI); encoded as
-/// `(tiny_max, heavy_min, set)` behind a mutex — reads are off the hot
-/// path (once per multiplication).
-static GLOBAL_THRESHOLDS: Mutex<Option<BinThresholds>> = Mutex::new(None);
-
-/// Installs (or with `None` clears) the process-wide threshold override.
-pub fn set_global_thresholds(thresholds: Option<BinThresholds>) {
-    *GLOBAL_THRESHOLDS.lock().unwrap_or_else(|p| p.into_inner()) = thresholds;
-}
-
-/// The raw [`set_global_thresholds`] override, if any — for callers (like
-/// the estimation-based planner) that pick their own thresholds when the
-/// user has not forced a setting.
-pub fn global_thresholds() -> Option<BinThresholds> {
-    *GLOBAL_THRESHOLDS.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// The thresholds in effect: the [`set_global_thresholds`] override when
-/// present, else [`BinThresholds::default`].
-pub fn effective_thresholds() -> BinThresholds {
-    GLOBAL_THRESHOLDS
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .unwrap_or_default()
-}
-
-/// The thresholds in effect for a problem with `ncols` output columns:
-/// the [`set_global_thresholds`] override when present, else
-/// [`BinThresholds::recommended`] for that width. Classification stays a
-/// pure function of operand structure — `ncols` *is* structure.
-pub fn effective_thresholds_for(ncols: usize) -> BinThresholds {
-    GLOBAL_THRESHOLDS
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .unwrap_or_else(|| BinThresholds::recommended(ncols))
-}
-
 /// Which merge kernel handles a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RowBin {
@@ -1379,19 +1342,6 @@ mod tests {
             message.contains("512") && message.contains("4"),
             "{message}"
         );
-    }
-
-    #[test]
-    fn global_threshold_override_round_trips() {
-        let custom = BinThresholds {
-            tiny_max: 7,
-            heavy_min: 700,
-            kway_min: 7000,
-        };
-        set_global_thresholds(Some(custom));
-        assert_eq!(effective_thresholds(), custom);
-        set_global_thresholds(None);
-        assert_eq!(effective_thresholds(), BinThresholds::default());
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! The degenerate sample `k ≥ inner_dim` visits every column (and every
 //! row), so the "estimates" are exactly the exact quantities.
 
-use std::sync::Mutex;
-
 use br_obs::{Counter, Histogram};
 use br_sparse::Scalar;
 use serde::{Deserialize, Serialize};
@@ -128,42 +126,6 @@ impl EstimatorConfig {
             .iter()
             .fold(FNV_OFFSET, |h, &v| fnv_mix(h, v))
     }
-}
-
-/// Process-wide estimator override (`--est-samples` / `--est-tolerance` /
-/// `--no-estimate` on the CLI). `enabled = false` forces every
-/// estimation-capable path back to exact precalculation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimatorOverride {
-    /// The configuration estimation-capable paths should use.
-    pub config: EstimatorConfig,
-    /// Whether estimation is allowed at all.
-    pub enabled: bool,
-}
-
-impl Default for EstimatorOverride {
-    fn default() -> Self {
-        EstimatorOverride {
-            config: EstimatorConfig::default(),
-            enabled: true,
-        }
-    }
-}
-
-static GLOBAL_ESTIMATOR: Mutex<Option<EstimatorOverride>> = Mutex::new(None);
-
-/// Installs (or with `None` clears) the process-wide estimator override.
-pub fn set_global_estimator(setting: Option<EstimatorOverride>) {
-    *GLOBAL_ESTIMATOR.lock().unwrap_or_else(|p| p.into_inner()) = setting;
-}
-
-/// The estimator setting in effect: the [`set_global_estimator`] override
-/// when present, else the default (estimation enabled, default config).
-pub fn effective_estimator() -> EstimatorOverride {
-    GLOBAL_ESTIMATOR
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .unwrap_or_default()
 }
 
 /// The expansion method the estimator picked for one problem.
@@ -634,22 +596,6 @@ mod tests {
         };
         assert_eq!(select_thresholds(&dup, 1 << 20).kway_min, u64::MAX);
         assert!(!select_thresholds(&dup, 1 << 20).kway_enabled());
-    }
-
-    #[test]
-    fn global_estimator_override_round_trips() {
-        let custom = EstimatorOverride {
-            config: EstimatorConfig {
-                samples: 16,
-                tolerance: 0.5,
-            },
-            enabled: false,
-        };
-        set_global_estimator(Some(custom));
-        assert_eq!(effective_estimator(), custom);
-        set_global_estimator(None);
-        assert_eq!(effective_estimator(), EstimatorOverride::default());
-        assert!(effective_estimator().enabled);
     }
 
     #[test]

@@ -135,7 +135,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::{outer_product, row_product};
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
 
@@ -161,7 +161,7 @@ mod tests {
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let ac = run(&ctx, &dev).unwrap();
-        let outer = outer_product::run(&ctx, &dev).unwrap();
+        let outer = run_method(&ctx, SpgemmMethod::OuterProduct, &dev).unwrap();
         let ac_lbi = ac
             .profiles
             .iter()
@@ -186,7 +186,7 @@ mod tests {
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let ac = run(&ctx, &dev).unwrap();
-        let row = row_product::run(&ctx, &dev).unwrap();
+        let row = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         // PPoPP'19 reports large wins over row-product on skewed inputs;
         // at minimum the balanced scheme must not lose badly.
         assert!(

@@ -49,7 +49,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::row_product;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
 
     #[test]
@@ -59,7 +59,7 @@ mod tests {
         let a = rmat(RmatConfig::uniform(9, 16, 9)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let esc = run(&ctx, &dev).unwrap();
-        let rowp = row_product::run(&ctx, &dev).unwrap();
+        let rowp = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(
             esc.total_ms > 1.5 * rowp.total_ms,
             "ESC should pay for its sort: {} vs {}",

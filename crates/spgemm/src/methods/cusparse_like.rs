@@ -139,7 +139,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::row_product;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
 
@@ -153,7 +153,7 @@ mod tests {
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let cus = run(&ctx, &dev).unwrap();
-        let rowp = row_product::run(&ctx, &dev).unwrap();
+        let rowp = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(
             cus.total_ms > rowp.total_ms,
             "warp-per-row must lose on hubs: {} vs {}",

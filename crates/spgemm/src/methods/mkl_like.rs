@@ -7,22 +7,32 @@
 //! traffic over socket bandwidth), plus a parallel-efficiency factor for
 //! load imbalance across threads on skewed data.
 
+use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
-use crate::numeric::{default_threads, spgemm_parallel};
+use crate::numeric::default_threads;
 use crate::pipeline::SpgemmRun;
 use br_gpu_sim::device::{CpuConfig, DeviceConfig};
 use br_sparse::{Result, Scalar};
 
 /// Runs the MKL-like CPU baseline. The `device` argument selects the host
 /// CPU paired with that GPU in Table I (we use the System 1 Xeon for all,
-/// as the paper's MKL bars do not vary by system).
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, _device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    run_on_cpu(ctx, &CpuConfig::xeon_e5_2640v4())
+/// as the paper's MKL bars do not vary by system). The host merge bins rows
+/// under `thresholds`.
+pub fn run<T: Scalar>(
+    ctx: &ProblemContext<T>,
+    _device: &DeviceConfig,
+    thresholds: BinThresholds,
+) -> Result<SpgemmRun<T>> {
+    run_on_cpu(ctx, &CpuConfig::xeon_e5_2640v4(), thresholds)
 }
 
 /// Runs the model against an explicit CPU configuration.
-pub fn run_on_cpu<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> Result<SpgemmRun<T>> {
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
+pub fn run_on_cpu<T: Scalar>(
+    ctx: &ProblemContext<T>,
+    cpu: &CpuConfig,
+    thresholds: BinThresholds,
+) -> Result<SpgemmRun<T>> {
+    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
 
     let macs = ctx.intermediate_total as f64;
     let clock_hz = cpu.clock_mhz as f64 * 1e6;
@@ -63,13 +73,14 @@ pub fn run_on_cpu<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
 
     #[test]
     fn produces_correct_result_and_positive_time() {
         let a = rmat(RmatConfig::uniform(8, 6, 7)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &DeviceConfig::titan_xp()).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::MklLike, &DeviceConfig::titan_xp()).unwrap();
         let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
         assert!(r.result.approx_eq(&oracle, 1e-9));
         assert!(r.total_ms > 0.0);
@@ -93,11 +104,11 @@ mod tests {
         let val = vec![1.0f64; idx.len()];
         let skewed = br_sparse::CsrMatrix::try_new(n, n, ptr, idx, val).unwrap();
         let ctx_s = ProblemContext::new(&skewed, &skewed).unwrap();
-        let rs = run(&ctx_s, &DeviceConfig::titan_xp()).unwrap();
+        let rs = run_method(&ctx_s, SpgemmMethod::MklLike, &DeviceConfig::titan_xp()).unwrap();
 
         let uniform = br_datasets::mesh::banded(n, 16, 2, 1).to_csr();
         let ctx_u = ProblemContext::new(&uniform, &uniform).unwrap();
-        let ru = run(&ctx_u, &DeviceConfig::titan_xp()).unwrap();
+        let ru = run_method(&ctx_u, SpgemmMethod::MklLike, &DeviceConfig::titan_xp()).unwrap();
 
         // ms per byte of traffic must be worse for the skewed problem: its
         // critical path is one thread long.
@@ -124,8 +135,9 @@ mod tests {
             mem_bandwidth_gbs: 120.0,
             ..CpuConfig::xeon_e5_2640v4()
         };
-        let rs = run_on_cpu(&ctx, &small).unwrap();
-        let rb = run_on_cpu(&ctx, &big).unwrap();
+        let bins = BinThresholds::recommended(a.ncols());
+        let rs = run_on_cpu(&ctx, &small, bins).unwrap();
+        let rb = run_on_cpu(&ctx, &big, bins).unwrap();
         assert!(rb.total_ms < rs.total_ms);
     }
 }

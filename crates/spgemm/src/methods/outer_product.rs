@@ -8,10 +8,11 @@
 //! On the paper's suite this lands at ~0.95× the row-product baseline:
 //! better expansion, worse merge.
 
+use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::expansion::outer::{outer_expansion_launch, DEFAULT_BLOCK_SIZE};
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::{default_threads, spgemm_parallel};
+use crate::numeric::default_threads;
 use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
 use br_gpu_sim::device::DeviceConfig;
@@ -29,10 +30,15 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the outer-product baseline.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
+/// Runs the outer-product baseline; the host merge bins rows under
+/// `thresholds`.
+pub fn run<T: Scalar>(
+    ctx: &ProblemContext<T>,
+    device: &DeviceConfig,
+    thresholds: BinThresholds,
+) -> Result<SpgemmRun<T>> {
     let ws = Workspace::for_context(ctx);
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
+    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
     Ok(assemble_run(
         "outer-product",
         result,
@@ -47,6 +53,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
 
@@ -61,8 +68,8 @@ mod tests {
         let regular = rmat(RmatConfig::uniform(11, 8, 8)).to_csr();
         let cs = ProblemContext::new(&skewed, &skewed).unwrap();
         let cr = ProblemContext::new(&regular, &regular).unwrap();
-        let rs = run(&cs, &dev).unwrap();
-        let rr = run(&cr, &dev).unwrap();
+        let rs = run_method(&cs, SpgemmMethod::OuterProduct, &dev).unwrap();
+        let rr = run_method(&cr, SpgemmMethod::OuterProduct, &dev).unwrap();
         let lbi_s = rs.profiles[0].lbi();
         let lbi_r = rr.profiles[0].lbi();
         assert!(
@@ -76,10 +83,10 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::graph500(8, 8, 3)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::OuterProduct, &dev).unwrap();
         // The outer product's defining property (Section III): identical
         // work per thread. The row product on the same data diverges.
-        let row = crate::methods::row_product::run(&ctx, &dev).unwrap();
+        let row = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(r.profiles[0].time_ms > 0.0);
         let _ = row;
     }

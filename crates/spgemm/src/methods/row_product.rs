@@ -5,10 +5,11 @@
 //! skewed data); the merge enjoys row-major `Ĉ` (coalesced reads), which is
 //! the row product's structural advantage over the plain outer product.
 
+use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::expansion::row::row_expansion_launch;
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::{default_threads, spgemm_parallel};
+use crate::numeric::default_threads;
 use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
 use br_gpu_sim::device::DeviceConfig;
@@ -31,10 +32,15 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the row-product baseline.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
+/// Runs the row-product baseline; the host merge bins rows under
+/// `thresholds`.
+pub fn run<T: Scalar>(
+    ctx: &ProblemContext<T>,
+    device: &DeviceConfig,
+    thresholds: BinThresholds,
+) -> Result<SpgemmRun<T>> {
     let ws = Workspace::for_context(ctx);
-    let result = spgemm_parallel(&ctx.a, &ctx.b, default_threads())?;
+    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
     Ok(assemble_run(
         "row-product",
         result,
@@ -49,6 +55,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
 
     #[test]
@@ -83,7 +90,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::uniform(7, 4, 2)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert_eq!(r.profiles.len(), 2);
         assert!(r.profiles[0].name.contains("expansion"));
         assert!(r.profiles[1].name.contains("merge"));

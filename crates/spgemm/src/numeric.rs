@@ -182,7 +182,7 @@ pub fn spgemm_parallel<T: Scalar>(
     b: &CsrMatrix<T>,
     threads: usize,
 ) -> Result<CsrMatrix<T>> {
-    accum::spgemm_adaptive(a, b, threads, accum::effective_thresholds_for(b.ncols()))
+    accum::spgemm_adaptive(a, b, threads, accum::BinThresholds::recommended(b.ncols()))
 }
 
 /// Parallel sort-reduce merge (the ESC arithmetic path, multithreaded).

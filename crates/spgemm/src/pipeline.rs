@@ -5,6 +5,7 @@
 //! the overhead, except the data transfer time between host and the device"
 //! — so preprocessing (simulated on GPU or host) counts, transfers don't.
 
+use crate::accum::BinThresholds;
 use crate::context::ProblemContext;
 use crate::methods;
 use br_gpu_sim::device::DeviceConfig;
@@ -126,19 +127,37 @@ pub fn assemble_run<T: Scalar>(
     }
 }
 
-/// Runs one baseline method on one device.
+/// Runs one baseline method on one device. Methods whose host numerics
+/// run the adaptive merge bin rows under [`BinThresholds::recommended`].
 pub fn run_method<T: Scalar>(
     ctx: &ProblemContext<T>,
     method: SpgemmMethod,
     device: &DeviceConfig,
 ) -> br_sparse::Result<SpgemmRun<T>> {
+    run_method_binned(
+        ctx,
+        method,
+        device,
+        BinThresholds::recommended(ctx.b.ncols()),
+    )
+}
+
+/// [`run_method`] with the host merge's row-bin thresholds given. Bins
+/// choose which merge kernel handles a row on the host; they never change
+/// the result or the simulated launches.
+pub fn run_method_binned<T: Scalar>(
+    ctx: &ProblemContext<T>,
+    method: SpgemmMethod,
+    device: &DeviceConfig,
+    thresholds: BinThresholds,
+) -> br_sparse::Result<SpgemmRun<T>> {
     match method {
-        SpgemmMethod::RowProduct => methods::row_product::run(ctx, device),
-        SpgemmMethod::OuterProduct => methods::outer_product::run(ctx, device),
+        SpgemmMethod::RowProduct => methods::row_product::run(ctx, device, thresholds),
+        SpgemmMethod::OuterProduct => methods::outer_product::run(ctx, device, thresholds),
         SpgemmMethod::CusparseLike => methods::cusparse_like::run(ctx, device),
         SpgemmMethod::CuspEsc => methods::cusp_esc::run(ctx, device),
         SpgemmMethod::BhsparseLike => methods::bhsparse_like::run(ctx, device),
-        SpgemmMethod::MklLike => methods::mkl_like::run(ctx, device),
+        SpgemmMethod::MklLike => methods::mkl_like::run(ctx, device, thresholds),
     }
 }
 

@@ -10,11 +10,8 @@
 //!
 //! Run with: `cargo run --release --example iterated_squaring`
 
-use blockreorg::gpu_sim::sim::GpuSimulator;
 use blockreorg::obs::Registry;
 use blockreorg::prelude::*;
-use blockreorg::service::chain::{execute_chain, register_chain_instruments, ChainRequest};
-use blockreorg::spgemm::accum::ScratchPool;
 use std::sync::Arc;
 
 fn main() {
@@ -29,28 +26,13 @@ fn main() {
         a.nnz()
     );
 
-    let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
-    let registry = Arc::new(Registry::new());
-    let instruments = register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(16, registry.clone());
+    let engine = Engine::new(PlanSettings::default(), 16, Arc::new(Registry::new()));
+    let worker = Worker::new(0, DeviceConfig::titan_xp());
 
     let request = ChainRequest::workload(0, Workload::Square { k }, &a);
-    let outcome = execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        None,
-        ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .expect("square chain executes");
+    let outcome = engine
+        .run_chain(&worker, &request, 0.0)
+        .expect("square chain executes");
 
     for s in &outcome.steps {
         println!(

@@ -9,11 +9,8 @@
 //!
 //! Run with: `cargo run --release --example markov_clustering`
 
-use blockreorg::gpu_sim::sim::GpuSimulator;
 use blockreorg::obs::Registry;
 use blockreorg::prelude::*;
-use blockreorg::service::chain::{execute_chain, register_chain_instruments, ChainRequest};
-use blockreorg::spgemm::accum::ScratchPool;
 use blockreorg::workloads::planted_partition;
 use std::sync::Arc;
 
@@ -29,32 +26,17 @@ fn main() {
         blocks
     );
 
-    let device = DeviceConfig::titan_xp();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
-    let registry = Arc::new(Registry::new());
-    let instruments = register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(16, registry.clone());
+    let engine = Engine::new(PlanSettings::default(), 16, Arc::new(Registry::new()));
+    let worker = Worker::new(0, DeviceConfig::titan_xp());
 
     let workload = Workload::Markov {
         iters: 6,
         tol: 0.05,
     };
     let request = ChainRequest::workload(0, workload, &a);
-    let outcome = execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        None,
-        ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .expect("markov chain executes");
+    let outcome = engine
+        .run_chain(&worker, &request, 0.0)
+        .expect("markov chain executes");
 
     for s in &outcome.steps {
         println!(

@@ -7,11 +7,8 @@
 //!
 //! Run with: `cargo run --release --example triangle_count`
 
-use blockreorg::gpu_sim::sim::GpuSimulator;
 use blockreorg::obs::Registry;
 use blockreorg::prelude::*;
-use blockreorg::service::chain::{execute_chain, register_chain_instruments, ChainRequest};
-use blockreorg::spgemm::accum::ScratchPool;
 use blockreorg::workloads::planted_partition;
 use std::sync::Arc;
 
@@ -30,27 +27,13 @@ fn main() {
     );
 
     let device = DeviceConfig::tesla_v100();
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
-    let registry = Arc::new(Registry::new());
-    let instruments = register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(4, registry.clone());
+    let engine = Engine::new(PlanSettings::default(), 4, Arc::new(Registry::new()));
+    let worker = Worker::new(0, device.clone());
 
     let request = ChainRequest::workload(0, Workload::Triangle, &a);
-    let outcome = execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        None,
-        ReorderStrategy::None,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .expect("triangle chain executes");
+    let outcome = engine
+        .run_chain(&worker, &request, 0.0)
+        .expect("triangle chain executes");
 
     let step = &outcome.steps[0];
     println!(

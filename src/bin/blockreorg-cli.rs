@@ -53,7 +53,7 @@ use blockreorg::datasets::registry::ScaleFactor;
 use blockreorg::prelude::*;
 use blockreorg::service::job::{expand_jobs, parse_job_file};
 use blockreorg::sparse::io::read_matrix_market_file;
-use blockreorg::spgemm::estimate::{set_global_estimator, EstimatorConfig, EstimatorOverride};
+use blockreorg::spgemm::estimate::EstimatorConfig;
 use blockreorg::spgemm::pipeline::run_method;
 use blockreorg::spgemm::ProblemContext;
 use std::process::exit;
@@ -82,8 +82,7 @@ struct BatchOptions {
     queue_cap: Option<usize>,
     metrics: Option<String>,
     metrics_timing: bool,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
+    settings: PlanSettings,
 }
 
 struct ServeOptions {
@@ -97,8 +96,7 @@ struct ServeOptions {
     port_file: Option<String>,
     metrics: Option<String>,
     metrics_timing: bool,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
+    settings: PlanSettings,
 }
 
 struct ClientOptions {
@@ -126,8 +124,7 @@ struct ChainOptions {
     cache: usize,
     metrics: Option<String>,
     metrics_timing: bool,
-    estimator: Option<EstimatorConfig>,
-    reorder: ReorderStrategy,
+    settings: PlanSettings,
 }
 
 fn print_usage() {
@@ -322,8 +319,7 @@ fn parse_batch_options(args: &mut dyn Iterator<Item = String>) -> BatchOptions {
         queue_cap: None,
         metrics: None,
         metrics_timing: false,
-        estimator: None,
-        reorder: ReorderStrategy::None,
+        settings: PlanSettings::default(),
     };
     let mut est = EstimatorFlags::default();
     while let Some(arg) = args.next() {
@@ -359,7 +355,7 @@ fn parse_batch_options(args: &mut dyn Iterator<Item = String>) -> BatchOptions {
                 o.queue_cap = Some(cap);
             }
             "--threads" => apply_threads_flag(&next_value(args, "--threads")),
-            "--reorder" => o.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
+            "--reorder" => o.settings.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
             other => {
                 if !est.try_parse(other, args) {
                     usage_and_exit(&format!("unknown flag {other:?} in batch mode"))
@@ -367,7 +363,7 @@ fn parse_batch_options(args: &mut dyn Iterator<Item = String>) -> BatchOptions {
             }
         }
     }
-    o.estimator = est.service_estimator();
+    o.settings.estimator = est.service_estimator();
     o
 }
 
@@ -383,8 +379,7 @@ fn parse_serve_options(args: &mut dyn Iterator<Item = String>) -> ServeOptions {
         port_file: None,
         metrics: None,
         metrics_timing: false,
-        estimator: None,
-        reorder: ReorderStrategy::None,
+        settings: PlanSettings::default(),
     };
     let mut est = EstimatorFlags::default();
     while let Some(arg) = args.next() {
@@ -432,7 +427,7 @@ fn parse_serve_options(args: &mut dyn Iterator<Item = String>) -> ServeOptions {
                 }
             }
             "--threads" => apply_threads_flag(&next_value(args, "--threads")),
-            "--reorder" => o.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
+            "--reorder" => o.settings.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
             other => {
                 if !est.try_parse(other, args) {
                     usage_and_exit(&format!("unknown flag {other:?} in serve mode"))
@@ -440,7 +435,7 @@ fn parse_serve_options(args: &mut dyn Iterator<Item = String>) -> ServeOptions {
             }
         }
     }
-    o.estimator = est.service_estimator();
+    o.settings.estimator = est.service_estimator();
     o
 }
 
@@ -503,8 +498,7 @@ fn parse_chain_options(args: &mut dyn Iterator<Item = String>) -> ChainOptions {
         cache: 32,
         metrics: None,
         metrics_timing: false,
-        estimator: None,
-        reorder: ReorderStrategy::None,
+        settings: PlanSettings::default(),
     };
     let mut est = EstimatorFlags::default();
     while let Some(arg) = args.next() {
@@ -550,7 +544,7 @@ fn parse_chain_options(args: &mut dyn Iterator<Item = String>) -> ChainOptions {
                 o.rmat = Some((s, ef));
             }
             "--threads" => apply_threads_flag(&next_value(args, "--threads")),
-            "--reorder" => o.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
+            "--reorder" => o.settings.reorder = parse_reorder_flag(&next_value(args, "--reorder")),
             other => {
                 if !est.try_parse(other, args) {
                     usage_and_exit(&format!("unknown flag {other:?} in chain mode"))
@@ -558,7 +552,7 @@ fn parse_chain_options(args: &mut dyn Iterator<Item = String>) -> ChainOptions {
             }
         }
     }
-    o.estimator = est.service_estimator();
+    o.settings.estimator = est.service_estimator();
     o
 }
 
@@ -620,15 +614,10 @@ impl EstimatorFlags {
     }
 
     /// bench-run semantics: the estplan suite estimates by default, so the
-    /// flags install a process-wide override only when one was given
-    /// (`--no-estimate` forces every plan back to exact precalculation).
-    fn install_global(&self) {
-        if self.disabled || self.samples.is_some() || self.tolerance.is_some() {
-            set_global_estimator(Some(EstimatorOverride {
-                config: self.config(),
-                enabled: !self.disabled,
-            }));
-        }
+    /// configured estimator applies unless `--no-estimate` forces exact
+    /// precalculation.
+    fn bench_estimator(&self) -> Option<EstimatorConfig> {
+        (!self.disabled).then(|| self.config())
     }
 }
 
@@ -740,8 +729,7 @@ fn run_batch_mode(o: BatchOptions) -> ! {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| runtime_error(&format!("cannot read job file {path}: {e}")));
     let specs = parse_job_file(&text).unwrap_or_else(|e| runtime_error(&e));
-    let jobs =
-        expand_jobs(&specs, ReorganizerConfig::default()).unwrap_or_else(|e| runtime_error(&e));
+    let jobs = expand_jobs(&specs).unwrap_or_else(|e| runtime_error(&e));
 
     let mut devices: Vec<DeviceConfig> = o.devices.split(',').map(device_of).collect();
     if o.workers > 0 {
@@ -774,8 +762,7 @@ fn run_batch_mode(o: BatchOptions) -> ! {
             // process-wide registry as the spgemm / gpu-sim instruments,
             // so one --metrics dump covers the whole pipeline.
             registry: Some(blockreorg::obs::global_arc()),
-            estimator: o.estimator,
-            reorder: o.reorder,
+            settings: o.settings,
         },
         jobs,
     );
@@ -823,18 +810,18 @@ fn run_serve_mode(o: ServeOptions) -> ! {
         blockreorg::obs::install_wall_clock(blockreorg::obs::global());
     }
     let config = ServerConfig {
-        devices,
-        cache_capacity: o.cache,
-        shed_threshold: o.shed_threshold,
+        service: ServiceConfig {
+            devices,
+            cache_capacity: o.cache,
+            queue_capacity: Some(o.shed_threshold),
+            // Net admission counters share the process-wide registry with
+            // the spgemm / gpu-sim instruments, so one --metrics dump
+            // covers the whole serving path.
+            registry: Some(blockreorg::obs::global_arc()),
+            settings: o.settings,
+        },
         quota: o.quota,
         hold: o.hold,
-        config: ReorganizerConfig::default(),
-        // Net admission counters share the process-wide registry with the
-        // spgemm / gpu-sim instruments, so one --metrics dump covers the
-        // whole serving path.
-        registry: Some(blockreorg::obs::global_arc()),
-        estimator: o.estimator,
-        reorder: o.reorder,
     };
     let server = match NetServer::bind(&listen, config) {
         Ok(server) => server,
@@ -974,9 +961,6 @@ fn run_client_mode(o: ClientOptions) -> ! {
 /// fresh operand structure, and what each step cost.
 fn run_chain_mode(o: ChainOptions) -> ! {
     use blockreorg::bench::report::Table;
-    use blockreorg::gpu_sim::sim::GpuSimulator;
-    use blockreorg::service::chain::{self, ChainRequest};
-    use blockreorg::spgemm::accum::ScratchPool;
     use blockreorg::workloads::{parse_chain_spec, Workload};
     use std::sync::Arc;
 
@@ -1029,11 +1013,7 @@ fn run_chain_mode(o: ChainOptions) -> ! {
     }
     // Chain counters land in the process-wide registry, so one --metrics
     // dump covers the plan cache, the simulator, and the chain roll-up.
-    let registry = blockreorg::obs::global_arc();
-    let instruments = chain::register_chain_instruments(&registry);
-    let cache = PlanCache::with_registry(o.cache, registry.clone());
-    let sim = GpuSimulator::new(device.clone());
-    let pool = ScratchPool::new();
+    let engine = Engine::new(o.settings, o.cache, blockreorg::obs::global_arc());
     println!(
         "chain {}: {} steps on {}, plan cache {} entries\n",
         request.label,
@@ -1042,20 +1022,9 @@ fn run_chain_mode(o: ChainOptions) -> ! {
         o.cache
     );
 
-    let outcome = chain::execute_chain(
-        0,
-        &device,
-        &sim,
-        &cache,
-        &pool,
-        o.estimator,
-        o.reorder,
-        &instruments,
-        &registry,
-        request,
-        0.0,
-    )
-    .unwrap_or_else(|e| runtime_error(&format!("chain failed: {}", e.message)));
+    let outcome = engine
+        .run_chain(&Worker::new(0, device), &request, 0.0)
+        .unwrap_or_else(|e| runtime_error(&format!("chain failed: {}", e.message)));
 
     let mut table = Table::new(vec![
         "step",
@@ -1104,7 +1073,7 @@ fn run_chain_mode(o: ChainOptions) -> ! {
 fn run_bench_mode(args: &mut dyn Iterator<Item = String>) -> ! {
     use blockreorg::bench::compare::{compare, Thresholds};
     use blockreorg::bench::schema::BenchReport;
-    use blockreorg::bench::suite::{run_suite, Suite};
+    use blockreorg::bench::suite::{default_settings, run_suite, Suite};
 
     match args.next().as_deref() {
         Some("run") => {
@@ -1113,6 +1082,7 @@ fn run_bench_mode(args: &mut dyn Iterator<Item = String>) -> ! {
             let mut no_host = false;
             let mut metrics: Option<String> = None;
             let mut metrics_timing = false;
+            let mut settings = default_settings();
             let mut est = EstimatorFlags::default();
             while let Some(arg) = args.next() {
                 match arg.as_str() {
@@ -1147,13 +1117,13 @@ fn run_bench_mode(args: &mut dyn Iterator<Item = String>) -> ! {
                     }
                     "--metrics-timing" => metrics_timing = true,
                     "--bins" => {
-                        use blockreorg::spgemm::accum::{set_global_thresholds, BinThresholds};
+                        use blockreorg::spgemm::accum::BinThresholds;
                         let v = args
                             .next()
                             .unwrap_or_else(|| usage_and_exit("missing --bins value"));
                         let thresholds = BinThresholds::parse(&v)
                             .unwrap_or_else(|e| usage_and_exit(&format!("bad --bins value: {e}")));
-                        set_global_thresholds(Some(thresholds));
+                        settings.bins = Some(thresholds);
                     }
                     other => {
                         if !est.try_parse(other, args) {
@@ -1162,12 +1132,12 @@ fn run_bench_mode(args: &mut dyn Iterator<Item = String>) -> ! {
                     }
                 }
             }
-            est.install_global();
+            settings.estimator = est.bench_estimator();
             if metrics_timing {
                 blockreorg::obs::install_wall_clock(blockreorg::obs::global());
             }
             let path = out.unwrap_or_else(|| format!("BENCH_{}.json", suite.name()));
-            let mut report = run_suite(suite, |line| println!("{line}"));
+            let mut report = run_suite(suite, &settings, |line| println!("{line}"));
             // The wall-clock line is always printed; --no-host only keeps
             // it out of the file so reports byte-compare across runs.
             if let Some(host) = &report.host {

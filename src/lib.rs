@@ -38,15 +38,15 @@ pub use br_workloads as workloads;
 /// Convenient glob-import surface for examples and downstream users.
 pub mod prelude {
     pub use block_reorganizer::{
-        AblationReport, BlockReorganizer, PlanMode, ReorderStrategy, ReorgPlan, ReorganizerConfig,
-        WorkloadClass,
+        AblationReport, BlockReorganizer, PlanMode, PlanSettings, ReorderStrategy, ReorgPlan,
+        ReorganizerConfig, WorkloadClass,
     };
     pub use br_datasets::registry::{DatasetSpec, RealWorldRegistry};
     pub use br_datasets::rmat::{rmat, RmatConfig};
     pub use br_gpu_sim::device::DeviceConfig;
     pub use br_service::{
-        BatchOutcome, CacheStats, JobOutcome, JobRequest, PlanCache, PlanKey, ServiceConfig,
-        ServiceStats, SpgemmService,
+        BatchOutcome, CacheStats, ChainRequest, Engine, JobOutcome, JobRequest, PlanCache, PlanKey,
+        ServiceConfig, ServiceStats, SpgemmService, Worker,
     };
     pub use br_sparse::ops::{multiply_flops, spgemm_gustavson};
     pub use br_sparse::stats::DegreeStats;

@@ -47,7 +47,7 @@ fn grid_digest(threads: usize) -> u64 {
         let ctx = ProblemContext::new(&a, &a).unwrap();
         for dev in DeviceConfig::all_paper_targets() {
             let sim = GpuSimulator::new(dev.clone()).with_threads(threads);
-            let exact = ReorgPlan::build(&ctx, &cfg, &dev);
+            let exact = ReorgPlan::build(&ctx, &dev, &cfg.into());
             let mut plans = vec![ReorgPlan::build_with_reorder(
                 &ctx,
                 &cfg,
