@@ -32,48 +32,25 @@ pub const MAX_PAYLOAD: usize = 1 << 20;
 /// Hard cap on any length-prefixed string inside a payload.
 pub const MAX_STRING: usize = 1 << 16;
 
-/// Which queue a request is admitted into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Lane {
-    /// Low-latency lane, always drained before batch work.
-    Interactive,
-    /// Throughput lane.
-    Batch,
+pub use br_service::queue::Lane;
+
+/// A lane's wire code. Pinned here, not derived from the queue's lane
+/// index, so the protocol cannot drift with the service.
+fn lane_code(lane: Lane) -> u8 {
+    match lane {
+        Lane::Interactive => 0,
+        Lane::Batch => 1,
+    }
 }
 
-impl Lane {
-    /// Both lanes, in drain-priority order.
-    pub const ALL: [Lane; 2] = [Lane::Interactive, Lane::Batch];
-
-    /// Dense index (0 = interactive, 1 = batch).
-    pub fn index(self) -> usize {
-        match self {
-            Lane::Interactive => 0,
-            Lane::Batch => 1,
-        }
-    }
-
-    /// Metric-label name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Lane::Interactive => "interactive",
-            Lane::Batch => "batch",
-        }
-    }
-
-    fn code(self) -> u8 {
-        self.index() as u8
-    }
-
-    fn from_code(code: u8) -> Result<Lane, ProtocolError> {
-        match code {
-            0 => Ok(Lane::Interactive),
-            1 => Ok(Lane::Batch),
-            v => Err(ProtocolError::BadEnum {
-                what: "lane",
-                value: v,
-            }),
-        }
+fn lane_from_code(code: u8) -> Result<Lane, ProtocolError> {
+    match code {
+        0 => Ok(Lane::Interactive),
+        1 => Ok(Lane::Batch),
+        v => Err(ProtocolError::BadEnum {
+            what: "lane",
+            value: v,
+        }),
     }
 }
 
@@ -333,7 +310,7 @@ impl Frame {
                 spec,
             } => {
                 put_u64(out, *request_id);
-                out.push(lane.code());
+                out.push(lane_code(*lane));
                 put_u32(out, *deadline_ms);
                 put_str(out, spec);
             }
@@ -361,7 +338,7 @@ impl Frame {
                 threshold,
             } => {
                 put_u64(out, *request_id);
-                out.push(lane.code());
+                out.push(lane_code(*lane));
                 put_u32(out, *depth);
                 put_u32(out, *threshold);
             }
@@ -383,7 +360,7 @@ impl Frame {
                 spec,
             } => {
                 put_u64(out, *request_id);
-                out.push(lane.code());
+                out.push(lane_code(*lane));
                 put_u32(out, *deadline_ms);
                 put_str(out, spec);
             }
@@ -427,7 +404,7 @@ impl Frame {
             },
             3 => Frame::Submit {
                 request_id: c.get_u64()?,
-                lane: Lane::from_code(c.get_u8()?)?,
+                lane: lane_from_code(c.get_u8()?)?,
                 deadline_ms: c.get_u32()?,
                 spec: c.get_str()?,
             },
@@ -442,7 +419,7 @@ impl Frame {
             },
             5 => Frame::Shed {
                 request_id: c.get_u64()?,
-                lane: Lane::from_code(c.get_u8()?)?,
+                lane: lane_from_code(c.get_u8()?)?,
                 depth: c.get_u32()?,
                 threshold: c.get_u32()?,
             },
@@ -462,7 +439,7 @@ impl Frame {
             },
             12 => Frame::SubmitChain {
                 request_id: c.get_u64()?,
-                lane: Lane::from_code(c.get_u8()?)?,
+                lane: lane_from_code(c.get_u8()?)?,
                 deadline_ms: c.get_u32()?,
                 spec: c.get_str()?,
             },

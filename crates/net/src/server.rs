@@ -1,5 +1,11 @@
 //! The TCP serving front end: listener, connection state machine,
-//! admission control, worker pool, and graceful drain.
+//! admission control, and graceful drain, in front of the job service's
+//! worker pool.
+//!
+//! The server runs no workers of its own. It starts one
+//! [`SpgemmService`] from [`ServerConfig::service`] and submits every
+//! admitted request into the service's two-lane queue, with a reply that
+//! turns the typed completion into this connection's response frame.
 //!
 //! ## Connection state machine
 //!
@@ -16,11 +22,13 @@
 //!
 //! 1. no `Hello` yet → `Reject(NotReady)`
 //! 2. draining → `Reject(Draining)`
-//! 3. spec unparseable / unloadable / `repeat != 1` → `Reject(BadSpec)`
+//! 3. spec unparseable, naming a file (`input=` / `pair=`), unloadable, or
+//!    `repeat != 1` → `Reject(BadSpec)`
 //! 4. client already has `quota` in-flight jobs → `Reject(QuotaExceeded)`
-//! 5. combined lane depth at the shed threshold → `Shed`
-//! 6. otherwise → enqueue; exactly one `Result` (or `Reject(Failed)` /
-//!    `Reject(DeadlineExpired)`) follows later.
+//! 5. the service queue's combined depth at its bound (the shed
+//!    threshold) → `Shed`
+//! 6. otherwise → submit to the service; exactly one `Result` (or
+//!    `Reject(Failed)` / `Reject(DeadlineExpired)`) follows later.
 //!
 //! With the worker gate held (`ServerConfig::hold`), steps 1–6 are a pure
 //! function of the offered load: nothing leaves the queue, so the
@@ -31,9 +39,10 @@
 //!
 //! A `Shutdown` frame (from any authenticated connection) flips the
 //! draining flag once: every open connection gets a `DrainNotice`, the
-//! lane queue closes (queued jobs still execute; the gate opens if held),
-//! the listener stops accepting, workers finish and exit, remaining
-//! connections are flushed and closed, and [`NetServer::run`] returns.
+//! service's queue closes (queued jobs still execute; the gate opens if
+//! held), the listener stops accepting, the service's workers finish and
+//! are joined, remaining connections are flushed and closed, and
+//! [`NetServer::run`] returns.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -43,24 +52,22 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use br_obs::{lock_recover, Counter, Gauge, Histogram, Registry};
+use br_obs::{lock_recover, Counter, Registry};
 use br_service::chain::ChainRequest;
-use br_service::engine::{Engine, Worker};
-use br_service::job::{parse_job_file, JobRequest};
-use br_service::service::ServiceConfig;
+use br_service::job::{parse_job_file, JobRequest, MatrixSource};
+use br_service::service::{Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work};
 
 use crate::frame::{
     read_frame, write_frame, ChainStepSummary, Frame, FrameError, Lane, RejectCode, VERSION,
 };
-use crate::lane::{LanePushError, LaneQueue};
 
 /// How to provision the serving front end.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Workers, plan cache, plan settings, and registry, exactly as for the
-    /// job service. `service.queue_capacity` is the shed threshold: the
-    /// combined lane depth at which submissions are shed (`None` never
-    /// sheds).
+    /// The job service the server starts and submits into: workers, plan
+    /// cache, plan settings, and registry. `service.queue_capacity` is the
+    /// shed threshold: the combined depth of the service's two lanes at
+    /// which submissions are shed (`None` never sheds).
     pub service: ServiceConfig,
     /// Max admitted-but-unfinished jobs per client id.
     pub quota: u64,
@@ -86,7 +93,7 @@ pub struct ServeReport {
     pub connections: u64,
     /// `Submit` frames received.
     pub requests: u64,
-    /// Requests admitted into a lane.
+    /// Requests admitted into the service's queue.
     pub admitted: u64,
     /// `Result` responses sent.
     pub results: u64,
@@ -141,16 +148,12 @@ struct NetInstruments {
     protocol_errors: Counter,
     /// Wall-clock dependent, hence timing-flagged (strict dumps omit it).
     deadline_expired: Counter,
-    lane_depth: [Gauge; 2],
-    lane_depth_max: [Gauge; 2],
-    queue_wait: [Histogram; 2],
 }
 
 impl NetInstruments {
     fn new(registry: &Registry) -> Self {
         let per_lane = |name: &str, help: &str| {
-            [Lane::Interactive, Lane::Batch]
-                .map(|l| registry.counter(name, help, &[("lane", l.name())]))
+            Lane::ALL.map(|l| registry.counter(name, help, &[("lane", l.name())]))
         };
         let reject = |reason: &str| {
             registry.counter(
@@ -196,41 +199,6 @@ impl NetInstruments {
                 "Admitted requests whose deadline passed before execution (wall-clock dependent).",
                 &[],
             ),
-            lane_depth: [Lane::Interactive, Lane::Batch].map(|l| {
-                registry.timing_gauge(
-                    "br_net_lane_depth",
-                    "Queued jobs per lane, sampled at push/pop (scheduling-dependent).",
-                    &[("lane", l.name())],
-                )
-            }),
-            lane_depth_max: [Lane::Interactive, Lane::Batch].map(|l| {
-                registry.timing_gauge(
-                    "br_net_lane_depth_max",
-                    "Highest per-lane depth observed (scheduling-dependent).",
-                    &[("lane", l.name())],
-                )
-            }),
-            queue_wait: [Lane::Interactive, Lane::Batch].map(|l| {
-                registry.timing_histogram(
-                    "br_net_queue_wait_ns",
-                    "Wall-clock nanoseconds a request waited in its lane.",
-                    &[("lane", l.name())],
-                )
-            }),
-        }
-    }
-
-    fn reject_counter(&self, code: RejectCode) -> Option<&Counter> {
-        match code {
-            RejectCode::QuotaExceeded => Some(&self.reject_quota),
-            RejectCode::BadSpec => Some(&self.reject_bad_spec),
-            RejectCode::Draining => Some(&self.reject_draining),
-            RejectCode::NotReady => Some(&self.reject_not_ready),
-            RejectCode::Failed => Some(&self.reject_failed),
-            // Wall-clock dependent: counted by the timing-flagged
-            // deadline_expired counter instead, so strict metric dumps
-            // stay a pure function of the offered load.
-            RejectCode::DeadlineExpired => None,
         }
     }
 }
@@ -260,31 +228,17 @@ impl Admission {
         true
     }
 
-    /// Returns `client`'s slot after its job finished (or expired).
+    /// Returns `client`'s slot after its job finished (or expired),
+    /// forgetting the client once it has nothing in flight.
     fn release(&self, client: &str) {
         let mut map = lock_recover(&self.inflight);
         if let Some(n) = map.get_mut(client) {
-            *n = n.saturating_sub(1);
+            *n -= 1;
+            if *n == 0 {
+                map.remove(client);
+            }
         }
     }
-}
-
-/// The work an admitted request carries: one multiplication (`Submit`) or
-/// a whole chain program (`SubmitChain`). Both ride the same lanes, quota,
-/// shed threshold, and deadline check.
-enum NetWork {
-    Single(JobRequest),
-    Chain(Box<ChainRequest>),
-}
-
-/// An admitted request waiting for (or being executed by) a worker.
-struct NetJob {
-    request_id: u64,
-    client_id: String,
-    deadline: Option<Instant>,
-    work: NetWork,
-    reply: mpsc::Sender<Frame>,
-    enqueued: Instant,
 }
 
 struct ConnHandle {
@@ -293,8 +247,7 @@ struct ConnHandle {
 }
 
 struct Shared {
-    queue: LaneQueue<NetJob>,
-    engine: Engine,
+    service: SpgemmService,
     admission: Admission,
     instruments: NetInstruments,
     draining: AtomicBool,
@@ -302,7 +255,6 @@ struct Shared {
     next_conn_id: AtomicU64,
     local_addr: SocketAddr,
     shed_threshold: usize,
-    quota: u64,
 }
 
 impl Shared {
@@ -326,18 +278,9 @@ impl Shared {
         drop(conns);
         // Queued jobs still run (close also opens a held gate); workers
         // exit once the backlog is gone.
-        self.queue.close();
+        self.service.close();
         // Wake the accept loop so `run` can move on to joining workers.
         let _ = TcpStream::connect(self.local_addr);
-    }
-
-    fn set_depth_gauges(&self) {
-        for lane in Lane::ALL {
-            let depth = self.queue.lane_depth(lane) as u64;
-            let g = &self.instruments.lane_depth[lane.index()];
-            g.set_u64(depth);
-            self.instruments.lane_depth_max[lane.index()].set_max(depth as f64);
-        }
     }
 }
 
@@ -346,47 +289,32 @@ impl Shared {
 pub struct NetServer {
     listener: TcpListener,
     shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
-    /// Binds the listener and spawns the worker pool. The returned server
-    /// does not accept connections until [`run`](Self::run).
+    /// Binds the listener and starts the job service's worker pool (its
+    /// gate held if `config.hold`). The returned server does not accept
+    /// connections until [`run`](Self::run).
     pub fn bind(addr: &str, config: ServerConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let engine = config.service.engine();
         let shed_threshold = config.service.queue_capacity.unwrap_or(usize::MAX).max(1);
+        let service = if config.hold {
+            SpgemmService::start_held(config.service)
+        } else {
+            SpgemmService::start(config.service)
+        };
         let shared = Arc::new(Shared {
-            queue: LaneQueue::new(shed_threshold, config.hold),
-            instruments: NetInstruments::new(engine.registry()),
-            engine,
+            instruments: NetInstruments::new(service.registry()),
+            service,
             admission: Admission::new(config.quota),
             draining: AtomicBool::new(false),
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
             local_addr,
             shed_threshold,
-            quota: config.quota.max(1),
         });
-        let workers = config
-            .service
-            .devices
-            .into_iter()
-            .enumerate()
-            .map(|(index, device)| {
-                let shared = shared.clone();
-                thread::Builder::new()
-                    .name(format!("br-net-worker-{index}"))
-                    .spawn(move || worker_loop(Worker::new(index, device), shared))
-                    .expect("failed to spawn net worker")
-            })
-            .collect();
-        Ok(NetServer {
-            listener,
-            shared,
-            workers,
-        })
+        Ok(NetServer { listener, shared })
     }
 
     /// The bound address (useful with `--listen 127.0.0.1:0`).
@@ -396,16 +324,12 @@ impl NetServer {
 
     /// The registry holding this server's instruments.
     pub fn registry(&self) -> &Arc<Registry> {
-        self.shared.engine.registry()
+        self.shared.service.registry()
     }
 
     /// Serves until a `Shutdown` frame completes the drain, then reports.
     pub fn run(self) -> ServeReport {
-        let NetServer {
-            listener,
-            shared,
-            workers,
-        } = self;
+        let NetServer { listener, shared } = self;
         let mut conn_threads: Vec<JoinHandle<()>> = Vec::new();
         for stream in listener.incoming() {
             let Ok(stream) = stream else { continue };
@@ -432,10 +356,9 @@ impl NetServer {
                     .expect("failed to spawn connection thread"),
             );
         }
-        // Drain: workers finish the closed queue's backlog, then exit.
-        for w in workers {
-            w.join().expect("net worker panicked");
-        }
+        // Drain: the service's workers finish the closed queue's backlog,
+        // then exit.
+        let queue_depth_max = shared.service.drain().stats.max_queue_depth;
         // Every result is now in its connection's write channel. Close the
         // read side of surviving connections; each reader exits, its
         // writer flushes the channel backlog, and the thread finishes.
@@ -463,7 +386,7 @@ impl NetServer {
                 + i.reject_not_ready.get()
                 + i.reject_failed.get(),
             protocol_errors: i.protocol_errors.get(),
-            queue_depth_max: shared.queue.max_depth(),
+            queue_depth_max,
         }
     }
 }
@@ -498,25 +421,25 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
     );
 
     let mut reader = BufReader::new(stream);
-    let mut client_id: Option<String> = None;
+    let mut client: Option<Client> = None;
     loop {
         match read_frame(&mut reader) {
             Ok(None) => break,
             Ok(Some(frame)) => match frame {
                 Frame::Hello { client_id: id } => {
-                    if client_id.is_some() {
+                    if client.is_some() {
                         shared.instruments.protocol_errors.inc();
                         let _ = tx.send(Frame::Error {
                             message: "duplicate Hello".to_string(),
                         });
                         break;
                     }
-                    client_id = Some(id);
+                    client = Some(Client::new(&shared, &tx, id));
                     let _ = tx.send(Frame::HelloAck {
                         version: VERSION,
-                        held: shared.queue.is_held(),
+                        held: shared.service.is_held(),
                         shed_threshold: shared.shed_threshold.min(u32::MAX as usize) as u32,
-                        quota: shared.quota.min(u32::MAX as u64) as u32,
+                        quota: shared.admission.quota.min(u32::MAX as u64) as u32,
                     });
                 }
                 Frame::Submit {
@@ -527,7 +450,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                 } => handle_submit(
                     &shared,
                     &tx,
-                    client_id.as_deref(),
+                    client.as_ref(),
                     request_id,
                     lane,
                     deadline_ms,
@@ -542,7 +465,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                 } => handle_submit(
                     &shared,
                     &tx,
-                    client_id.as_deref(),
+                    client.as_ref(),
                     request_id,
                     lane,
                     deadline_ms,
@@ -550,7 +473,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                     SubmitKind::Chain,
                 ),
                 Frame::Release => {
-                    shared.queue.release();
+                    shared.service.release();
                 }
                 Frame::Shutdown => shared.initiate_drain(),
                 Frame::Goodbye => break,
@@ -573,8 +496,30 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
         }
     }
     lock_recover(&shared.conns).remove(&conn_id);
+    // The writer flushes until every sender is gone, the reply's included.
+    drop(client);
     drop(tx);
     let _ = writer.join();
+}
+
+/// A connection's client after its `Hello`: the quota key, and the reply
+/// the service answers each of its admitted requests through.
+struct Client {
+    id: String,
+    reply: Reply,
+}
+
+impl Client {
+    fn new(shared: &Arc<Shared>, tx: &mpsc::Sender<Frame>, id: String) -> Self {
+        let reply: Reply = {
+            let (shared, tx, id) = (Arc::clone(shared), tx.clone(), id.clone());
+            Arc::new(move |lane, done| {
+                let _ = tx.send(answer(&shared.instruments, lane, done));
+                shared.admission.release(&id);
+            })
+        };
+        Client { id, reply }
+    }
 }
 
 /// Which frame type carried a submission — decides how its spec is
@@ -589,7 +534,7 @@ enum SubmitKind {
 fn handle_submit(
     shared: &Shared,
     tx: &mpsc::Sender<Frame>,
-    client_id: Option<&str>,
+    client: Option<&Client>,
     request_id: u64,
     lane: Lane,
     deadline_ms: u32,
@@ -598,95 +543,102 @@ fn handle_submit(
 ) {
     let i = &shared.instruments;
     i.requests[lane.index()].inc();
-    let reject = |code: RejectCode, message: String| {
-        if let Some(counter) = i.reject_counter(code) {
-            counter.inc();
-        }
+    let reject = |counter: &Counter, code: RejectCode, message: String| {
+        counter.inc();
         let _ = tx.send(Frame::Reject {
             request_id,
             code,
             message,
         });
     };
-    let Some(client) = client_id else {
+    let draining = || {
         reject(
+            &i.reject_draining,
+            RejectCode::Draining,
+            "server is draining; no new work accepted".to_string(),
+        )
+    };
+    let Some(client) = client else {
+        reject(
+            &i.reject_not_ready,
             RejectCode::NotReady,
             "Submit before Hello handshake".to_string(),
         );
         return;
     };
     if shared.draining.load(Ordering::SeqCst) {
-        reject(
-            RejectCode::Draining,
-            "server is draining; no new work accepted".to_string(),
-        );
+        draining();
         return;
     }
     let work = match materialize_spec(spec, kind, request_id) {
         Ok(work) => work,
         Err(message) => {
-            reject(RejectCode::BadSpec, message);
+            reject(&i.reject_bad_spec, RejectCode::BadSpec, message);
             return;
         }
     };
-    if !shared.admission.try_acquire(client) {
+    if !shared.admission.try_acquire(&client.id) {
         reject(
+            &i.reject_quota,
             RejectCode::QuotaExceeded,
             format!(
-                "client {client:?} already has {} jobs in flight",
-                shared.quota
+                "client {:?} already has {} jobs in flight",
+                client.id, shared.admission.quota
             ),
         );
         return;
     }
     let deadline =
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms as u64));
-    let job = NetJob {
-        request_id,
-        client_id: client.to_string(),
-        deadline,
-        work,
-        reply: tx.clone(),
-        enqueued: Instant::now(),
-    };
-    match shared.queue.try_push(lane, job) {
+    match shared
+        .service
+        .submit_with(work, lane, deadline, client.reply.clone())
+    {
         Ok(depth) => {
             i.admitted[lane.index()].inc();
             if depth == shared.shed_threshold {
                 i.saturation[lane.index()].inc();
             }
-            shared.set_depth_gauges();
         }
-        Err(LanePushError::Full { depth }) => {
-            shared.admission.release(client);
+        Err(SubmitError::QueueFull(_)) => {
+            shared.admission.release(&client.id);
             i.shed[lane.index()].inc();
+            // A refusal leaves the queue at its bound: depth == threshold.
+            let threshold = shared.shed_threshold.min(u32::MAX as usize) as u32;
             let _ = tx.send(Frame::Shed {
                 request_id,
                 lane,
-                depth: depth as u32,
-                threshold: shared.shed_threshold.min(u32::MAX as usize) as u32,
+                depth: threshold,
+                threshold,
             });
         }
-        Err(LanePushError::Closed) => {
-            shared.admission.release(client);
-            reject(
-                RejectCode::Draining,
-                "server is draining; no new work accepted".to_string(),
-            );
+        Err(SubmitError::Draining(_)) => {
+            shared.admission.release(&client.id);
+            draining();
         }
     }
 }
 
+/// The one message for every wire spec naming a file, so the answer says
+/// nothing about the server's filesystem.
+const NO_FILE_SOURCES: &str =
+    "file sources (input=, pair=) are not accepted over the wire; use dataset= or rmat=";
+
 /// Parses a one-line job spec and loads its operands (or builds the chain
 /// request, for `SubmitChain`). The spec's `chain=` key must agree with
-/// the frame type that carried it.
-fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<NetWork, String> {
+/// the frame type that carried it, and it may not name a file: the server
+/// opens nothing on a client's behalf.
+fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<Work, String> {
     let specs = parse_job_file(spec)?;
     let [one] = specs.as_slice() else {
         return Err("a Submit frame carries exactly one job line".to_string());
     };
     if one.repeat != 1 {
         return Err("repeat must be 1 over the wire (send one Submit per job)".to_string());
+    }
+    let names_a_file = |source: &MatrixSource| matches!(source, MatrixSource::File(_));
+    if names_a_file(&one.source) || one.pair.as_ref().is_some_and(names_a_file) {
+        return Err(NO_FILE_SOURCES.to_string());
     }
     match (kind, one.chain) {
         (SubmitKind::Single, Some(_)) => {
@@ -701,95 +653,95 @@ fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<Net
                 Some(src) => Arc::new(src.load()?),
                 None => a.clone(),
             };
-            let job = JobRequest::multiply(request_id, a, b).with_label(one.source.label());
-            Ok(NetWork::Single(job))
+            Ok(JobRequest::multiply(request_id, a, b)
+                .with_label(one.source.label())
+                .into())
         }
         (SubmitKind::Chain, Some(workload)) => {
             let base = one.source.load()?;
             let label = format!("{}:{}", one.source.label(), workload.spec());
-            let request = ChainRequest::workload(request_id, workload, &base).with_label(label);
-            Ok(NetWork::Chain(Box::new(request)))
+            Ok(ChainRequest::workload(request_id, workload, &base)
+                .with_label(label)
+                .into())
         }
     }
 }
 
-/// Pops admitted requests and answers each with exactly one frame: the
-/// engine's typed outcome becomes a `Result` / `ChainResult`, its error a
-/// `Reject(Failed)` naming what went wrong.
-fn worker_loop(worker: Worker, shared: Arc<Shared>) {
-    let i = &shared.instruments;
-    let engine = &shared.engine;
-    while let Some((lane, job)) = shared.queue.pop() {
-        shared.set_depth_gauges();
-        i.queue_wait[lane.index()].observe(job.enqueued.elapsed().as_nanos() as u64);
-        if let Some(deadline) = job.deadline {
-            if Instant::now() > deadline {
-                i.deadline_expired.inc();
-                let _ = job.reply.send(Frame::Reject {
-                    request_id: job.request_id,
-                    code: RejectCode::DeadlineExpired,
-                    message: "deadline passed while queued".to_string(),
-                });
-                shared.admission.release(&job.client_id);
-                continue;
+/// The one frame that answers an admitted request, counted by how it
+/// ended: the engine's typed outcome becomes a `Result` / `ChainResult`,
+/// its error a `Reject(Failed)` naming what went wrong, and an expired
+/// deadline a `Reject(DeadlineExpired)`.
+fn answer(i: &NetInstruments, lane: Lane, done: Completion) -> Frame {
+    match done {
+        Completion::Job(outcome) => {
+            i.results[lane.index()].inc();
+            Frame::Result {
+                request_id: outcome.id,
+                label: outcome.label,
+                worker: outcome.worker as u32,
+                cache_hit: outcome.cache_hit,
+                total_ms: outcome.total_ms,
+                gflops: outcome.gflops,
+                nnz_c: outcome.nnz_c as u64,
             }
         }
-        let queue_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-        let request_id = job.request_id;
-        let worker_index = worker.index() as u32;
-        let reply = match &job.work {
-            NetWork::Single(request) => {
-                engine
-                    .run_job(&worker, request, queue_ms)
-                    .map(|outcome| Frame::Result {
-                        request_id,
-                        label: outcome.label,
-                        worker: worker_index,
-                        cache_hit: outcome.cache_hit,
-                        total_ms: outcome.total_ms,
-                        gflops: outcome.gflops,
-                        nnz_c: outcome.nnz_c as u64,
+        Completion::Chain(outcome) => {
+            i.results[lane.index()].inc();
+            Frame::ChainResult {
+                request_id: outcome.id,
+                worker: outcome.worker as u32,
+                total_ms: outcome.total_ms,
+                nnz_c: outcome.result.nnz() as u64,
+                steps: outcome
+                    .steps
+                    .iter()
+                    .map(|s| ChainStepSummary {
+                        label: s.label.clone(),
+                        cache_hit: s.cache_hit,
+                        fresh_structure: s.fresh_structure,
+                        total_ms: s.total_ms,
+                        fill_in_permille: s.fill_in_permille,
+                        output_nnz: s.output_nnz as u64,
                     })
+                    .collect(),
+                label: outcome.label,
             }
-            NetWork::Chain(request) => {
-                engine
-                    .run_chain(&worker, request, queue_ms)
-                    .map(|outcome| Frame::ChainResult {
-                        request_id,
-                        worker: worker_index,
-                        total_ms: outcome.total_ms,
-                        nnz_c: outcome.result.nnz() as u64,
-                        steps: outcome
-                            .steps
-                            .iter()
-                            .map(|s| ChainStepSummary {
-                                label: s.label.clone(),
-                                cache_hit: s.cache_hit,
-                                fresh_structure: s.fresh_structure,
-                                total_ms: s.total_ms,
-                                fill_in_permille: s.fill_in_permille,
-                                output_nnz: s.output_nnz as u64,
-                            })
-                            .collect(),
-                        label: outcome.label,
-                    })
+        }
+        Completion::Failed(e) => {
+            i.reject_failed.inc();
+            Frame::Reject {
+                request_id: e.id,
+                code: RejectCode::Failed,
+                message: e.message,
             }
-        };
-        let response = match reply {
-            Ok(frame) => {
-                i.results[lane.index()].inc();
-                frame
+        }
+        // Wall-clock dependent: counted by the timing-flagged
+        // deadline_expired counter only, so strict metric dumps stay a
+        // pure function of the offered load.
+        Completion::Expired(request_id) => {
+            i.deadline_expired.inc();
+            Frame::Reject {
+                request_id,
+                code: RejectCode::DeadlineExpired,
+                message: "deadline passed while queued".to_string(),
             }
-            Err(e) => {
-                i.reject_failed.inc();
-                Frame::Reject {
-                    request_id,
-                    code: RejectCode::Failed,
-                    message: e.message,
-                }
-            }
-        };
-        let _ = job.reply.send(response);
-        shared.admission.release(&job.client_id);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn admission_forgets_clients_with_nothing_in_flight() {
+        let admission = Admission::new(1);
+        for id in 0..1000 {
+            let client = format!("client-{id}");
+            assert!(admission.try_acquire(&client));
+            assert!(!admission.try_acquire(&client), "quota of one");
+            admission.release(&client);
+        }
+        assert!(lock_recover(&admission.inflight).is_empty());
     }
 }

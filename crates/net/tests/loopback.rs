@@ -4,8 +4,10 @@
 //! any worker count — plus lane priority, graceful drain, and the
 //! exactly-one-response-per-request guarantee.
 
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::thread;
+use std::time::Duration;
 
 use br_gpu_sim::device::DeviceConfig;
 use br_net::client::NetClient;
@@ -463,4 +465,122 @@ fn bind_failure_is_an_error_not_a_panic() {
     let taken = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = taken.local_addr().unwrap().to_string();
     assert!(NetServer::bind(&addr, ServerConfig::default()).is_err());
+}
+
+/// A handshaken raw connection whose reads time out, so a server that
+/// never answers fails the test instead of hanging it.
+fn connect_with_timeout(addr: &str, client_id: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut w = stream.try_clone().unwrap();
+    let mut r = BufReader::new(stream);
+    write_frame(
+        &mut w,
+        &Frame::Hello {
+            client_id: client_id.to_string(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        read_frame(&mut r).unwrap(),
+        Some(Frame::HelloAck { .. })
+    ));
+    (w, r)
+}
+
+/// Sends one `Submit` and returns the frame that answers it.
+fn submit_and_read(
+    w: &mut TcpStream,
+    r: &mut BufReader<TcpStream>,
+    request_id: u64,
+    spec: &str,
+) -> Frame {
+    write_frame(
+        w,
+        &Frame::Submit {
+            request_id,
+            lane: Lane::Interactive,
+            deadline_ms: 0,
+            spec: spec.to_string(),
+        },
+    )
+    .unwrap();
+    read_frame(r)
+        .unwrap_or_else(|e| panic!("request {request_id} ({spec}): no answer: {e}"))
+        .unwrap_or_else(|| panic!("request {request_id} ({spec}): connection closed"))
+}
+
+#[test]
+fn out_of_range_rmat_is_a_bad_spec_and_the_connection_keeps_serving() {
+    let server = NetServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let server = thread::spawn(move || server.run());
+
+    let (mut w, mut r) = connect_with_timeout(&addr, "rmat-bounds");
+    for (id, spec) in ["rmat=1,8", "rmat=32,1", "rmat=63,1", "rmat=64,1"]
+        .into_iter()
+        .enumerate()
+    {
+        match submit_and_read(&mut w, &mut r, id as u64, spec) {
+            Frame::Reject {
+                request_id, code, ..
+            } => {
+                assert_eq!(request_id, id as u64);
+                assert_eq!(code, RejectCode::BadSpec, "{spec}");
+            }
+            other => panic!("{spec}: expected Reject(BadSpec), got {other:?}"),
+        }
+    }
+    match submit_and_read(&mut w, &mut r, 9, SPEC) {
+        Frame::Result { request_id, .. } => assert_eq!(request_id, 9),
+        other => panic!("expected the valid Submit's Result, got {other:?}"),
+    }
+
+    write_frame(&mut w, &Frame::Shutdown).unwrap();
+    let report = server.join().unwrap();
+    assert_eq!(report.other_rejected, 4);
+    assert_eq!(report.results, 1);
+}
+
+#[test]
+fn wire_specs_never_open_files() {
+    const MARKER: &str = "secret-token-123";
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("wire_specs_never_open_files");
+    std::fs::create_dir_all(&dir).unwrap();
+    let marker = dir.join("marker.mtx");
+    std::fs::write(&marker, format!("first line {MARKER}\n")).unwrap();
+    let missing = dir.join("does-not-exist.mtx");
+
+    let server = NetServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let server = thread::spawn(move || server.run());
+
+    let (mut w, mut r) = connect_with_timeout(&addr, "files");
+    let specs = [
+        format!("input={}", marker.display()),
+        format!("rmat=6,4 pair={}", marker.display()),
+        format!("input={}", missing.display()),
+    ];
+    let mut messages = Vec::new();
+    for (id, spec) in specs.iter().enumerate() {
+        match submit_and_read(&mut w, &mut r, id as u64, spec) {
+            Frame::Reject { code, message, .. } => {
+                assert_eq!(code, RejectCode::BadSpec, "{spec}");
+                assert!(!message.contains(MARKER), "{spec}: {message}");
+                messages.push(message);
+            }
+            other => panic!("{spec}: expected Reject(BadSpec), got {other:?}"),
+        }
+    }
+    assert!(
+        messages.iter().all(|m| *m == messages[0]),
+        "one message for every path, so existence does not leak: {messages:?}"
+    );
+
+    write_frame(&mut w, &Frame::Shutdown).unwrap();
+    let report = server.join().unwrap();
+    assert_eq!(report.other_rejected, 3);
+    assert_eq!(report.admitted, 0);
 }

@@ -1,7 +1,8 @@
 //! One request path: the job service and a loopback TCP server built from
 //! the same plan settings answer the same specs with the same plan-cache
 //! hits, the same modelled times bit for bit, and the same output sizes —
-//! and the server's spans carry the service's paths and counts.
+//! and, because wire requests enter through the service, the server's
+//! spans and job counters equal the service's exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,24 +41,31 @@ fn settings() -> PlanSettings {
     }
 }
 
-/// Completed spans by path.
-fn span_totals(registry: &Registry) -> BTreeMap<String, u64> {
-    registry
-        .snapshot()
-        .into_iter()
-        .filter(|f| f.name == "br_span_total")
-        .flat_map(|f| f.samples)
-        .map(|(labels, value)| match value {
-            SampleValue::Counter(n) => (labels[0].1.clone(), n),
-            other => panic!("br_span_total is a counter, got {other:?}"),
-        })
-        .collect()
+/// Completed spans by path, then the `br_jobs_*` counters by name.
+type Counts = (BTreeMap<String, u64>, BTreeMap<String, u64>);
+
+fn counts(registry: &Registry) -> Counts {
+    let mut spans = BTreeMap::new();
+    let mut jobs = BTreeMap::new();
+    for family in registry.snapshot() {
+        for (labels, value) in family.samples {
+            let SampleValue::Counter(n) = value else {
+                continue;
+            };
+            if family.name == "br_span_total" {
+                spans.insert(labels[0].1.clone(), n);
+            } else if family.name.starts_with("br_jobs_") {
+                jobs.insert(family.name.clone(), n);
+            }
+        }
+    }
+    (spans, jobs)
 }
 
 /// The specs through one service worker, in order.
-fn through_the_service() -> (Vec<Answer>, BTreeMap<String, u64>) {
+fn through_the_service() -> (Vec<Answer>, Counts) {
     let registry = Arc::new(Registry::new());
-    let mut service = SpgemmService::start(
+    let service = SpgemmService::start(
         ServiceConfig::default()
             .with_settings(settings())
             .with_registry(registry.clone()),
@@ -66,11 +74,11 @@ fn through_the_service() -> (Vec<Answer>, BTreeMap<String, u64>) {
         let mut subs = expand_submissions(&parse_job_file(line).unwrap()).unwrap();
         if let Some(mut chain) = subs.chains.pop() {
             chain.id = id as u64;
-            assert!(service.submit_chain(chain));
+            service.submit(chain).unwrap();
         } else {
             let mut job = subs.jobs.pop().unwrap();
             job.id = id as u64;
-            assert!(service.submit(job));
+            service.submit(job).unwrap();
         }
     }
     let batch = service.drain();
@@ -93,11 +101,11 @@ fn through_the_service() -> (Vec<Answer>, BTreeMap<String, u64>) {
         let answer = (steps, chain.total_ms.to_bits(), chain.result.nnz() as u64);
         answers.insert(chain.id, answer);
     }
-    (answers.into_values().collect(), span_totals(&registry))
+    (answers.into_values().collect(), counts(&registry))
 }
 
 /// The specs over the wire to one server worker, one request at a time.
-fn through_the_server() -> (Vec<Answer>, BTreeMap<String, u64>) {
+fn through_the_server() -> (Vec<Answer>, Counts) {
     let config = ServerConfig {
         service: ServiceConfig::default()
             .with_settings(settings())
@@ -153,25 +161,38 @@ fn through_the_server() -> (Vec<Answer>, BTreeMap<String, u64>) {
     client.shutdown().unwrap();
     client.drain_to_eof(&mut Default::default()).unwrap();
     server.join().unwrap();
-    (answers, span_totals(&registry))
+    (answers, counts(&registry))
 }
 
 #[test]
 fn service_and_server_share_one_request_path() {
-    let (service, service_spans) = through_the_service();
-    let (server, server_spans) = through_the_server();
+    let (service, (service_spans, service_jobs)) = through_the_service();
+    let (server, (server_spans, server_jobs)) = through_the_server();
     assert_eq!(service, server);
     // The specs exercise hits and misses on both paths.
     let hits: Vec<bool> = server.iter().flat_map(|a| &a.0).map(|s| s.0).collect();
     assert!(hits.contains(&true) && hits.contains(&false), "{hits:?}");
 
-    // The server runs the service's spans; only the submission spans are
-    // the service's own.
-    for path in ["job/plan", "job/execute", "chain/plan", "chain/execute"] {
+    // Wire requests enter through the service: the server records every
+    // one of its spans, submission included, and counts the same jobs.
+    for path in [
+        "job/submit",
+        "job/plan",
+        "job/execute",
+        "chain/submit",
+        "chain/plan",
+        "chain/execute",
+    ] {
         assert!(server_spans.contains_key(path), "{path}: {server_spans:?}");
     }
-    let mut expected = service_spans;
-    expected.remove("job/submit");
-    expected.remove("chain/submit");
-    assert_eq!(server_spans, expected);
+    assert_eq!(server_spans, service_spans);
+    let expected: BTreeMap<String, u64> = [
+        ("br_jobs_completed_total", 5),
+        ("br_jobs_failed_total", 0),
+        ("br_jobs_submitted_total", 5),
+    ]
+    .map(|(name, n)| (name.to_string(), n))
+    .into();
+    assert_eq!(service_jobs, expected);
+    assert_eq!(server_jobs, expected);
 }

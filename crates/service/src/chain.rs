@@ -200,7 +200,7 @@ mod tests {
     fn galerkin_chain_hits_the_cache_on_refresh_steps() {
         let base = base_matrix(1);
         let request = ChainRequest::workload(0, Workload::Galerkin, &base);
-        let batch = SpgemmService::run_chains(ServiceConfig::default(), vec![request]);
+        let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
         let chain = &batch.chains[0];
         assert_eq!(chain.steps.len(), 4);
@@ -222,7 +222,7 @@ mod tests {
     fn squaring_chain_misses_every_step() {
         let base = base_matrix(2);
         let request = ChainRequest::workload(0, Workload::Square { k: 3 }, &base);
-        let batch = SpgemmService::run_chains(ServiceConfig::default(), vec![request]);
+        let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
         let chain = &batch.chains[0];
         assert_eq!(chain.cache_hits(), 0, "every squaring changes structure");
@@ -240,7 +240,7 @@ mod tests {
                 .execute_reference(&inputs)
                 .expect("reference run");
             let request = ChainRequest::workload(7, workload, &base);
-            let batch = SpgemmService::run_chains(ServiceConfig::default(), vec![request]);
+            let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
             assert!(batch.failures.is_empty(), "{:?}", batch.failures);
             let got = &batch.chains[0].result;
             assert_eq!(got.ptr(), oracle.result.ptr(), "{}", workload.name());
@@ -255,7 +255,7 @@ mod tests {
         let base = base_matrix(4);
         let request = ChainRequest::workload(0, Workload::Galerkin, &base);
         let config = ServiceConfig::default().with_registry(registry.clone());
-        let batch = SpgemmService::run_chains(config, vec![request]);
+        let batch = SpgemmService::run_batch(config, vec![request]);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
         let text = registry.render_prometheus(false);
         assert!(text.contains("br_chain_steps_total 4"), "{text}");
@@ -293,7 +293,7 @@ mod tests {
         let base = base_matrix(5);
         let mut request = ChainRequest::workload(3, Workload::Galerkin, &base);
         request.inputs[1] = Arc::new(br_workloads::aggregation_prolongator(4, 2));
-        let batch = SpgemmService::run_chains(ServiceConfig::default(), vec![request]);
+        let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
         assert!(batch.chains.is_empty());
         assert_eq!(batch.failures.len(), 1);
         let failure = &batch.failures[0];

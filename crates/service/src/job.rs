@@ -197,6 +197,10 @@ pub struct JobSpec {
     pub chain: Option<Workload>,
 }
 
+/// Largest `rmat=` scale: a `2^31` dimension is the last that fits `u32`
+/// indices.
+const MAX_RMAT_SCALE: u32 = 31;
+
 /// Parses a job file; errors carry the 1-based line number.
 pub fn parse_job_file(text: &str) -> Result<Vec<JobSpec>, String> {
     let mut specs = Vec::new();
@@ -239,6 +243,17 @@ fn parse_job_line(line: &str) -> Result<JobSpec, String> {
                 let ef: usize = ef
                     .parse()
                     .map_err(|_| format!("bad rmat edge factor {ef:?}"))?;
+                // The dimension 2^scale must fit the u32 indices, and the
+                // 2^scale · edge-factor edges must fit the dim² grid.
+                if s > MAX_RMAT_SCALE {
+                    return Err(format!("rmat scale {s} exceeds {MAX_RMAT_SCALE}"));
+                }
+                if ef as u64 > 1u64 << s {
+                    return Err(format!(
+                        "rmat edge factor {ef} exceeds 2^scale = {}",
+                        1u64 << s
+                    ));
+                }
                 rmat_dims = Some((s, ef));
             }
             "scale" => {
@@ -399,6 +414,22 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         assert!(parse_job_file("repeat=2").is_err(), "source is mandatory");
         assert!(parse_job_file("dataset=x repeat=0").is_err());
+    }
+
+    #[test]
+    fn rmat_bounds_reject_specs_the_generator_cannot_build() {
+        for (spec, bound) in [
+            ("rmat=1,8", "exceeds 2^scale = 2"),
+            ("rmat=32,1", "exceeds 31"),
+            ("rmat=63,1", "exceeds 31"),
+            ("rmat=64,1", "exceeds 31"),
+        ] {
+            let err = parse_job_file(spec).unwrap_err();
+            assert!(err.contains(bound), "{spec}: {err}");
+        }
+        for spec in ["rmat=0,1", "rmat=2,4", "rmat=6,4"] {
+            assert!(parse_job_file(spec).is_ok(), "{spec}");
+        }
     }
 
     #[test]

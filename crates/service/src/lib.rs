@@ -17,15 +17,19 @@
 //!   [`block_reorganizer::PlanSettings`] every plan is built under, and the
 //!   registry handles; a worker thread brings its own [`engine::Worker`]
 //!   (simulated device plus merge scratch).
-//! * [`queue::JobQueue`] — a blocking MPMC queue feeding a pool of workers,
-//!   one simulated device ([`br_gpu_sim::sim::GpuSimulator`]) per worker.
+//! * [`queue::JobQueue`] — a blocking MPMC queue with two priority lanes
+//!   ([`queue::Lane`]), an optional combined bound, and a held worker gate,
+//!   feeding a pool of workers, one simulated device
+//!   ([`br_gpu_sim::sim::GpuSimulator`]) per worker.
 //! * [`cache::PlanCache`] — an LRU cache of
 //!   [`block_reorganizer::plan::ReorgPlan`] artifacts keyed by the
 //!   operands' sparsity signature (dims, nnz, pointer/index hash), the
 //!   device, and the plan settings' fingerprint. Hits skip precalculation
 //!   and the host-side B-Splitting cost entirely.
-//! * [`service::SpgemmService`] — submission API, worker lifecycle, and
-//!   result collection.
+//! * [`service::SpgemmService`] — the one worker pool: a `&self`
+//!   submission API whose every submission carries its submitter's reply
+//!   (the batch collector, or the frame builder of a `br-net` connection),
+//!   worker lifecycle, and drain.
 //! * [`stats::ServiceStats`] — per-phase latency, queue depth, cache hit
 //!   rate, and per-device utilization for one service run.
 //! * [`job`] — job descriptions, plus the job-file format consumed by
@@ -33,8 +37,8 @@
 //!
 //! Observability: every service (and its engine's plan cache) registers
 //! its instruments — lifecycle spans (`job/submit`, `job`, `job/plan`,
-//! `job/execute`, and `chain/plan`, `chain/execute` per chain step), queue
-//! gauges, and cache hit/miss/eviction/single-flight counters — in a
+//! `job/execute`, and `chain/plan`, `chain/execute` per chain step), per-lane
+//! queue gauges, and cache hit/miss/eviction/single-flight counters — in a
 //! [`br_obs::Registry`]. By default each service gets a
 //! private registry; pass one via
 //! [`service::ServiceConfig::with_registry`] (the CLI uses
@@ -80,9 +84,9 @@ pub mod prelude {
         expand_jobs, expand_submissions, parse_job_file, JobError, JobOutcome, JobRequest, JobSpec,
         MatrixSource, Submissions,
     };
-    pub use crate::queue::{JobQueue, PushError};
+    pub use crate::queue::{JobQueue, Lane, PushError};
     pub use crate::service::{
-        BatchOutcome, ChainSubmitError, ServiceConfig, SpgemmService, SubmitError,
+        BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work,
     };
     pub use crate::stats::{ServiceStats, WorkerStats};
 }
@@ -93,6 +97,8 @@ pub use chain::{
 };
 pub use engine::{Engine, RunOutcome, Worker};
 pub use job::{JobError, JobOutcome, JobRequest};
-pub use queue::{JobQueue, PushError};
-pub use service::{BatchOutcome, ChainSubmitError, ServiceConfig, SpgemmService, SubmitError};
+pub use queue::{JobQueue, Lane, PushError};
+pub use service::{
+    BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work,
+};
 pub use stats::{ServiceStats, WorkerStats};

@@ -1,23 +1,30 @@
-//! The job service: submission API, worker pool, and result collection.
+//! The job service: one worker pool behind one two-lane queue.
 //!
 //! [`SpgemmService::start`] spawns one worker thread per configured device;
 //! each worker owns a [`Worker`] (simulated device plus merge scratch) and
-//! pulls jobs from a shared [`JobQueue`]. Every job and chain runs through
-//! the service's one [`Engine`], whose plan cache makes repeats of a
-//! structure skip the analysis.
+//! pops submissions from the shared [`JobQueue`], interactive lane first.
+//! Every job and chain runs through the service's one [`Engine`], whose
+//! plan cache makes repeats of a structure skip the analysis.
+//!
+//! Each submission carries the [`Reply`] of its submitter, which hears how
+//! it ended: [`SpgemmService::submit`] attaches the service's own
+//! collector, which [`SpgemmService::drain`] turns into a [`BatchOutcome`];
+//! the `br-net` front end attaches one reply per connection, which answers
+//! with a frame ([`SpgemmService::submit_with`]). Submission takes `&self`,
+//! so connection threads share one service.
 
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use block_reorganizer::PlanSettings;
 use br_gpu_sim::device::DeviceConfig;
-use br_obs::{Counter, Gauge, Histogram, Registry};
+use br_obs::{lock_recover, Counter, Gauge, Histogram, Registry};
 
 use crate::chain::{ChainOutcome, ChainRequest};
 use crate::engine::{Engine, Worker};
 use crate::job::{JobError, JobOutcome, JobRequest};
-use crate::queue::{JobQueue, PushError};
+use crate::queue::{JobQueue, Lane, PushError};
 use crate::stats::{ServiceStats, WorkerStats};
 
 /// How to provision the service (and, through `br-net`'s `ServerConfig`,
@@ -29,11 +36,11 @@ pub struct ServiceConfig {
     pub devices: Vec<DeviceConfig>,
     /// Plan-cache capacity (entries; clamped to ≥ 1).
     pub cache_capacity: usize,
-    /// Optional job-queue bound. `None` (the default) keeps the queue
-    /// unbounded; `Some(n)` makes [`SpgemmService::try_submit`] shed with
-    /// a typed [`SubmitError::QueueFull`] once `n` jobs are waiting — the
-    /// same admission-control rejection the wire front end (`br-net`)
-    /// applies at this bound, its shed threshold.
+    /// Optional bound on the queue's combined depth. `None` (the default)
+    /// keeps the queue unbounded; `Some(n)` makes a submission fail with a
+    /// typed [`SubmitError::QueueFull`] once `n` jobs are waiting — the
+    /// refusal the wire front end (`br-net`) answers with `Shed`, so this
+    /// bound is its shed threshold.
     pub queue_capacity: Option<usize>,
     /// Metrics registry shared by the service, its plan cache, and its job
     /// lifecycle spans. `None` gives the service a private registry (so
@@ -96,61 +103,89 @@ impl ServiceConfig {
     }
 }
 
-/// Why [`SpgemmService::try_submit`] refused a job (the job comes back).
+/// One unit of work for the pool.
+#[derive(Debug)]
+pub enum Work {
+    /// A single multiplication.
+    Job(JobRequest),
+    /// A whole chain: it occupies one queue slot and runs to completion on
+    /// one worker, step by step. Boxed: a chain request is far bigger than
+    /// a job.
+    Chain(Box<ChainRequest>),
+}
+
+impl Work {
+    /// What reports name the work by: its kind, id, and label.
+    fn name(&self) -> (&'static str, u64, &str) {
+        match self {
+            Work::Job(job) => ("job", job.id, &job.label),
+            Work::Chain(chain) => ("chain", chain.id, &chain.label),
+        }
+    }
+}
+
+impl From<JobRequest> for Work {
+    fn from(job: JobRequest) -> Self {
+        Work::Job(job)
+    }
+}
+
+impl From<ChainRequest> for Work {
+    fn from(chain: ChainRequest) -> Self {
+        Work::Chain(Box::new(chain))
+    }
+}
+
+/// How a submission ended: what its [`Reply`] receives.
+#[derive(Debug)]
+pub enum Completion {
+    /// The job finished. Boxed: an outcome (with its result matrix) dwarfs
+    /// an error.
+    Job(Box<JobOutcome>),
+    /// The chain finished.
+    Chain(Box<ChainOutcome>),
+    /// The job or chain failed.
+    Failed(JobError),
+    /// The deadline passed while the work (of this id) was queued; it
+    /// never ran.
+    Expired(u64),
+}
+
+/// What a submitter attaches to hear how its work ended. It is called
+/// once per submission, on the worker thread that popped the work, with
+/// the lane the work waited in. One reply serves every submission of its
+/// submitter, so submitting allocates nothing for it.
+pub type Reply = Arc<dyn Fn(Lane, Completion) + Send + Sync>;
+
+/// Why the service refused a submission (the work comes back).
 #[derive(Debug)]
 pub enum SubmitError {
     /// The bounded queue is at capacity.
-    QueueFull(JobRequest),
+    QueueFull(Work),
     /// The service is already draining.
-    Draining(JobRequest),
-}
-
-/// Why [`SpgemmService::try_submit_chain`] refused a chain (it comes back).
-/// Boxed: a chain request is far bigger than the `Ok` arm of a submit.
-#[derive(Debug)]
-pub enum ChainSubmitError {
-    /// The bounded queue is at capacity.
-    QueueFull(Box<ChainRequest>),
-    /// The service is already draining.
-    Draining(Box<ChainRequest>),
-}
-
-impl ChainSubmitError {
-    /// The refused chain.
-    pub fn into_chain(self) -> ChainRequest {
-        match self {
-            ChainSubmitError::QueueFull(chain) | ChainSubmitError::Draining(chain) => *chain,
-        }
-    }
-}
-
-impl std::fmt::Display for ChainSubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChainSubmitError::QueueFull(chain) => {
-                write!(f, "queue full, chain {} rejected", chain.id)
-            }
-            ChainSubmitError::Draining(chain) => {
-                write!(f, "service draining, chain {} rejected", chain.id)
-            }
-        }
-    }
-}
-
-impl SubmitError {
-    /// The refused job.
-    pub fn into_job(self) -> JobRequest {
-        match self {
-            SubmitError::QueueFull(job) | SubmitError::Draining(job) => job,
-        }
-    }
+    Draining(Work),
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull(job) => write!(f, "queue full, job {} rejected", job.id),
-            SubmitError::Draining(job) => write!(f, "service draining, job {} rejected", job.id),
+        let (reason, work) = match self {
+            SubmitError::QueueFull(work) => ("queue full", work),
+            SubmitError::Draining(work) => ("service draining", work),
+        };
+        let (kind, id, _) = work.name();
+        write!(f, "{reason}, {kind} {id} rejected")
+    }
+}
+
+impl From<SubmitError> for JobError {
+    fn from(err: SubmitError) -> Self {
+        let message = err.to_string();
+        let (SubmitError::QueueFull(work) | SubmitError::Draining(work)) = err;
+        let (_, id, label) = work.name();
+        JobError {
+            id,
+            label: label.to_string(),
+            message,
         }
     }
 }
@@ -169,22 +204,12 @@ pub struct BatchOutcome {
     pub stats: ServiceStats,
 }
 
-/// What one queue slot holds: a single multiplication or a whole chain.
-enum WorkItem {
-    Job(JobRequest),
-    Chain(Box<ChainRequest>),
-}
-
-struct QueuedJob {
-    request: WorkItem,
+/// What one queue slot holds.
+struct Queued {
+    work: Work,
+    deadline: Option<Instant>,
+    reply: Reply,
     enqueued: Instant,
-}
-
-// Boxed: an outcome (with its result matrix) dwarfs an error.
-enum Completion {
-    Ok(Box<JobOutcome>),
-    Chain(Box<ChainOutcome>),
-    Err(JobError),
 }
 
 struct WorkerReport {
@@ -199,75 +224,92 @@ struct ServiceInstruments {
     submitted: Counter,
     completed: Counter,
     failed: Counter,
-    /// Queue depth over time — scheduling-dependent, hence timing-flagged.
-    queue_depth: Gauge,
-    /// High-water queue depth — also scheduling-dependent.
-    queue_max_depth: Gauge,
-    /// Wall-clock queue wait per job — the "queue" stage of the lifecycle.
-    queue_wait: Histogram,
+    /// Per-lane queue depth over time — scheduling-dependent, hence
+    /// timing-flagged.
+    queue_depth: [Gauge; 2],
+    /// Per-lane high-water queue depth — also scheduling-dependent.
+    queue_max_depth: [Gauge; 2],
+    /// Wall-clock queue wait per submission, per lane — the "queue" stage
+    /// of the lifecycle.
+    queue_wait: [Histogram; 2],
 }
 
 impl ServiceInstruments {
     fn new(registry: &Registry) -> Self {
-        let submitted = registry.counter(
-            "br_jobs_submitted_total",
-            "Jobs accepted into the service queue.",
-            &[],
-        );
-        let completed = registry.counter(
-            "br_jobs_completed_total",
-            "Jobs that finished successfully.",
-            &[],
-        );
-        let failed = registry.counter("br_jobs_failed_total", "Jobs that failed.", &[]);
-        let queue_depth = registry.timing_gauge(
-            "br_queue_depth",
-            "Jobs waiting for a worker, sampled at push/pop (scheduling-dependent).",
-            &[],
-        );
-        let queue_max_depth = registry.timing_gauge(
-            "br_queue_max_depth",
-            "Highest queue depth observed (scheduling-dependent).",
-            &[],
-        );
-        let queue_wait = registry.timing_histogram(
-            "br_job_queue_wait_ns",
-            "Wall-clock nanoseconds a job waited in the queue.",
-            &[],
-        );
         ServiceInstruments {
-            submitted,
-            completed,
-            failed,
-            queue_depth,
-            queue_max_depth,
-            queue_wait,
+            submitted: registry.counter(
+                "br_jobs_submitted_total",
+                "Jobs accepted into the service queue.",
+                &[],
+            ),
+            completed: registry.counter(
+                "br_jobs_completed_total",
+                "Jobs that finished successfully.",
+                &[],
+            ),
+            failed: registry.counter("br_jobs_failed_total", "Jobs that failed.", &[]),
+            queue_depth: Lane::ALL.map(|l| {
+                registry.timing_gauge(
+                    "br_queue_depth",
+                    "Jobs waiting for a worker per lane, sampled at push/pop (scheduling-dependent).",
+                    &[("lane", l.name())],
+                )
+            }),
+            queue_max_depth: Lane::ALL.map(|l| {
+                registry.timing_gauge(
+                    "br_queue_max_depth",
+                    "Highest per-lane queue depth observed (scheduling-dependent).",
+                    &[("lane", l.name())],
+                )
+            }),
+            queue_wait: Lane::ALL.map(|l| {
+                registry.timing_histogram(
+                    "br_job_queue_wait_ns",
+                    "Wall-clock nanoseconds a job waited in its lane.",
+                    &[("lane", l.name())],
+                )
+            }),
         }
+    }
+
+    /// Samples `lane`'s depth after a push to or a pop from it.
+    fn sample_depth(&self, queue: &JobQueue<Queued>, lane: Lane) {
+        let depth = queue.lane_depth(lane) as u64;
+        self.queue_depth[lane.index()].set_u64(depth);
+        self.queue_max_depth[lane.index()].set_max(depth as f64);
     }
 }
 
-/// A running worker pool. Submit jobs, then [`drain`](Self::drain) to
-/// collect all results and the final report.
+/// A running worker pool. Submit work (from any thread: submission takes
+/// `&self`), then [`drain`](Self::drain) to finish it and report.
 pub struct SpgemmService {
-    queue: Arc<JobQueue<QueuedJob>>,
+    queue: Arc<JobQueue<Queued>>,
     engine: Arc<Engine>,
     instruments: Arc<ServiceInstruments>,
-    workers: Vec<JoinHandle<WorkerReport>>,
-    results: mpsc::Receiver<Completion>,
+    workers: Mutex<Vec<JoinHandle<WorkerReport>>>,
+    collector: Reply,
+    results: Mutex<mpsc::Receiver<Completion>>,
     started: Instant,
-    submitted: usize,
 }
 
 impl SpgemmService {
     /// Spawns the worker pool and returns a service accepting submissions.
     pub fn start(config: ServiceConfig) -> Self {
-        let queue: Arc<JobQueue<QueuedJob>> = Arc::new(match config.queue_capacity {
-            Some(capacity) => JobQueue::bounded(capacity),
-            None => JobQueue::new(),
-        });
+        Self::spawn(config, false)
+    }
+
+    /// Like [`start`](Self::start), but with the worker gate held:
+    /// submissions queue — and are refused at the bound — while nothing
+    /// runs, so admission is a pure function of arrival order until
+    /// [`release`](Self::release) or a drain opens the gate.
+    pub fn start_held(config: ServiceConfig) -> Self {
+        Self::spawn(config, true)
+    }
+
+    fn spawn(config: ServiceConfig, held: bool) -> Self {
+        let queue = Arc::new(JobQueue::new(config.queue_capacity, held));
         let engine = Arc::new(config.engine());
         let instruments = Arc::new(ServiceInstruments::new(engine.registry()));
-        let (tx, rx) = mpsc::channel();
         let workers = config
             .devices
             .into_iter()
@@ -276,90 +318,88 @@ impl SpgemmService {
                 let queue = queue.clone();
                 let engine = engine.clone();
                 let instruments = instruments.clone();
-                let tx = tx.clone();
                 thread::Builder::new()
                     .name(format!("br-service-worker-{index}"))
                     .spawn(move || {
-                        worker_loop(Worker::new(index, device), queue, engine, instruments, tx)
+                        worker_loop(Worker::new(index, device), &queue, &engine, &instruments)
                     })
                     .expect("failed to spawn service worker")
             })
             .collect();
+        let (tx, results) = mpsc::channel();
+        let collector: Reply = Arc::new(move |_, done| {
+            let _ = tx.send(done);
+        });
         SpgemmService {
             queue,
             engine,
             instruments,
-            workers,
-            results: rx,
+            workers: Mutex::new(workers),
+            collector,
+            results: Mutex::new(results),
             started: Instant::now(),
-            submitted: 0,
         }
     }
 
-    /// Enqueues a job; `false` if the service is draining or the bounded
-    /// queue is full (see [`try_submit`](Self::try_submit) for the typed
-    /// rejection that hands the job back).
-    pub fn submit(&mut self, job: JobRequest) -> bool {
-        self.try_submit(job).is_ok()
+    /// Admits `work` into the batch lane; [`drain`](Self::drain) reports
+    /// how it ended.
+    pub fn submit(&self, work: impl Into<Work>) -> Result<(), SubmitError> {
+        self.submit_with(work.into(), Lane::Batch, None, self.collector.clone())
+            .map(drop)
     }
 
-    /// Non-blocking admission into the service queue.
-    pub fn try_submit(&mut self, job: JobRequest) -> Result<(), SubmitError> {
-        let engine = self.engine.clone();
-        let _span = engine.registry().span("job/submit");
-        match self.push_item(WorkItem::Job(job)) {
-            Ok(()) => Ok(()),
-            Err(PushError::Full(WorkItem::Job(job))) => Err(SubmitError::QueueFull(job)),
-            Err(PushError::Closed(WorkItem::Job(job))) => Err(SubmitError::Draining(job)),
-            Err(_) => unreachable!("a refused job push hands back the job"),
-        }
-    }
-
-    /// Enqueues a chain; `false` if the service is draining or the bounded
-    /// queue is full. A chain occupies one queue slot and runs to
-    /// completion on one worker, step by step.
-    pub fn submit_chain(&mut self, chain: ChainRequest) -> bool {
-        self.try_submit_chain(chain).is_ok()
-    }
-
-    /// Non-blocking admission of a chain into the service queue.
-    pub fn try_submit_chain(&mut self, chain: ChainRequest) -> Result<(), ChainSubmitError> {
-        let engine = self.engine.clone();
-        let _span = engine.registry().span("chain/submit");
-        match self.push_item(WorkItem::Chain(Box::new(chain))) {
-            Ok(()) => Ok(()),
-            Err(PushError::Full(WorkItem::Chain(chain))) => Err(ChainSubmitError::QueueFull(chain)),
-            Err(PushError::Closed(WorkItem::Chain(chain))) => {
-                Err(ChainSubmitError::Draining(chain))
-            }
-            Err(_) => unreachable!("a refused chain push hands back the chain"),
-        }
-    }
-
-    fn push_item(&mut self, item: WorkItem) -> Result<(), PushError<WorkItem>> {
-        match self.queue.try_push(QueuedJob {
-            request: item,
+    /// Admits `work` into `lane` with its submitter's `reply`, which
+    /// receives the completion — or, without the work running,
+    /// [`Completion::Expired`] if `deadline` passes while it is queued.
+    /// Returns the combined queue depth after the push. A refused
+    /// submission is never replied to.
+    pub fn submit_with(
+        &self,
+        work: Work,
+        lane: Lane,
+        deadline: Option<Instant>,
+        reply: Reply,
+    ) -> Result<usize, SubmitError> {
+        let _span = self.engine.registry().span(match work {
+            Work::Job(_) => "job/submit",
+            Work::Chain(_) => "chain/submit",
+        });
+        let queued = Queued {
+            work,
+            deadline,
+            reply,
             enqueued: Instant::now(),
-        }) {
+        };
+        match self.queue.try_push(lane, queued) {
             Ok(depth) => {
-                self.submitted += 1;
                 self.instruments.submitted.inc();
-                self.instruments.queue_depth.set_u64(depth as u64);
-                Ok(())
+                self.instruments.sample_depth(&self.queue, lane);
+                Ok(depth)
             }
-            Err(PushError::Full(queued)) => Err(PushError::Full(queued.request)),
-            Err(PushError::Closed(queued)) => Err(PushError::Closed(queued.request)),
+            Err(PushError::Full(queued)) => Err(SubmitError::QueueFull(queued.work)),
+            Err(PushError::Closed(queued)) => Err(SubmitError::Draining(queued.work)),
         }
+    }
+
+    /// Opens a held worker gate; returns whether it was held.
+    pub fn release(&self) -> bool {
+        self.queue.release()
+    }
+
+    /// Whether the worker gate is held.
+    pub fn is_held(&self) -> bool {
+        self.queue.is_held()
+    }
+
+    /// Stops admission: later submissions are refused as draining, queued
+    /// work still runs (a held gate opens).
+    pub fn close(&self) {
+        self.queue.close();
     }
 
     /// The registry holding this service's instruments (and its cache's).
     pub fn registry(&self) -> &Arc<Registry> {
         self.engine.registry()
-    }
-
-    /// Jobs currently waiting for a worker.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
     }
 
     /// Test hook: poison the queue mutex by panicking inside its critical
@@ -369,23 +409,20 @@ impl SpgemmService {
         self.queue.poison_for_test();
     }
 
-    /// Runs a whole batch: submit everything, drain, report. On a bounded
-    /// queue (`queue_capacity`), jobs refused by admission control appear
-    /// in `failures` with a "queue full" message instead of vanishing.
-    pub fn run_batch(config: ServiceConfig, jobs: Vec<JobRequest>) -> BatchOutcome {
-        let mut service = Self::start(config);
-        let mut rejected = Vec::new();
-        for job in jobs {
-            if let Err(err) = service.try_submit(job) {
-                let message = err.to_string();
-                let job = err.into_job();
-                rejected.push(JobError {
-                    id: job.id,
-                    label: job.label,
-                    message,
-                });
-            }
-        }
+    /// Runs a whole batch of jobs and/or chains: submit everything, drain,
+    /// report. On a bounded queue (`queue_capacity`), work refused by
+    /// admission control appears in `failures` with a "queue full" message
+    /// instead of vanishing.
+    pub fn run_batch<W: Into<Work>>(
+        config: ServiceConfig,
+        work: impl IntoIterator<Item = W>,
+    ) -> BatchOutcome {
+        let service = Self::start(config);
+        let rejected: Vec<JobError> = work
+            .into_iter()
+            .filter_map(|w| service.submit(w).err())
+            .map(JobError::from)
+            .collect();
         let mut batch = service.drain();
         if !rejected.is_empty() {
             batch.stats.failures += rejected.len();
@@ -395,65 +432,33 @@ impl SpgemmService {
         batch
     }
 
-    /// Runs a batch of chains: submit everything, drain, report. Chains
-    /// refused by admission control land in `failures` like rejected jobs.
-    pub fn run_chains(config: ServiceConfig, chains: Vec<ChainRequest>) -> BatchOutcome {
-        let mut service = Self::start(config);
-        let mut rejected = Vec::new();
-        for chain in chains {
-            if let Err(err) = service.try_submit_chain(chain) {
-                let message = err.to_string();
-                let chain = err.into_chain();
-                rejected.push(JobError {
-                    id: chain.id,
-                    label: chain.label,
-                    message,
-                });
-            }
-        }
-        let mut batch = service.drain();
-        if !rejected.is_empty() {
-            batch.stats.failures += rejected.len();
-            batch.failures.extend(rejected);
-            batch.failures.sort_by_key(|f| f.id);
-        }
-        batch
-    }
-
-    /// Closes the queue, waits for every worker to finish, and assembles
-    /// the batch report.
-    pub fn drain(self) -> BatchOutcome {
-        let SpgemmService {
-            queue,
-            engine,
-            instruments,
-            workers,
-            results,
-            started,
-            submitted,
-        } = self;
-        queue.close();
+    /// Closes the queue, waits for every worker to finish the backlog, and
+    /// assembles the report of what [`submit`](Self::submit) collected.
+    /// Work submitted with another reply was answered through it; a second
+    /// drain finds nothing left to wait for or report.
+    pub fn drain(&self) -> BatchOutcome {
+        self.close();
+        let workers = std::mem::take(&mut *lock_recover(&self.workers));
         let reports: Vec<WorkerReport> = workers
             .into_iter()
             .map(|h| h.join().expect("service worker panicked"))
             .collect();
-        instruments
-            .queue_max_depth
-            .set_u64(queue.max_depth() as u64);
-        let mut outcomes = Vec::with_capacity(submitted);
+        let mut outcomes = Vec::new();
         let mut chains = Vec::new();
         let mut failures = Vec::new();
-        while let Ok(done) = results.try_recv() {
+        for done in lock_recover(&self.results).try_iter() {
             match done {
-                Completion::Ok(outcome) => outcomes.push(*outcome),
+                Completion::Job(outcome) => outcomes.push(*outcome),
                 Completion::Chain(outcome) => chains.push(*outcome),
-                Completion::Err(err) => failures.push(err),
+                Completion::Failed(err) => failures.push(err),
+                // Collected work carries no deadline.
+                Completion::Expired(_) => {}
             }
         }
         outcomes.sort_by_key(|o| o.id);
         chains.sort_by_key(|c| c.id);
         failures.sort_by_key(|f| f.id);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let worker_stats = reports
             .into_iter()
             .map(|r| WorkerStats {
@@ -472,8 +477,8 @@ impl SpgemmService {
             &outcomes,
             failures.len(),
             wall_ms,
-            engine.cache().stats(),
-            queue.max_depth(),
+            self.engine.cache().stats(),
+            self.queue.max_depth(),
             worker_stats,
         );
         BatchOutcome {
@@ -485,40 +490,45 @@ impl SpgemmService {
     }
 }
 
+/// Pops submissions until the queue is closed and empty. Each one is
+/// answered exactly once through its reply: an expired deadline without
+/// running the work, otherwise with the engine's typed outcome or error.
 fn worker_loop(
     worker: Worker,
-    queue: Arc<JobQueue<QueuedJob>>,
-    engine: Arc<Engine>,
-    instruments: Arc<ServiceInstruments>,
-    tx: mpsc::Sender<Completion>,
+    queue: &JobQueue<Queued>,
+    engine: &Engine,
+    instruments: &ServiceInstruments,
 ) -> WorkerReport {
     let mut jobs = 0usize;
     let mut busy_ms = 0.0f64;
-    while let Some(queued) = queue.pop() {
-        instruments.queue_depth.set_u64(queue.depth() as u64);
-        instruments
-            .queue_wait
-            .observe(queued.enqueued.elapsed().as_nanos() as u64);
-        let queue_ms = queued.enqueued.elapsed().as_secs_f64() * 1e3;
+    while let Some((lane, queued)) = queue.pop() {
+        instruments.sample_depth(queue, lane);
+        let waited = queued.enqueued.elapsed();
+        instruments.queue_wait[lane.index()].observe(waited.as_nanos() as u64);
+        if queued.deadline.is_some_and(|d| Instant::now() > d) {
+            let (_, id, _) = queued.work.name();
+            (queued.reply)(lane, Completion::Expired(id));
+            continue;
+        }
+        let queue_ms = waited.as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let done = match queued.request {
-            WorkItem::Job(job) => engine
-                .run_job(&worker, &job, queue_ms)
-                .map(|outcome| Completion::Ok(Box::new(outcome))),
-            WorkItem::Chain(chain) => engine
-                .run_chain(&worker, &chain, queue_ms)
+        let done = match &queued.work {
+            Work::Job(job) => engine
+                .run_job(&worker, job, queue_ms)
+                .map(|outcome| Completion::Job(Box::new(outcome))),
+            Work::Chain(chain) => engine
+                .run_chain(&worker, chain, queue_ms)
                 .map(|outcome| Completion::Chain(Box::new(outcome))),
         }
-        .unwrap_or_else(Completion::Err);
+        .unwrap_or_else(Completion::Failed);
         busy_ms += t0.elapsed().as_secs_f64() * 1e3;
         jobs += 1;
-        match &done {
-            Completion::Ok(_) | Completion::Chain(_) => instruments.completed.inc(),
-            Completion::Err(_) => instruments.failed.inc(),
+        if matches!(done, Completion::Failed(_)) {
+            instruments.failed.inc();
+        } else {
+            instruments.completed.inc();
         }
-        if tx.send(done).is_err() {
-            break; // collector is gone; nothing left to report to
-        }
+        (queued.reply)(lane, done);
     }
     WorkerReport {
         worker: worker.index(),

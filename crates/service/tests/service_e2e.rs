@@ -230,15 +230,15 @@ fn batch_counters_are_deterministic_across_worker_counts() {
 #[test]
 fn service_drains_after_panic_inside_queue_critical_section() {
     let a = Arc::new(rmat(RmatConfig::snap_like(7, 6, 33)).to_csr());
-    let mut service = SpgemmService::start(ServiceConfig::uniform(DeviceConfig::titan_xp(), 2, 8));
+    let service = SpgemmService::start(ServiceConfig::uniform(DeviceConfig::titan_xp(), 2, 8));
     for id in 0..3 {
-        assert!(service.submit(JobRequest::square(id, a.clone())));
+        assert!(service.submit(JobRequest::square(id, a.clone())).is_ok());
     }
     // Panic while holding the queue mutex (poisons it), then keep going.
     service.poison_queue_for_test();
     for id in 3..6 {
         assert!(
-            service.submit(JobRequest::square(id, a.clone())),
+            service.submit(JobRequest::square(id, a.clone())).is_ok(),
             "submissions must survive a poisoned queue mutex"
         );
     }
@@ -421,17 +421,21 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
     let mut baseline: Option<(Vec<CsrMatrix<f64>>, CsrMatrix<f64>)> = None;
     for workers in [1usize, 2, 4, 8] {
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, CAPACITY);
-        let mut service = SpgemmService::start(config);
+        let service = SpgemmService::start(config);
         for (k, a) in singles.iter().enumerate() {
-            assert!(service.submit(JobRequest::square(k as u64, a.clone())));
+            service
+                .submit(JobRequest::square(k as u64, a.clone()))
+                .unwrap();
         }
-        assert!(service.submit_chain(ChainRequest::workload(
-            SINGLES,
-            Workload::Square {
-                k: CHAIN_STEPS as usize
-            },
-            &chain_base,
-        )));
+        service
+            .submit(ChainRequest::workload(
+                SINGLES,
+                Workload::Square {
+                    k: CHAIN_STEPS as usize,
+                },
+                &chain_base,
+            ))
+            .unwrap();
         let batch = service.drain();
         assert!(
             batch.failures.is_empty(),
@@ -470,4 +474,77 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
             }
         }
     }
+}
+
+/// Submissions with their submitter's reply: on a held pool, an expired
+/// deadline is answered without running the work and counts as no job at
+/// all (it is wall-clock dependent, so the strict export must not see it);
+/// a live one is answered with its outcome and lane, interactive before
+/// batch; and a bound refuses the push that would exceed it, handing the
+/// work back.
+#[test]
+fn replies_answer_each_submission_once_and_expiry_counts_no_job() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let registry = Arc::new(br_obs::Registry::new());
+    let service = SpgemmService::start_held(
+        ServiceConfig::default()
+            .with_queue_capacity(3)
+            .with_registry(registry.clone()),
+    );
+    assert!(service.is_held());
+    let a = Arc::new(rmat(RmatConfig::snap_like(6, 4, 5)).to_csr());
+    let (tx, rx) = mpsc::channel();
+    let reply: Reply = Arc::new(move |lane, done| tx.send((lane, done)).unwrap());
+    let submit = |id: u64, lane: Lane, deadline: Option<Instant>| {
+        let job = JobRequest::square(id, a.clone()).into();
+        service.submit_with(job, lane, deadline, reply.clone())
+    };
+    assert_eq!(submit(0, Lane::Batch, None).unwrap(), 1);
+    assert_eq!(submit(1, Lane::Batch, Some(Instant::now())).unwrap(), 2);
+    assert_eq!(submit(2, Lane::Interactive, None).unwrap(), 3);
+    match submit(3, Lane::Interactive, None) {
+        Err(SubmitError::QueueFull(Work::Job(job))) => assert_eq!(job.id, 3),
+        other => panic!("expected QueueFull with the job back, got {other:?}"),
+    }
+    std::thread::sleep(Duration::from_millis(5));
+    assert!(service.release());
+    let answers: Vec<(u64, Lane, &str)> = (0..3)
+        .map(|_| match rx.recv().unwrap() {
+            (lane, Completion::Job(outcome)) => (outcome.id, lane, "job"),
+            (lane, Completion::Expired(id)) => (id, lane, "expired"),
+            (lane, other) => panic!("{lane:?}: unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        answers,
+        [
+            (2, Lane::Interactive, "job"),
+            (0, Lane::Batch, "job"),
+            (1, Lane::Batch, "expired")
+        ]
+    );
+
+    let batch = service.drain();
+    assert!(
+        batch.outcomes.is_empty(),
+        "own replies bypass the collector"
+    );
+    assert_eq!(batch.stats.max_queue_depth, 3);
+    let strict = registry.render_prometheus(false);
+    for line in [
+        "br_jobs_submitted_total 3",
+        "br_jobs_completed_total 2",
+        "br_jobs_failed_total 0",
+    ] {
+        assert!(strict.contains(line), "missing {line:?}:\n{strict}");
+    }
+    assert!(
+        matches!(
+            service.submit(JobRequest::square(9, a.clone())),
+            Err(SubmitError::Draining(_))
+        ),
+        "a drained service refuses new work"
+    );
 }

@@ -165,14 +165,17 @@ for family in br_net_requests_total br_net_admitted_total br_net_shed_total \
         exit 1
     fi
 done
-# The held-gate flood admits exactly 6 and sheds exactly 10, per lane 3/5.
+# The held-gate flood admits exactly 6 and sheds exactly 10, per lane 3/5;
+# the admitted 6 enter and finish through the job service's one pool.
 for line in 'br_net_shed_total{lane="batch"} 5' \
             'br_net_shed_total{lane="interactive"} 5' \
             'br_net_results_total{lane="batch"} 3' \
-            'br_net_results_total{lane="interactive"} 3'; do
+            'br_net_results_total{lane="interactive"} 3' \
+            'br_jobs_submitted_total 6' \
+            'br_jobs_completed_total 6'; do
     if ! grep -qF "$line" net.t8.prom; then
         echo "error: expected '$line' in net.t8.prom" >&2
-        grep '^br_net' net.t8.prom >&2 || true
+        grep -E '^br_(net|jobs)' net.t8.prom >&2 || true
         exit 1
     fi
 done
