@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks of the real (host-executed) computational
-//! kernels: the CPU oracle, the three numeric mergers, symbolic analysis,
-//! generators, classification/splitting preprocessing, and the L2
-//! simulator itself.
+//! kernels: the CPU oracle against the adaptive numeric engine, symbolic
+//! analysis, generators, classification/splitting preprocessing, and the
+//! L2 simulator itself.
 //!
 //! These measure *wall-clock Rust performance* of the library (the thing a
 //! downstream user of the crates cares about), complementing the simulated
@@ -20,9 +20,10 @@ use br_gpu_sim::sim::GpuSimulator;
 use br_gpu_sim::trace::{AccessPattern, KernelLaunch, MemSegment, MemoryLayout};
 use br_sparse::ops::{block_products, spgemm_gustavson, symbolic_nnz};
 use br_sparse::CsrMatrix;
+use br_spgemm::accum::{spgemm_adaptive, BinThresholds};
 use br_spgemm::context::ProblemContext;
 use br_spgemm::merge::kway::binned_merge_launches;
-use br_spgemm::numeric::{spgemm_dense_spa, spgemm_hash, spgemm_sort_reduce};
+use br_spgemm::numeric::default_threads;
 use br_spgemm::workspace::Workspace;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -39,14 +40,12 @@ fn bench_numeric_mergers(c: &mut Criterion) {
     let a = skewed_input();
     let mut g = c.benchmark_group("numeric-mergers");
     g.sample_size(10);
-    g.bench_function("dense-spa", |b| {
-        b.iter(|| spgemm_dense_spa(black_box(&a), black_box(&a)).unwrap())
+    g.bench_function("gustavson-oracle", |b| {
+        b.iter(|| spgemm_gustavson(black_box(&a), black_box(&a)).unwrap())
     });
-    g.bench_function("sort-reduce", |b| {
-        b.iter(|| spgemm_sort_reduce(black_box(&a), black_box(&a)).unwrap())
-    });
-    g.bench_function("hash", |b| {
-        b.iter(|| spgemm_hash(black_box(&a), black_box(&a)).unwrap())
+    let (threads, bins) = (default_threads(), BinThresholds::recommended(a.ncols()));
+    g.bench_function("adaptive", |b| {
+        b.iter(|| spgemm_adaptive(black_box(&a), black_box(&a), threads, bins).unwrap())
     });
     g.finish();
 }

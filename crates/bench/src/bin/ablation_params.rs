@@ -15,7 +15,6 @@ use br_bench::harness::{parse_args, square_context};
 use br_bench::report::{bar_chart, f2, maybe_write_json, Table};
 use br_datasets::registry::RealWorldRegistry;
 use br_gpu_sim::device::DeviceConfig;
-use br_spgemm::methods::ac_like;
 use br_spgemm::pipeline::{run_method, SpgemmMethod};
 use serde::Serialize;
 
@@ -93,7 +92,7 @@ fn main() {
     );
 
     // --- AC-spGEMM-like comparison ---
-    let ac = ac_like::run(&ctx, &dev).expect("valid shapes");
+    let ac = run_method(&ctx, SpgemmMethod::AcLike, &dev).expect("valid shapes");
     let reorg = BlockReorganizer::new(ReorganizerConfig::default())
         .multiply_ctx(&ctx, &dev)
         .expect("valid shapes");

@@ -556,7 +556,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
         MethodSel::Reorganizer => ReorgPlan::build(&ctx, &device, &exact)
             .execute(&ctx, &device, PlanMode::Cold)
             .expect("square shapes always agree")
-            .to_spgemm_run(),
+            .into_spgemm_run(),
         MethodSel::KwayMerge => {
             // Exact plan, then the bins re-classified with the k-way bin
             // forced open. Bin membership only redirects rows between
@@ -568,7 +568,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
             );
             plan.execute(&ctx, &device, PlanMode::Cached)
                 .expect("square shapes always agree")
-                .to_spgemm_run()
+                .into_spgemm_run()
         }
         MethodSel::Reordered(reorder) => {
             // The permutation is planned once and stored in the plan, so
@@ -577,7 +577,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
             let plan = ReorgPlan::build(&ctx, &device, &PlanSettings { reorder, ..exact });
             plan.execute(&ctx, &device, PlanMode::Cached)
                 .expect("square shapes always agree")
-                .to_spgemm_run()
+                .into_spgemm_run()
         }
         MethodSel::PlanExact | MethodSel::PlanEstimate => {
             let planned = if case.method == MethodSel::PlanEstimate {
@@ -603,7 +603,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
             });
             plan.execute(&ctx, &device, PlanMode::Cold)
                 .expect("square shapes always agree")
-                .to_spgemm_run()
+                .into_spgemm_run()
         }
     };
     let report = CaseReport {

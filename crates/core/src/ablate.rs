@@ -1,8 +1,7 @@
 //! Ablation runner for Figure 10: each technique alone, then all three.
 //!
 //! All variants run on the same [`ProblemContext`] and device; speedups are
-//! reported against the outer-product baseline (Figure 10's normalization)
-//! and the row-product baseline (Figure 8's).
+//! reported against the outer-product baseline (Figure 10's normalization).
 
 use br_gpu_sim::device::DeviceConfig;
 use br_sparse::{Result, Scalar};
@@ -17,8 +16,6 @@ use crate::pass::{BlockReorganizer, ReorganizerRun};
 pub struct AblationReport<T> {
     /// Outer-product baseline time (ms).
     pub outer_ms: f64,
-    /// Row-product baseline time (ms).
-    pub row_ms: f64,
     /// B-Splitting-only run.
     pub split_only: ReorganizerRun<T>,
     /// B-Gathering-only run.
@@ -49,28 +46,17 @@ impl<T: Clone> AblationReport<T> {
             self.speedup_outer(self.full.total_ms),
         )
     }
-
-    /// Figure 8 bar: full-reorganizer speedup over the row-product baseline.
-    pub fn speedup_vs_row(&self) -> f64 {
-        if self.full.total_ms <= 0.0 {
-            0.0
-        } else {
-            self.row_ms / self.full.total_ms
-        }
-    }
 }
 
-/// Runs the four reorganizer variants plus both baselines.
+/// Runs the four reorganizer variants plus the outer-product baseline.
 pub fn ablation<T: Scalar>(
     ctx: &ProblemContext<T>,
     device: &DeviceConfig,
 ) -> Result<AblationReport<T>> {
     let outer = run_method(ctx, SpgemmMethod::OuterProduct, device)?;
-    let row = run_method(ctx, SpgemmMethod::RowProduct, device)?;
     let run_with = |cfg: ReorganizerConfig| BlockReorganizer::new(cfg).multiply_ctx(ctx, device);
     Ok(AblationReport {
         outer_ms: outer.total_ms,
-        row_ms: row.total_ms,
         split_only: run_with(ReorganizerConfig::split_only())?,
         gather_only: run_with(ReorganizerConfig::gather_only())?,
         limit_only: run_with(ReorganizerConfig::limit_only())?,

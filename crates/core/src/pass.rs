@@ -13,7 +13,6 @@
 
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::profiler::KernelProfile;
-use br_gpu_sim::sim::GpuSimulator;
 use br_sparse::{CsrMatrix, Result, Scalar};
 use br_spgemm::context::ProblemContext;
 use br_spgemm::pipeline::SpgemmRun;
@@ -80,11 +79,11 @@ impl<T: Clone> ReorganizerRun<T> {
 
     /// Repackages as a generic [`SpgemmRun`] for uniform benchmarking
     /// against the baseline methods.
-    pub fn to_spgemm_run(&self) -> SpgemmRun<T> {
+    pub fn into_spgemm_run(self) -> SpgemmRun<T> {
         SpgemmRun {
             method: "Block-Reorganizer".to_string(),
-            result: self.result.clone(),
-            profiles: self.profiles.clone(),
+            result: self.result,
+            profiles: self.profiles,
             preprocess_ms: self.preprocess_ms,
             total_ms: self.total_ms,
             flops: self.flops,
@@ -137,31 +136,6 @@ impl BlockReorganizer {
     /// the analysis half of [`BlockReorganizer::multiply_ctx`].
     pub fn plan<T: Scalar>(&self, ctx: &ProblemContext<T>, device: &DeviceConfig) -> ReorgPlan {
         ReorgPlan::build(ctx, device, &self.config.into())
-    }
-
-    /// Multiplies using a previously built (e.g. cached) plan: only the
-    /// expansion and merge kernels run; precalculation and the host-side
-    /// B-Splitting cost are *not* charged, because the plan already paid
-    /// them. Fails if `plan` was built for a different sparsity structure.
-    pub fn multiply_with_plan<T: Scalar>(
-        &self,
-        ctx: &ProblemContext<T>,
-        plan: &ReorgPlan,
-        device: &DeviceConfig,
-    ) -> Result<ReorganizerRun<T>> {
-        plan.execute(ctx, device, PlanMode::Cached)
-    }
-
-    /// [`BlockReorganizer::multiply_with_plan`] against a caller-owned
-    /// simulator — used by `br-service` workers, which keep one
-    /// [`GpuSimulator`] each.
-    pub fn multiply_with_plan_on<T: Scalar>(
-        &self,
-        sim: &GpuSimulator,
-        ctx: &ProblemContext<T>,
-        plan: &ReorgPlan,
-    ) -> Result<ReorganizerRun<T>> {
-        plan.execute_on(sim, ctx, PlanMode::Cached)
     }
 }
 

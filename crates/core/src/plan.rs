@@ -512,8 +512,9 @@ impl ReorgPlan {
         // numeric multiply always runs the adaptive engine with the plan's
         // bins, so the result is bit-identical whichever method the
         // estimator picked.
-        let (launches, host_ms, stats) = match self.method {
-            MethodChoice::Reorganized => {
+        let (launches, host_ms, stats) = match self.method.baseline() {
+            // The reorganized pipeline.
+            None => {
                 let (expansion, mut stats) = self.expansion_launch(ctx, &ws);
                 stats.limited_rows = self.limit_plan.limited_count();
                 // Bin-dispatched merge: one Gustavson launch, plus a k-way
@@ -546,27 +547,8 @@ impl ReorgPlan {
             // their launch streams already include any symbolic phase the
             // scheme itself pays (e.g. cuSPARSE's sizing pass) — so Cold
             // and Cached execute identically, matching the standalone
-            // baselines in `br_spgemm::methods`.
-            MethodChoice::RowProduct => (
-                br_spgemm::methods::row_product::launches(ctx, &ws),
-                0.0,
-                ReorgStats::default(),
-            ),
-            MethodChoice::OuterProduct => (
-                br_spgemm::methods::outer_product::launches(ctx, &ws),
-                0.0,
-                ReorgStats::default(),
-            ),
-            MethodChoice::Esc => (
-                br_spgemm::methods::cusp_esc::launches(ctx, &ws),
-                0.0,
-                ReorgStats::default(),
-            ),
-            MethodChoice::Hash => (
-                br_spgemm::methods::cusparse_like::launches(ctx, &ws),
-                0.0,
-                ReorgStats::default(),
-            ),
+            // baselines in `br_spgemm::pipeline`.
+            Some(baseline) => (baseline.launches(ctx, &ws), 0.0, ReorgStats::default()),
         };
         (ws, launches, host_ms, stats)
     }

@@ -259,7 +259,9 @@ fn parse_job_line(line: &str) -> Result<JobSpec, String> {
             "scale" => {
                 scale = value
                     .parse()
-                    .map_err(|_| format!("bad scale {value:?} (positive integer)"))?
+                    .ok()
+                    .filter(|&s| s > 0)
+                    .ok_or_else(|| format!("bad scale {value:?} (positive integer)"))?
             }
             "seed" => {
                 seed = value
@@ -414,6 +416,8 @@ mod tests {
         assert!(err.contains("line 2"), "{err}");
         assert!(parse_job_file("repeat=2").is_err(), "source is mandatory");
         assert!(parse_job_file("dataset=x repeat=0").is_err());
+        let err = parse_job_file("dataset=x scale=0").unwrap_err();
+        assert!(err.contains("positive integer"), "{err}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   dataset characterisation (regular vs power-law, Table II).
 //! * Deterministic host parallelism ([`par`]) — fixed-chunk scoped-thread
 //!   helpers whose results are bit-identical at any thread count, used by
-//!   the simulator, the numeric mergers, and the benchmark runner.
+//!   the simulator, the numeric merge, and the benchmark runner.
 //! * Element-wise chain operators ([`eltwise`]) — pattern masking, column
 //!   normalisation, and threshold pruning, the deterministic post-ops of
 //!   the `br-workloads` chain executor.

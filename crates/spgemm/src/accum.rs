@@ -934,7 +934,7 @@ pub fn merge_rows_into<T: Scalar>(
 
 /// Adaptive row-binned spGEMM: classifies rows, then merges each through
 /// its bin's kernel over `threads` workers. Bit-identical to
-/// [`crate::numeric::spgemm_dense_spa`] at every thread count and
+/// [`br_sparse::ops::spgemm_gustavson`] at every thread count and
 /// threshold setting.
 pub fn spgemm_adaptive<T: Scalar>(
     a: &CsrMatrix<T>,
@@ -1042,8 +1042,8 @@ pub fn spgemm_adaptive_planned<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::numeric::spgemm_dense_spa;
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_sparse::ops::spgemm_gustavson;
 
     /// The acceptance-criterion threshold settings plus the degenerate
     /// single-bin collapses — with and without the k-way bin.
@@ -1093,14 +1093,119 @@ mod tests {
         ]
     }
 
+    /// All the work in one hub row: the partition must still cover every
+    /// row exactly once.
+    fn hub_row() -> CsrMatrix<f64> {
+        let n = 600;
+        let mut ptr = vec![0usize; n + 1];
+        let mut idx: Vec<u32> = (0..n as u32).collect();
+        ptr[1] = n;
+        for r in 1..n {
+            idx.push(0);
+            ptr[r + 1] = ptr[r] + 1;
+        }
+        CsrMatrix::try_new(n, n, ptr, idx, vec![1.0; 2 * n - 1]).unwrap()
+    }
+
+    /// Every other row empty (zero weight): the stitched `ptr` must stay
+    /// flat across the empty ones.
+    fn interspersed_empty_rows() -> CsrMatrix<f64> {
+        let n = 400;
+        let mut ptr = vec![0usize; n + 1];
+        let mut idx = Vec::new();
+        for r in 0..n {
+            if r % 2 == 0 {
+                idx.push((r % 7) as u32);
+                idx.push((7 + r % 11) as u32);
+            }
+            ptr[r + 1] = idx.len();
+        }
+        let nnz = idx.len();
+        CsrMatrix::try_new(n, n, ptr, idx, vec![0.5f64; nnz]).unwrap()
+    }
+
+    /// Weights arranged so greedy prefix cuts land right before or after
+    /// huge rows: runs of featherweight rows, then one row that multiplies
+    /// against the dense hub rows 0..8 of B.
+    fn weight_cliffs() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
+        let n = 512;
+        let hub_width = 256u32;
+        let mut ptr = vec![0usize; n + 1];
+        let mut idx = Vec::new();
+        let mut val = Vec::new();
+        for r in 0..n {
+            if r % 64 == 63 {
+                for j in 0..8 {
+                    idx.push(j);
+                    val.push(1.0 + j as f64);
+                }
+            } else {
+                idx.push((r % 32) as u32 + 8);
+                val.push(0.25);
+            }
+            ptr[r + 1] = idx.len();
+        }
+        let a = CsrMatrix::try_new(n, n, ptr, idx, val).unwrap();
+        let mut bptr = vec![0usize; n + 1];
+        let mut bidx = Vec::new();
+        let mut bval = Vec::new();
+        for r in 0..n {
+            if r < 8 {
+                for j in 0..hub_width {
+                    bidx.push(j);
+                    bval.push(1.0 / (1.0 + j as f64));
+                }
+            } else {
+                bidx.push((r % 300) as u32);
+                bval.push(2.0);
+            }
+            bptr[r + 1] = bidx.len();
+        }
+        (a, CsrMatrix::try_new(n, n, bptr, bidx, bval).unwrap())
+    }
+
+    /// B with a single column: every product of a row lands on the same
+    /// accumulator slot, the worst case for accumulation order.
+    fn one_column_b() -> (CsrMatrix<f64>, CsrMatrix<f64>) {
+        let a = rmat(RmatConfig::snap_like(8, 5, 9)).to_csr();
+        let n = a.ncols();
+        let b = CsrMatrix::try_new(
+            n,
+            1,
+            (0..=n).collect(),
+            vec![0u32; n],
+            (0..n).map(|k| 1.0 + (k % 13) as f64 * 0.125).collect(),
+        )
+        .unwrap();
+        (a, b)
+    }
+
     #[test]
     fn adaptive_is_bit_identical_across_thresholds_and_threads() {
-        let a = rmat(RmatConfig::graph500(9, 8, 77)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
-        for thresholds in threshold_grid() {
-            for threads in [1usize, 2, 8] {
-                let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
-                assert_eq!(c, oracle, "threads={threads} thresholds={thresholds:?}");
+        let power_law = rmat(RmatConfig::graph500(9, 8, 77)).to_csr();
+        let hub = hub_row();
+        let sparse = interspersed_empty_rows();
+        let identity = CsrMatrix::<f64>::identity(10);
+        let (cliff_a, cliff_b) = weight_cliffs();
+        let (col_a, col_b) = one_column_b();
+        let cases = [
+            ("power-law", &power_law, &power_law, &[1, 2, 3, 8, 20][..]),
+            ("hub row", &hub, &hub, &[8][..]),
+            ("empty rows", &sparse, &sparse, &[2, 5, 16][..]),
+            ("weight cliffs", &cliff_a, &cliff_b, &[2, 3, 7, 8, 64][..]),
+            ("one column", &col_a, &col_b, &[2, 8][..]),
+            ("small identity", &identity, &identity, &[16][..]),
+        ];
+        for (name, a, b, thread_counts) in cases {
+            let oracle = spgemm_gustavson(a, b).unwrap();
+            for thresholds in threshold_grid() {
+                for &threads in thread_counts {
+                    let c = spgemm_adaptive(a, b, threads, thresholds).unwrap();
+                    assert_eq!(
+                        c, oracle,
+                        "{name}: threads={threads} thresholds={thresholds:?}"
+                    );
+                }
             }
         }
     }
@@ -1109,7 +1214,7 @@ mod tests {
     fn adaptive_handles_rectangular_and_edge_cases() {
         let a = rmat(RmatConfig::uniform(6, 4, 1).with_dim(50).with_edges(150)).to_csr();
         let b = rmat(RmatConfig::uniform(6, 4, 2).with_dim(50).with_edges(120)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         assert_eq!(
             spgemm_adaptive(&a, &b, 4, BinThresholds::default()).unwrap(),
             oracle
@@ -1125,7 +1230,7 @@ mod tests {
         let i = CsrMatrix::<f64>::identity(5);
         assert_eq!(
             spgemm_adaptive(&i, &i, 2, BinThresholds::default()).unwrap(),
-            spgemm_dense_spa(&i, &i).unwrap()
+            spgemm_gustavson(&i, &i).unwrap()
         );
 
         let bad = CsrMatrix::<f64>::zeros(2, 3);
@@ -1193,7 +1298,7 @@ mod tests {
         // the medium-bin hash. The initial 4-slot tables must grow mid-row
         // (instead of looping forever) and the output must stay bit-exact.
         let a = rmat(RmatConfig::graph500(8, 8, 41)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
+        let oracle = spgemm_gustavson(&a, &a).unwrap();
         let all_medium = BinThresholds {
             tiny_max: 0,
             heavy_min: u64::MAX,
@@ -1219,7 +1324,7 @@ mod tests {
     fn planned_execution_with_pool_matches_and_recycles_scratch() {
         let a = rmat(RmatConfig::graph500(9, 8, 3)).to_csr();
         let bins = RowBins::of(&a, &a, BinThresholds::default()).unwrap();
-        let oracle = spgemm_dense_spa(&a, &a).unwrap();
+        let oracle = spgemm_gustavson(&a, &a).unwrap();
         let pool = ScratchPool::<f64>::new();
         for _ in 0..3 {
             let c = spgemm_adaptive_planned(&a, &a, 4, &bins, Some(&pool)).unwrap();
@@ -1350,7 +1455,7 @@ mod tests {
         // the single-run fast path for every nonzero output row.
         let b = rmat(RmatConfig::graph500(8, 8, 19)).to_csr();
         let a = CsrMatrix::<f64>::identity(b.nrows()).map_values(|v| v * 2.5);
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         let all_kway = BinThresholds {
             tiny_max: 0,
             heavy_min: 0,
@@ -1373,7 +1478,7 @@ mod tests {
         let val: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.125).collect();
         let b = CsrMatrix::from_parts_unchecked(n, n, ptr, idx, val);
         let a = rmat(RmatConfig::uniform(6, 4, 9).with_dim(n).with_edges(400)).to_csr();
-        let oracle = spgemm_dense_spa(&a, &b).unwrap();
+        let oracle = spgemm_gustavson(&a, &b).unwrap();
         let all_kway = BinThresholds {
             tiny_max: 0,
             heavy_min: 0,
@@ -1387,7 +1492,7 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
-        /// Property: the adaptive engine is bit-for-bit the dense SPA for
+        /// Property: the adaptive engine is bit-for-bit the oracle for
         /// arbitrary power-law inputs, thread counts, and thresholds —
         /// including degenerate thresholds collapsing everything into one
         /// bin.
@@ -1399,14 +1504,14 @@ mod tests {
             heavy_min in 0u64..4096,
         ) {
             let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_dense_spa(&a, &a).unwrap();
+            let oracle = spgemm_gustavson(&a, &a).unwrap();
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min: u64::MAX };
             let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
             proptest::prop_assert_eq!(c, oracle);
         }
 
-        /// Property: the k-way tournament merge is bit-for-bit the dense
-        /// SPA across RMAT seeds, thread counts, and threshold mixes —
+        /// Property: the k-way tournament merge is bit-for-bit the oracle
+        /// across RMAT seeds, thread counts, and threshold mixes —
         /// `kway_sel` sweeps the kway band from swallowing everything
         /// past tiny (0) through disabled (>= 4096 maps to `u64::MAX`).
         #[test]
@@ -1418,7 +1523,7 @@ mod tests {
             kway_sel in 0u64..4608,
         ) {
             let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_dense_spa(&a, &a).unwrap();
+            let oracle = spgemm_gustavson(&a, &a).unwrap();
             let kway_min = if kway_sel >= 4096 { u64::MAX } else { kway_sel };
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min };
             let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();

@@ -28,6 +28,7 @@ use std::sync::OnceLock;
 
 use crate::accum::BinThresholds;
 use crate::context::ProblemContext;
+use crate::pipeline::SpgemmMethod;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -134,8 +135,8 @@ impl EstimatorConfig {
 /// wins across sparsity patterns, so the planner routes each problem by
 /// its estimated shape. The choice swaps the **simulated kernel stream**
 /// only — the host numeric result is always produced by the adaptive
-/// row-binned engine, so output stays bit-identical to the dense SPA
-/// whichever method is chosen.
+/// row-binned engine, so output stays bit-identical to the Gustavson
+/// oracle whichever method is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MethodChoice {
     /// Block-reorganized pipeline (split/gather/limit) — the default for
@@ -160,6 +161,18 @@ impl MethodChoice {
             MethodChoice::OuterProduct => "outer-product",
             MethodChoice::Esc => "esc",
             MethodChoice::Hash => "hash",
+        }
+    }
+
+    /// The baseline whose launches this choice simulates; `None` for the
+    /// reorganized pipeline, which builds its own.
+    pub fn baseline(self) -> Option<SpgemmMethod> {
+        match self {
+            MethodChoice::Reorganized => None,
+            MethodChoice::RowProduct => Some(SpgemmMethod::RowProduct),
+            MethodChoice::OuterProduct => Some(SpgemmMethod::OuterProduct),
+            MethodChoice::Esc => Some(SpgemmMethod::CuspEsc),
+            MethodChoice::Hash => Some(SpgemmMethod::CusparseLike),
         }
     }
 }
@@ -645,7 +658,7 @@ mod tests {
             let bins = crate::accum::RowBins::classify(&est.row_products, thresholds);
             let planned =
                 crate::accum::spgemm_adaptive_planned(&a, &a, threads, &bins, None).unwrap();
-            let reference = crate::numeric::spgemm_dense_spa(&a, &a).unwrap();
+            let reference = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
             proptest::prop_assert_eq!(planned, reference);
         }
     }

@@ -1,9 +1,10 @@
 //! # br-spgemm — spGEMM kernels on the simulated GPU
 //!
 //! Implements every multiplication scheme the paper evaluates, all as
-//! *execution-driven* kernels: they compute the true numeric result in Rust
-//! while emitting [`br_gpu_sim`] cost traces, so simulated time reflects the
-//! algorithm's real memory and compute behaviour.
+//! *execution-driven* kernels: each emits [`br_gpu_sim`] cost traces shaped
+//! by the true operand structure, so simulated time reflects the
+//! algorithm's real memory and compute behaviour, while one adaptive host
+//! engine computes the true numeric result for every method.
 //!
 //! Methods (Figure 8's seven bars, minus the Block Reorganizer which builds
 //! on this crate from `crates/core`):
@@ -24,15 +25,18 @@
 //!   rows in global memory.
 //! * [`methods::mkl_like`] — multithreaded CPU Gustavson under an analytic
 //!   CPU cost model, in the same simulated-time domain.
+//! * [`methods::ac_like`] — AC-spGEMM's chunked row product, an extension
+//!   beyond Figure 8 ([`SpgemmMethod::AcLike`]).
 //!
 //! Supporting modules: [`context`] (per-problem symbolic precomputation
 //! shared across methods), [`workspace`] (device-memory layout),
-//! [`expansion`] / [`merge`] (trace generators), [`numeric`] (three
-//! independent numeric mergers used to verify each method's arithmetic),
-//! [`accum`] (the adaptive row-binned host merge engine with reusable
-//! scratch), [`estimate`] (the seeded sampling estimator the planner uses
+//! [`expansion`] / [`merge`] (trace generators), [`accum`] (the adaptive
+//! row-binned host merge engine with reusable scratch — the one numeric
+//! path, bit-identical to the Gustavson oracle), [`numeric`] (its default
+//! worker count), [`estimate`] (the seeded sampling estimator the planner uses
 //! for per-problem method selection and bin thresholds), and [`pipeline`]
-//! (the run orchestrator producing [`pipeline::SpgemmRun`]).
+//! (the run orchestrator producing [`pipeline::SpgemmRun`], and the one
+//! method-to-launches table [`SpgemmMethod::launches`]).
 
 #![warn(missing_docs)]
 

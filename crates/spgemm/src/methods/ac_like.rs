@@ -13,12 +13,9 @@
 //! that straddle chunk borders.
 
 use crate::context::ProblemContext;
-use crate::numeric::{default_threads, spgemm_sort_reduce_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::{Workspace, ELEM_BYTES, PTR_BYTES};
-use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::trace::{KernelLaunch, TraceBuilder};
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// Intermediate products per chunk (the PPoPP paper's NNZ-per-block knob).
 pub const CHUNK: u64 = 8192;
@@ -35,9 +32,10 @@ fn a_window_offset(a_nnz: u64, chunk_start: u64, chunk_len: u64) -> u64 {
     (chunk_start / 4) % span
 }
 
-/// Runs the AC-spGEMM-like method.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
+/// The method's kernel launches (work assignment, balanced chunked
+/// expansion, cross-chunk combine) against a prepared workspace; none for
+/// an empty product.
+pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<KernelLaunch> {
     let total = ctx.intermediate_total;
     let mut launches = Vec::new();
 
@@ -119,17 +117,7 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
         }
         launches.push(KernelLaunch::new("ac-combine", blocks));
     }
-
-    let result = spgemm_sort_reduce_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "AC-spGEMM",
-        result,
-        &launches,
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
+    launches
 }
 
 #[cfg(test)]
@@ -138,14 +126,15 @@ mod tests {
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn result_matches_oracle() {
         let a = rmat(RmatConfig::snap_like(8, 6, 31)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &DeviceConfig::titan_xp()).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::AcLike, &DeviceConfig::titan_xp()).unwrap();
         let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
-        assert!(r.result.approx_eq(&oracle, 1e-9));
+        assert_eq!(r.result, oracle);
     }
 
     #[test]
@@ -160,7 +149,7 @@ mod tests {
         })
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let ac = run(&ctx, &dev).unwrap();
+        let ac = run_method(&ctx, SpgemmMethod::AcLike, &dev).unwrap();
         let outer = run_method(&ctx, SpgemmMethod::OuterProduct, &dev).unwrap();
         let ac_lbi = ac
             .profiles
@@ -185,7 +174,7 @@ mod tests {
         })
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let ac = run(&ctx, &dev).unwrap();
+        let ac = run_method(&ctx, SpgemmMethod::AcLike, &dev).unwrap();
         let row = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         // PPoPP'19 reports large wins over row-product on skewed inputs;
         // at minimum the balanced scheme must not lose badly.

@@ -10,21 +10,18 @@
 //! notably strong on *relatively dense* regular matrices.
 
 use crate::context::ProblemContext;
-use crate::numeric::{default_threads, spgemm_sort_reduce_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::{Workspace, ELEM_BYTES};
-use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::trace::{KernelLaunch, TraceBuilder};
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// Upper-bound bin boundaries on intermediate products per row.
 /// (bhSPARSE proper uses 38 bins; four groups capture the cost regimes.)
 pub const BIN_BOUNDS: [u64; 3] = [32, 512, 4096];
 
-/// Runs the bhSPARSE-like method.
+/// The method's kernel launches (binning pass, then one merged
+/// expansion+merge kernel per non-empty bin) against a prepared workspace.
 #[allow(clippy::needless_range_loop)] // r is the row id, used across several per-row arrays
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
+pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<KernelLaunch> {
     let chat_rows = ctx.chat_row_offsets();
 
     // Binning pass: a cheap kernel scanning row upper bounds.
@@ -115,18 +112,15 @@ pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<
             launches.push(KernelLaunch::new(format!("bhsparse-bin{i}-merge"), blocks));
         }
     }
-
-    let result = spgemm_sort_reduce_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "bhSPARSE", result, &launches, &ws.layout, device, 0.0, ctx.flops,
-    ))
+    launches
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::methods::cusparse_like;
+    use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn beats_cusparse_on_regular_dense_rows() {
@@ -137,8 +131,8 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = br_datasets::mesh::banded(3000, 300, 40, 5).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let bh = run(&ctx, &dev).unwrap();
-        let cu = cusparse_like::run(&ctx, &dev).unwrap();
+        let bh = run_method(&ctx, SpgemmMethod::BhsparseLike, &dev).unwrap();
+        let cu = run_method(&ctx, SpgemmMethod::CusparseLike, &dev).unwrap();
         assert!(
             bh.total_ms < cu.total_ms,
             "binning should beat warp-per-row hashing: {} vs {}",
@@ -153,7 +147,7 @@ mod tests {
         // Sparse uniform matrix: every row's upper bound is tiny.
         let a = rmat(RmatConfig::uniform(9, 3, 6)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::BhsparseLike, &dev).unwrap();
         let total_atomics: u64 = r
             .profiles
             .iter()

@@ -10,18 +10,14 @@
 use crate::context::ProblemContext;
 use crate::expansion::row::row_expansion_launch;
 use crate::merge::esc::esc_merge_launches;
-use crate::numeric::{default_threads, spgemm_sort_reduce_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
-use br_gpu_sim::device::DeviceConfig;
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// ESC block size.
 const BLOCK_SIZE: u32 = 256;
 
 /// The method's kernel launches (expansion, sort passes, compress) against
-/// a prepared workspace — shared by [`run`] and the planner's method
-/// dispatch.
+/// a prepared workspace.
 pub fn launches<T: Scalar>(
     ctx: &ProblemContext<T>,
     ws: &Workspace,
@@ -31,26 +27,12 @@ pub fn launches<T: Scalar>(
     launches
 }
 
-/// Runs the CUSP-like ESC method.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_sort_reduce_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "CUSP",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn sort_passes_make_esc_slowest_on_dense_intermediates() {
@@ -58,7 +40,7 @@ mod tests {
         // edge factor 16 → large nnz(Ĉ) relative to nnz(A)
         let a = rmat(RmatConfig::uniform(9, 16, 9)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let esc = run(&ctx, &dev).unwrap();
+        let esc = run_method(&ctx, SpgemmMethod::CuspEsc, &dev).unwrap();
         let rowp = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(
             esc.total_ms > 1.5 * rowp.total_ms,
@@ -73,7 +55,7 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::uniform(9, 12, 2)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::CuspEsc, &dev).unwrap();
         let sort_ms = r.phase_ms("sort");
         assert!(
             sort_ms > r.kernel_ms() * 0.4,

@@ -8,19 +8,15 @@
 //! baseline on the paper's suite.
 
 use crate::context::ProblemContext;
-use crate::numeric::{default_threads, spgemm_hash_parallel};
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::{Workspace, ELEM_BYTES, PTR_BYTES};
-use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::trace::{KernelLaunch, TraceBuilder};
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// Warp-per-row block size.
 const WARP: u32 = 32;
 
 /// The method's two kernel launches (symbolic sizing, then warp-per-row
-/// hash numeric) against a prepared workspace — shared by [`run`] and the
-/// planner's method dispatch.
+/// hash numeric) against a prepared workspace.
 pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<KernelLaunch> {
     // ---- phase 1: symbolic ----
     // cuSPARSE's generalised csrgemm runs the *full* expansion twice: the
@@ -121,27 +117,13 @@ pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<Kerne
     vec![symbolic, numeric]
 }
 
-/// Runs the cuSPARSE-like method.
-pub fn run<T: Scalar>(ctx: &ProblemContext<T>, device: &DeviceConfig) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_hash_parallel(&ctx.a, &ctx.b, default_threads())?;
-    Ok(assemble_run(
-        "cuSPARSE",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn slower_than_row_product_on_skewed_data() {
@@ -152,7 +134,7 @@ mod tests {
         })
         .to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let cus = run(&ctx, &dev).unwrap();
+        let cus = run_method(&ctx, SpgemmMethod::CusparseLike, &dev).unwrap();
         let rowp = run_method(&ctx, SpgemmMethod::RowProduct, &dev).unwrap();
         assert!(
             cus.total_ms > rowp.total_ms,
@@ -163,12 +145,12 @@ mod tests {
     }
 
     #[test]
-    fn result_is_correct_despite_hash_path() {
+    fn result_matches_oracle() {
         let dev = DeviceConfig::titan_xp();
         let a = rmat(RmatConfig::snap_like(7, 6, 4)).to_csr();
         let ctx = ProblemContext::new(&a, &a).unwrap();
-        let r = run(&ctx, &dev).unwrap();
+        let r = run_method(&ctx, SpgemmMethod::CusparseLike, &dev).unwrap();
         let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
-        assert!(r.result.approx_eq(&oracle, 1e-9));
+        assert_eq!(r.result, oracle);
     }
 }

@@ -1,5 +1,7 @@
 //! MKL-like CPU baseline: multithreaded Gustavson under an analytic CPU
-//! cost model, in the same simulated-time domain as the GPU methods.
+//! cost model, in the same simulated-time domain as the GPU methods. The
+//! host result comes from the adaptive engine like every other baseline's;
+//! this module owns only the cost model.
 //!
 //! `mkl_sparse_spmm` parallelises Gustavson over row blocks. The cost model
 //! is roofline-style: compute time (MACs over aggregate MAC throughput,
@@ -7,33 +9,12 @@
 //! traffic over socket bandwidth), plus a parallel-efficiency factor for
 //! load imbalance across threads on skewed data.
 
-use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
-use crate::numeric::default_threads;
-use crate::pipeline::SpgemmRun;
-use br_gpu_sim::device::{CpuConfig, DeviceConfig};
-use br_sparse::{Result, Scalar};
+use br_gpu_sim::device::CpuConfig;
+use br_sparse::Scalar;
 
-/// Runs the MKL-like CPU baseline. The `device` argument selects the host
-/// CPU paired with that GPU in Table I (we use the System 1 Xeon for all,
-/// as the paper's MKL bars do not vary by system). The host merge bins rows
-/// under `thresholds`.
-pub fn run<T: Scalar>(
-    ctx: &ProblemContext<T>,
-    _device: &DeviceConfig,
-    thresholds: BinThresholds,
-) -> Result<SpgemmRun<T>> {
-    run_on_cpu(ctx, &CpuConfig::xeon_e5_2640v4(), thresholds)
-}
-
-/// Runs the model against an explicit CPU configuration.
-pub fn run_on_cpu<T: Scalar>(
-    ctx: &ProblemContext<T>,
-    cpu: &CpuConfig,
-    thresholds: BinThresholds,
-) -> Result<SpgemmRun<T>> {
-    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
-
+/// Modelled time in ms of the multiplication on `cpu`.
+pub fn time_ms<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> f64 {
     let macs = ctx.intermediate_total as f64;
     let clock_hz = cpu.clock_mhz as f64 * 1e6;
 
@@ -59,15 +40,7 @@ pub fn run_on_cpu<T: Scalar>(
 
     // Imbalance stretches the critical path whichever resource binds: the
     // busiest thread finishes last and its memory traffic trails with it.
-    let total_ms = compute_s.max(memory_s) / efficiency.max(0.05) * 1e3;
-    Ok(SpgemmRun {
-        method: "MKL".to_string(),
-        result,
-        profiles: Vec::new(),
-        preprocess_ms: 0.0,
-        total_ms,
-        flops: ctx.flops,
-    })
+    compute_s.max(memory_s) / efficiency.max(0.05) * 1e3
 }
 
 #[cfg(test)]
@@ -75,6 +48,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn produces_correct_result_and_positive_time() {
@@ -82,7 +56,7 @@ mod tests {
         let ctx = ProblemContext::new(&a, &a).unwrap();
         let r = run_method(&ctx, SpgemmMethod::MklLike, &DeviceConfig::titan_xp()).unwrap();
         let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
-        assert!(r.result.approx_eq(&oracle, 1e-9));
+        assert_eq!(r.result, oracle);
         assert!(r.total_ms > 0.0);
         assert!(r.profiles.is_empty());
     }
@@ -135,9 +109,6 @@ mod tests {
             mem_bandwidth_gbs: 120.0,
             ..CpuConfig::xeon_e5_2640v4()
         };
-        let bins = BinThresholds::recommended(a.ncols());
-        let rs = run_on_cpu(&ctx, &small, bins).unwrap();
-        let rb = run_on_cpu(&ctx, &big, bins).unwrap();
-        assert!(rb.total_ms < rs.total_ms);
+        assert!(time_ms(&ctx, &big) < time_ms(&ctx, &small));
     }
 }

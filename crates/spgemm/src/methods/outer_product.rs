@@ -8,18 +8,14 @@
 //! On the paper's suite this lands at ~0.95× the row-product baseline:
 //! better expansion, worse merge.
 
-use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::expansion::outer::{outer_expansion_launch, DEFAULT_BLOCK_SIZE};
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::default_threads;
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
-use br_gpu_sim::device::DeviceConfig;
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// The method's kernel launches (expansion then merge) against a prepared
-/// workspace — shared by [`run`] and the planner's method dispatch.
+/// workspace.
 pub fn launches<T: Scalar>(
     ctx: &ProblemContext<T>,
     ws: &Workspace,
@@ -30,32 +26,13 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the outer-product baseline; the host merge bins rows under
-/// `thresholds`.
-pub fn run<T: Scalar>(
-    ctx: &ProblemContext<T>,
-    device: &DeviceConfig,
-    thresholds: BinThresholds,
-) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
-    Ok(assemble_run(
-        "outer-product",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn expansion_lbi_collapses_on_skewed_data() {

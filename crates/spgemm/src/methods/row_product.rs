@@ -5,23 +5,17 @@
 //! skewed data); the merge enjoys row-major `Ĉ` (coalesced reads), which is
 //! the row product's structural advantage over the plain outer product.
 
-use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::expansion::row::row_expansion_launch;
 use crate::merge::gustavson::gustavson_merge_launch;
-use crate::numeric::default_threads;
-use crate::pipeline::{assemble_run, SpgemmRun};
 use crate::workspace::Workspace;
-use br_gpu_sim::device::DeviceConfig;
-use br_sparse::{Result, Scalar};
+use br_sparse::Scalar;
 
 /// Expansion/merge block size.
 pub const BLOCK_SIZE: u32 = 256;
 
 /// The method's kernel launches (expansion then merge) against a prepared
-/// workspace — shared by [`run`] and the planner's per-problem method
-/// dispatch (`ReorgPlan` executes the chosen method's launches while the
-/// host numeric path stays the adaptive engine).
+/// workspace.
 pub fn launches<T: Scalar>(
     ctx: &ProblemContext<T>,
     ws: &Workspace,
@@ -32,36 +26,15 @@ pub fn launches<T: Scalar>(
     ]
 }
 
-/// Runs the row-product baseline; the host merge bins rows under
-/// `thresholds`.
-pub fn run<T: Scalar>(
-    ctx: &ProblemContext<T>,
-    device: &DeviceConfig,
-    thresholds: BinThresholds,
-) -> Result<SpgemmRun<T>> {
-    let ws = Workspace::for_context(ctx);
-    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
-    Ok(assemble_run(
-        "row-product",
-        result,
-        &launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_method, SpgemmMethod};
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_gpu_sim::device::DeviceConfig;
 
     #[test]
     fn skewed_data_diverges_lanes_uniform_does_not() {
-        use crate::expansion::row::row_expansion_launch;
-        use crate::workspace::Workspace;
         let uniform = rmat(RmatConfig::uniform(9, 8, 5)).to_csr();
         let skewed = rmat(RmatConfig::graph500(9, 8, 5)).to_csr();
         let mean_imbalance = |m: &br_sparse::CsrMatrix<f64>| {

@@ -4,11 +4,18 @@
 //! Timing convention follows Section V: "All experimental results include
 //! the overhead, except the data transfer time between host and the device"
 //! — so preprocessing (simulated on GPU or host) counts, transfers don't.
+//!
+//! Every baseline's simulated time comes from its own launch stream
+//! ([`SpgemmMethod::launches`]); its host result comes from the one adaptive
+//! engine ([`crate::accum::spgemm_adaptive`]), bit-identical to the
+//! Gustavson oracle.
 
-use crate::accum::BinThresholds;
+use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::methods;
-use br_gpu_sim::device::DeviceConfig;
+use crate::numeric::default_threads;
+use crate::workspace::Workspace;
+use br_gpu_sim::device::{CpuConfig, DeviceConfig};
 use br_gpu_sim::profiler::KernelProfile;
 use br_gpu_sim::sim::GpuSimulator;
 use br_gpu_sim::trace::{KernelLaunch, MemoryLayout};
@@ -32,6 +39,9 @@ pub enum SpgemmMethod {
     BhsparseLike,
     /// Intel MKL-like multithreaded CPU Gustavson.
     MklLike,
+    /// AC-spGEMM-like chunked row product — an extension beyond Figure 8,
+    /// so [`SpgemmMethod::all`] leaves it out.
+    AcLike,
 }
 
 impl SpgemmMethod {
@@ -44,6 +54,7 @@ impl SpgemmMethod {
             SpgemmMethod::CuspEsc => "CUSP",
             SpgemmMethod::BhsparseLike => "bhSPARSE",
             SpgemmMethod::MklLike => "MKL",
+            SpgemmMethod::AcLike => "AC-spGEMM",
         }
     }
 
@@ -58,6 +69,22 @@ impl SpgemmMethod {
             SpgemmMethod::MklLike,
         ]
     }
+
+    /// The method's simulated kernel launches against a prepared
+    /// workspace — the one method-to-launches table, shared by
+    /// [`run_method_binned`] and the planner's method dispatch. The
+    /// MKL-like baseline runs on the host CPU and launches nothing.
+    pub fn launches<T: Scalar>(self, ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<KernelLaunch> {
+        match self {
+            SpgemmMethod::RowProduct => methods::row_product::launches(ctx, ws),
+            SpgemmMethod::OuterProduct => methods::outer_product::launches(ctx, ws),
+            SpgemmMethod::CusparseLike => methods::cusparse_like::launches(ctx, ws),
+            SpgemmMethod::CuspEsc => methods::cusp_esc::launches(ctx, ws),
+            SpgemmMethod::BhsparseLike => methods::bhsparse_like::launches(ctx, ws),
+            SpgemmMethod::MklLike => Vec::new(),
+            SpgemmMethod::AcLike => methods::ac_like::launches(ctx, ws),
+        }
+    }
 }
 
 /// Outcome of one simulated multiplication.
@@ -65,8 +92,8 @@ impl SpgemmMethod {
 pub struct SpgemmRun<T> {
     /// Method display name.
     pub method: String,
-    /// The numeric result (canonical CSR), really computed by the method's
-    /// own merge arithmetic.
+    /// The numeric result (canonical CSR), computed by the adaptive host
+    /// engine.
     pub result: CsrMatrix<T>,
     /// Per-kernel profiles (expansion, merge, preprocessing kernels …).
     pub profiles: Vec<KernelProfile>,
@@ -127,8 +154,8 @@ pub fn assemble_run<T: Scalar>(
     }
 }
 
-/// Runs one baseline method on one device. Methods whose host numerics
-/// run the adaptive merge bin rows under [`BinThresholds::recommended`].
+/// Runs one baseline method on one device; the host merge bins rows under
+/// [`BinThresholds::recommended`].
 pub fn run_method<T: Scalar>(
     ctx: &ProblemContext<T>,
     method: SpgemmMethod,
@@ -151,14 +178,29 @@ pub fn run_method_binned<T: Scalar>(
     device: &DeviceConfig,
     thresholds: BinThresholds,
 ) -> br_sparse::Result<SpgemmRun<T>> {
-    match method {
-        SpgemmMethod::RowProduct => methods::row_product::run(ctx, device, thresholds),
-        SpgemmMethod::OuterProduct => methods::outer_product::run(ctx, device, thresholds),
-        SpgemmMethod::CusparseLike => methods::cusparse_like::run(ctx, device),
-        SpgemmMethod::CuspEsc => methods::cusp_esc::run(ctx, device),
-        SpgemmMethod::BhsparseLike => methods::bhsparse_like::run(ctx, device),
-        SpgemmMethod::MklLike => methods::mkl_like::run(ctx, device, thresholds),
+    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
+    if method == SpgemmMethod::MklLike {
+        // The paper's MKL bars do not vary by system, so every device
+        // pairs with the System 1 Xeon of Table I.
+        return Ok(SpgemmRun {
+            method: method.name().to_string(),
+            result,
+            profiles: Vec::new(),
+            preprocess_ms: 0.0,
+            total_ms: methods::mkl_like::time_ms(ctx, &CpuConfig::xeon_e5_2640v4()),
+            flops: ctx.flops,
+        });
     }
+    let ws = Workspace::for_context(ctx);
+    Ok(assemble_run(
+        method.name(),
+        result,
+        &method.launches(ctx, &ws),
+        &ws.layout,
+        device,
+        0.0,
+        ctx.flops,
+    ))
 }
 
 #[cfg(test)]
@@ -177,19 +219,12 @@ mod tests {
         let ctx = problem();
         let oracle = spgemm_gustavson(&ctx.a, &ctx.b).unwrap();
         let dev = DeviceConfig::titan_xp();
-        for m in SpgemmMethod::all() {
+        for m in SpgemmMethod::all()
+            .into_iter()
+            .chain([SpgemmMethod::AcLike])
+        {
             let run = run_method(&ctx, m, &dev).unwrap();
-            assert_eq!(
-                run.result.ptr(),
-                oracle.ptr(),
-                "{} structure differs",
-                m.name()
-            );
-            assert!(
-                run.result.approx_eq(&oracle, 1e-9),
-                "{} values differ",
-                m.name()
-            );
+            assert_eq!(run.result, oracle, "{} differs from the oracle", m.name());
         }
     }
 

@@ -10,8 +10,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use br_datasets::rmat::{rmat, RmatConfig};
+use br_sparse::ops::spgemm_gustavson;
 use br_spgemm::accum::{merge_rows_into, BinThresholds, MergeScratch, RowBins};
-use br_spgemm::numeric::spgemm_dense_spa;
 
 struct CountingAlloc;
 
@@ -94,7 +94,7 @@ fn steady_state_merge_allocates_nothing() {
 
     // And the allocation-free passes still produce the exact result.
     assert_eq!((ptr, idx, val), warm);
-    let oracle = spgemm_dense_spa(&a, &a).unwrap();
+    let oracle = spgemm_gustavson(&a, &a).unwrap();
     assert_eq!(warm.0, oracle.ptr());
     assert_eq!(warm.1, oracle.idx());
     let bits: Vec<u64> = warm.2.iter().map(|v| v.to_bits()).collect();

@@ -176,7 +176,7 @@ fn print_usage() {
     println!("per-metric tolerances (nonzero exit on regression) — the CI perf gate.");
     println!();
     println!("--threads <n> (or the BR_THREADS env var) sets the host worker count for");
-    println!("the suite grid, the per-block simulator passes, and the numeric mergers;");
+    println!("the suite grid, the per-block simulator passes, and the numeric merge;");
     println!("1 = exact sequential path. Every simulated metric is bit-identical at any");
     println!("thread count; only wall clock changes. --no-host omits the wall-clock");
     println!("'host' section from the report so files byte-compare across runs.");
@@ -278,7 +278,9 @@ fn parse_options(args: &mut dyn Iterator<Item = String>) -> Options {
             "--scale" => {
                 o.scale = next_value(args, "--scale")
                     .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--scale must be a positive integer"))
+                    .ok()
+                    .filter(|&s| s > 0)
+                    .unwrap_or_else(|| usage_and_exit("--scale must be a positive integer"))
             }
             "--rmat" => {
                 let v = next_value(args, "--rmat");
@@ -517,7 +519,9 @@ fn parse_chain_options(args: &mut dyn Iterator<Item = String>) -> ChainOptions {
             "--scale" => {
                 o.scale = next_value(args, "--scale")
                     .parse()
-                    .unwrap_or_else(|_| usage_and_exit("--scale must be a positive integer"))
+                    .ok()
+                    .filter(|&s| s > 0)
+                    .unwrap_or_else(|| usage_and_exit("--scale must be a positive integer"))
             }
             "--seed" => {
                 o.seed = next_value(args, "--seed")

@@ -3,7 +3,8 @@
 use block_reorganizer::config::SplitPolicy;
 use block_reorganizer::split::SplitPlan;
 use blockreorg::prelude::*;
-use blockreorg::spgemm::numeric::{spgemm_dense_spa, spgemm_hash, spgemm_sort_reduce};
+use blockreorg::spgemm::accum::{spgemm_adaptive, BinThresholds};
+use blockreorg::spgemm::numeric::default_threads;
 use blockreorg::spgemm::pipeline::run_method;
 use blockreorg::spgemm::ProblemContext;
 use proptest::prelude::*;
@@ -68,14 +69,11 @@ proptest! {
     }
 
     #[test]
-    fn three_numeric_mergers_agree(a in square_csr(20, 50)) {
-        let spa = spgemm_dense_spa(&a, &a).expect("square shapes");
-        let esc = spgemm_sort_reduce(&a, &a).expect("square shapes");
-        let hash = spgemm_hash(&a, &a).expect("square shapes");
-        prop_assert_eq!(spa.ptr(), esc.ptr());
-        prop_assert_eq!(spa.idx(), esc.idx());
-        prop_assert!(spa.approx_eq(&esc, 1e-9));
-        prop_assert!(spa.approx_eq(&hash, 1e-9));
+    fn adaptive_engine_equals_the_oracle(a in square_csr(20, 50)) {
+        let oracle = spgemm_gustavson(&a, &a).expect("square shapes");
+        let thresholds = BinThresholds::recommended(a.ncols());
+        let c = spgemm_adaptive(&a, &a, default_threads(), thresholds).expect("square shapes");
+        prop_assert_eq!(c, oracle);
     }
 
     #[test]
