@@ -5,7 +5,7 @@
 //! `Arc`s, so a batch of repeats holds one copy of the data); the plan
 //! settings belong to the service. A [`JobSpec`] is the *declarative* form read
 //! from a job file — a matrix source plus a repeat count — which
-//! [`expand_jobs`] realizes into requests.
+//! [`expand_submissions`] realizes into requests.
 //!
 //! Job-file format: one job per line, `key=value` tokens separated by
 //! whitespace, `#` starts a comment. Exactly one source key per line:
@@ -23,18 +23,21 @@
 //! A `chain=` line turns the source into the *base matrix* of a canonical
 //! [`br_workloads::Workload`]; [`expand_submissions`] realizes such lines
 //! into [`crate::chain::ChainRequest`]s (and plain lines into
-//! [`JobRequest`]s) sharing one id namespace.
+//! [`JobRequest`]s) sharing one id namespace. [`JobKeys`] reads the keys
+//! one at a time: job files, wire specs and the CLI's operand flags all go
+//! through it, so every spelling of a spec is held to the same bounds.
 
 use std::sync::Arc;
 
 use block_reorganizer::pass::ReorgStats;
-use br_datasets::registry::{RealWorldRegistry, ScaleFactor};
+use br_datasets::registry::{DatasetSpec, RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_sparse::io::read_matrix_market_file;
 use br_sparse::CsrMatrix;
 use br_workloads::Workload;
 
 use crate::chain::ChainRequest;
+use crate::service::Work;
 
 /// One multiplication request `C = A · B`.
 #[derive(Debug, Clone)]
@@ -161,17 +164,9 @@ impl MatrixSource {
     /// Realizes the matrix, with errors that name the valid choices.
     pub fn load(&self) -> Result<CsrMatrix<f64>, String> {
         match self {
-            MatrixSource::Dataset { name, scale } => match RealWorldRegistry::get(name) {
-                Some(spec) => Ok(spec.generate(ScaleFactor::Div(*scale))),
-                None => {
-                    let valid: Vec<&str> =
-                        RealWorldRegistry::all().iter().map(|s| s.name).collect();
-                    Err(format!(
-                        "unknown dataset {name:?}; valid datasets: {}",
-                        valid.join(", ")
-                    ))
-                }
-            },
+            MatrixSource::Dataset { name, scale } => {
+                Ok(registry_spec(name)?.generate(ScaleFactor::Div(*scale)))
+            }
             MatrixSource::Rmat {
                 scale,
                 edge_factor,
@@ -181,6 +176,17 @@ impl MatrixSource {
                 .map_err(|e| format!("cannot read {path}: {e}")),
         }
     }
+}
+
+/// The registry surrogate `name` names, or an error listing the valid names.
+fn registry_spec(name: &str) -> Result<DatasetSpec, String> {
+    RealWorldRegistry::get(name).ok_or_else(|| {
+        let valid: Vec<&str> = RealWorldRegistry::all().iter().map(|s| s.name).collect();
+        format!(
+            "unknown dataset {name:?}; valid datasets: {}",
+            valid.join(", ")
+        )
+    })
 }
 
 /// One parsed job-file line.
@@ -218,101 +224,114 @@ pub fn parse_job_file(text: &str) -> Result<Vec<JobSpec>, String> {
 }
 
 fn parse_job_line(line: &str) -> Result<JobSpec, String> {
-    let mut source: Option<MatrixSource> = None;
-    let mut pair: Option<MatrixSource> = None;
-    let mut scale = 16usize;
-    let mut seed = 42u64;
-    let mut repeat = 1u32;
-    let mut dataset: Option<String> = None;
-    let mut rmat_dims: Option<(u32, usize)> = None;
-    let mut chain: Option<Workload> = None;
-
+    let mut keys = JobKeys::default();
     for token in line.split_whitespace() {
         let (key, value) = token
             .split_once('=')
             .ok_or_else(|| format!("expected key=value, got {token:?}"))?;
+        keys.set(key, value)
+            .map_err(|e| format!("bad {key} {value:?}: {e}"))?;
+    }
+    keys.finish()
+}
+
+/// One job spec read a `key=value` at a time: the per-key parser behind
+/// job files, wire specs and the CLI's operand flags. A later value of a
+/// key replaces an earlier one.
+#[derive(Debug, Clone, Default)]
+pub struct JobKeys {
+    dataset: Option<String>,
+    input: Option<String>,
+    rmat: Option<(u32, usize)>,
+    pair: Option<String>,
+    scale: Option<usize>,
+    seed: Option<u64>,
+    repeat: Option<u32>,
+    chain: Option<Workload>,
+}
+
+impl JobKeys {
+    /// Reads `key=value`. The error says what is wrong with the value but
+    /// not which key it was, so a job file and a command line can each name
+    /// the key their own way.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         match key {
-            "dataset" => dataset = Some(value.to_string()),
-            "input" => source = Some(MatrixSource::File(value.to_string())),
-            "pair" => pair = Some(MatrixSource::File(value.to_string())),
-            "rmat" => {
-                let (s, ef) = value
-                    .split_once(',')
-                    .ok_or_else(|| "rmat expects <scale,edge-factor>".to_string())?;
-                let s: u32 = s.parse().map_err(|_| format!("bad rmat scale {s:?}"))?;
-                let ef: usize = ef
-                    .parse()
-                    .map_err(|_| format!("bad rmat edge factor {ef:?}"))?;
-                // The dimension 2^scale must fit the u32 indices, and the
-                // 2^scale · edge-factor edges must fit the dim² grid.
-                if s > MAX_RMAT_SCALE {
-                    return Err(format!("rmat scale {s} exceeds {MAX_RMAT_SCALE}"));
-                }
-                if ef as u64 > 1u64 << s {
-                    return Err(format!(
-                        "rmat edge factor {ef} exceeds 2^scale = {}",
-                        1u64 << s
-                    ));
-                }
-                rmat_dims = Some((s, ef));
-            }
+            "dataset" => self.dataset = Some(value.to_string()),
+            "input" => self.input = Some(value.to_string()),
+            "pair" => self.pair = Some(value.to_string()),
+            "rmat" => self.rmat = Some(parse_rmat(value)?),
             "scale" => {
-                scale = value
-                    .parse()
-                    .ok()
-                    .filter(|&s| s > 0)
-                    .ok_or_else(|| format!("bad scale {value:?} (positive integer)"))?
+                let scale = value.parse().ok().filter(|&s| s > 0);
+                self.scale = Some(scale.ok_or("must be a positive integer")?);
             }
-            "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("bad seed {value:?} (integer)"))?
-            }
+            "seed" => self.seed = Some(value.parse().map_err(|_| "must be an integer")?),
             "repeat" => {
-                repeat = value
-                    .parse()
-                    .map_err(|_| format!("bad repeat {value:?} (positive integer)"))?;
-                if repeat == 0 {
-                    return Err("repeat must be >= 1".to_string());
-                }
+                let repeat = value.parse().ok().filter(|&r| r > 0);
+                self.repeat = Some(repeat.ok_or("must be a positive integer")?);
             }
-            "chain" => {
-                chain = Some(Workload::parse(value).map_err(|e| format!("bad chain: {e}"))?)
-            }
-            other => {
-                return Err(format!(
-                    "unknown key {other:?} (valid: dataset, input, pair, rmat, scale, seed, repeat, chain)"
-                ))
+            "chain" => self.chain = Some(Workload::parse(value)?),
+            _ => {
+                return Err(
+                    "unknown key (valid: dataset, input, pair, rmat, scale, seed, repeat, chain)"
+                        .to_string(),
+                )
             }
         }
+        Ok(())
     }
 
-    if let Some(name) = dataset {
-        if source.is_some() || rmat_dims.is_some() {
-            return Err("give exactly one of dataset / input / rmat".to_string());
+    /// The spec the keys describe, `scale=16 seed=42 repeat=1` unless
+    /// given: exactly one source, a dataset the registry knows, and no
+    /// `pair=` under `chain=`.
+    pub fn finish(self) -> Result<JobSpec, String> {
+        let source = match (self.dataset, self.input, self.rmat) {
+            (Some(name), None, None) => {
+                registry_spec(&name)?;
+                MatrixSource::Dataset {
+                    name,
+                    scale: self.scale.unwrap_or(16),
+                }
+            }
+            (None, Some(path), None) => MatrixSource::File(path),
+            (None, None, Some((scale, edge_factor))) => MatrixSource::Rmat {
+                scale,
+                edge_factor,
+                seed: self.seed.unwrap_or(42),
+            },
+            _ => return Err("give exactly one source: dataset, input or rmat".to_string()),
+        };
+        if self.chain.is_some() && self.pair.is_some() {
+            return Err(
+                "chain= uses the source as its base matrix; pair= is incompatible".to_string(),
+            );
         }
-        source = Some(MatrixSource::Dataset { name, scale });
+        Ok(JobSpec {
+            source,
+            pair: self.pair.map(MatrixSource::File),
+            repeat: self.repeat.unwrap_or(1),
+            chain: self.chain,
+        })
     }
-    if let Some((s, ef)) = rmat_dims {
-        if source.is_some() {
-            return Err("give exactly one of dataset / input / rmat".to_string());
-        }
-        source = Some(MatrixSource::Rmat {
-            scale: s,
-            edge_factor: ef,
-            seed,
-        });
+}
+
+/// `<scale>,<edge-factor>`, bounded so the generator can build it: the
+/// dimension `2^scale` must fit the `u32` indices, and the
+/// `2^scale · edge-factor` edges must fit the `dim²` grid.
+fn parse_rmat(value: &str) -> Result<(u32, usize), String> {
+    let (s, ef) = value.split_once(',').ok_or("expects <scale,edge-factor>")?;
+    let s: u32 = s
+        .parse()
+        .map_err(|_| format!("scale {s:?} is not an integer"))?;
+    let ef: usize = ef
+        .parse()
+        .map_err(|_| format!("edge factor {ef:?} is not an integer"))?;
+    if s > MAX_RMAT_SCALE {
+        return Err(format!("scale {s} exceeds {MAX_RMAT_SCALE}"));
     }
-    let source = source.ok_or_else(|| "missing source (dataset= / input= / rmat=)".to_string())?;
-    if chain.is_some() && pair.is_some() {
-        return Err("chain= uses the source as its base matrix; pair= is incompatible".to_string());
+    if ef as u64 > 1u64 << s {
+        return Err(format!("edge factor {ef} exceeds 2^scale = {}", 1u64 << s));
     }
-    Ok(JobSpec {
-        source,
-        pair,
-        repeat,
-        chain,
-    })
+    Ok((s, ef))
 }
 
 /// Jobs and chains realized from one job file, sharing an id namespace in
@@ -325,20 +344,21 @@ pub struct Submissions {
     pub chains: Vec<ChainRequest>,
 }
 
-/// Realizes specs into requests. Repeats of one spec share the same `Arc`'d
-/// operands, so the service sees structurally identical submissions — the
-/// plan-cache amortization case. `chain=` lines are rejected here; use
-/// [`expand_submissions`] when the file may mix jobs and chains.
-pub fn expand_jobs(specs: &[JobSpec]) -> Result<Vec<JobRequest>, String> {
-    if specs.iter().any(|s| s.chain.is_some()) {
-        return Err("job list contains chain= lines; use expand_submissions".to_string());
+impl Submissions {
+    /// Every request as service work, in file order.
+    pub fn into_work(self) -> Vec<Work> {
+        let jobs = self.jobs.into_iter().map(Work::from);
+        let mut work: Vec<Work> = jobs
+            .chain(self.chains.into_iter().map(Work::from))
+            .collect();
+        work.sort_by_key(|w| w.name().1);
+        work
     }
-    Ok(expand_submissions(specs)?.jobs)
 }
 
-/// Realizes specs into jobs *and* chains. Chain repeats share the same
-/// prepared inputs, so a repeated chain replays identical structures — the
-/// chain-level plan-cache amortization case.
+/// Realizes specs into jobs and chains. Repeats of one spec share the same
+/// `Arc`'d operands (a chain's, its prepared inputs), so the service sees
+/// structurally identical submissions — the plan-cache amortization case.
 pub fn expand_submissions(specs: &[JobSpec]) -> Result<Submissions, String> {
     let mut out = Submissions::default();
     let mut id = 0u64;
@@ -437,6 +457,29 @@ mod tests {
     }
 
     #[test]
+    fn keys_read_one_at_a_time_keep_a_path_with_spaces() {
+        let mut keys = JobKeys::default();
+        keys.set("input", "my matrices/a b.mtx").unwrap();
+        keys.set("pair", "other dir/b.mtx").unwrap();
+        let spec = keys.finish().unwrap();
+        assert_eq!(
+            spec.source,
+            MatrixSource::File("my matrices/a b.mtx".into())
+        );
+        assert_eq!(
+            spec.pair,
+            Some(MatrixSource::File("other dir/b.mtx".into()))
+        );
+        // The error leaves naming the key to the caller.
+        let err = JobKeys::default().set("scale", "0").unwrap_err();
+        assert_eq!(err, "must be a positive integer");
+        let mut keys = JobKeys::default();
+        keys.set("dataset", "nope").unwrap();
+        let err = keys.finish().unwrap_err();
+        assert!(err.contains("as-caida"), "must list valid names: {err}");
+    }
+
+    #[test]
     fn unknown_dataset_error_lists_valid_choices() {
         let err = MatrixSource::Dataset {
             name: "nope".into(),
@@ -481,15 +524,16 @@ mod tests {
             &subs.chains[0].inputs[0],
             &subs.chains[1].inputs[0]
         ));
-        // expand_jobs refuses mixed files with a pointer to the right API.
-        let err = expand_jobs(&specs).unwrap_err();
-        assert!(err.contains("expand_submissions"), "{err}");
+        // As service work, a chain line ahead of a job line stays ahead.
+        let specs = parse_job_file("chain=triangle rmat=6,4\nrmat=6,4\n").unwrap();
+        let work = expand_submissions(&specs).unwrap().into_work();
+        assert!(matches!(&work[..], [Work::Chain(c), Work::Job(j)] if c.id == 0 && j.id == 1));
     }
 
     #[test]
     fn expand_shares_operands_across_repeats() {
         let specs = parse_job_file("rmat=6,4 repeat=3").unwrap();
-        let jobs = expand_jobs(&specs).unwrap();
+        let jobs = expand_submissions(&specs).unwrap().jobs;
         assert_eq!(jobs.len(), 3);
         assert!(Arc::ptr_eq(&jobs[0].a, &jobs[1].a));
         assert!(Arc::ptr_eq(&jobs[1].a, &jobs[2].a));

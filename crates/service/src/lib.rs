@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use crate::engine::{Engine, RunOutcome, Worker};
     pub use crate::job::{
-        expand_jobs, expand_submissions, parse_job_file, JobError, JobOutcome, JobRequest, JobSpec,
+        expand_submissions, parse_job_file, JobError, JobKeys, JobOutcome, JobRequest, JobSpec,
         MatrixSource, Submissions,
     };
     pub use crate::queue::{JobQueue, Lane, PushError};

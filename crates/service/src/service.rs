@@ -116,7 +116,7 @@ pub enum Work {
 
 impl Work {
     /// What reports name the work by: its kind, id, and label.
-    fn name(&self) -> (&'static str, u64, &str) {
+    pub(crate) fn name(&self) -> (&'static str, u64, &str) {
         match self {
             Work::Job(job) => ("job", job.id, &job.label),
             Work::Chain(chain) => ("chain", chain.id, &chain.label),

@@ -124,12 +124,25 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>>
         });
     }
     let (nrows, ncols, declared_nnz) = (dims[0], dims[1], dims[2]);
-
-    let cap = match symmetry {
-        MmSymmetry::General => declared_nnz,
-        _ => declared_nnz * 2,
+    let size_error = |message: String| SparseError::ParseError {
+        line: size_line_no,
+        message,
     };
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, cap);
+    if nrows > u32::MAX as usize || ncols > u32::MAX as usize {
+        return Err(size_error(format!(
+            "dimensions {nrows}x{ncols} exceed the u32 index range"
+        )));
+    }
+    if declared_nnz as u64 > nrows as u64 * ncols as u64 {
+        return Err(size_error(format!(
+            "header declares {declared_nnz} entries, more than a {nrows}x{ncols} matrix holds"
+        )));
+    }
+
+    // Capacity grows with the entries actually read: the header's count is
+    // untrusted, and reserving from it lets a short file claim any amount
+    // of memory.
+    let mut coo = CooMatrix::new(nrows, ncols);
     let mut seen = 0usize;
     for (n, line) in lines {
         let line = line?;
@@ -154,6 +167,14 @@ pub fn read_matrix_market<T: Scalar, R: Read>(reader: R) -> Result<CooMatrix<T>>
             return Err(SparseError::ParseError {
                 line: n + 1,
                 message: "MatrixMarket indices are 1-based; found 0".to_string(),
+            });
+        }
+        // Checked before the `u32` cast below, which would wrap an index
+        // past 2^32 onto a valid one.
+        if r1 > nrows || c1 > ncols {
+            return Err(SparseError::ParseError {
+                line: n + 1,
+                message: format!("entry ({r1}, {c1}) lies outside the {nrows}x{ncols} header"),
             });
         }
         let v = match field {
@@ -285,6 +306,52 @@ mod tests {
     fn rejects_zero_based_indices() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n";
         assert!(read_matrix_market::<f64, _>(text.as_bytes()).is_err());
+    }
+
+    /// The parse error a header or entry produces, with its line number.
+    fn parse_error(text: &str) -> (usize, String) {
+        match read_matrix_market::<f64, _>(text.as_bytes()) {
+            Err(SparseError::ParseError { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_dimensions_beyond_u32() {
+        let (line, message) =
+            parse_error("%%MatrixMarket matrix coordinate real general\n4294967296 1 0\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("4294967296x1"), "{message}");
+    }
+
+    #[test]
+    fn rejects_a_count_the_dimensions_cannot_hold_before_reserving() {
+        let (line, message) =
+            parse_error("%%MatrixMarket matrix coordinate real general\n2 2 4294967295\n1 1 1.0\n");
+        assert_eq!(line, 2);
+        assert!(message.contains("4294967295 entries"), "{message}");
+    }
+
+    #[test]
+    fn symmetric_count_near_the_top_of_usize_is_a_count_mismatch() {
+        // Within nrows·ncols, so only the entry count catches it; doubling
+        // it for the mirrored half would overflow.
+        let (_, message) = parse_error(
+            "%%MatrixMarket matrix coordinate real symmetric\n\
+             4294967295 4294967295 9223372036854775808\n1 1 1.0\n",
+        );
+        assert!(message.contains("found 1"), "{message}");
+    }
+
+    #[test]
+    fn rejects_an_index_past_the_header_instead_of_wrapping_it() {
+        let (line, message) =
+            parse_error("%%MatrixMarket matrix coordinate real general\n3 3 1\n4294967297 1 2.5\n");
+        assert_eq!(line, 3);
+        assert!(message.contains("(4294967297, 1)"), "{message}");
+        let (_, message) =
+            parse_error("%%MatrixMarket matrix coordinate pattern general\n3 3 1\n1 4\n");
+        assert!(message.contains("outside the 3x3 header"), "{message}");
     }
 
     #[test]
