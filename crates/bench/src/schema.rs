@@ -170,7 +170,7 @@ pub struct PlanCaseReport {
     /// `outer-product`, `esc`, `hash`).
     pub method: String,
     /// Modeled host operations of the plan build — the deterministic
-    /// cold-plan latency metric the CI `plan-bench` job gates on.
+    /// cold-plan latency metric, pinned by the estplan baseline.
     pub ops: u64,
     /// Columns of `A` the estimator sampled (0 on the exact path).
     pub sampled_cols: u64,

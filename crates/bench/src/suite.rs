@@ -755,7 +755,7 @@ fn run_service_batch(suite: Suite, threads: usize, settings: &PlanSettings) -> S
         let spec = RealWorldRegistry::get(dataset).expect("registry dataset");
         let a = Arc::new(spec.generate(scale));
         for _ in 0..repeats {
-            jobs.push(JobRequest::square(id, a.clone()).with_label(dataset));
+            jobs.push(ChainRequest::square(id, a.clone()).with_label(dataset));
             id += 1;
         }
     }

@@ -1,8 +1,7 @@
 //! Block Reorganizer tuning knobs.
 
+use br_sparse::hash::{fnv_mix, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
-
-use crate::reorder::{fnv_mix, FNV_OFFSET};
 
 /// Bytes of one shared-memory allocation unit used by B-Limiting; the paper
 /// "increases the allocated memory by 6144 bytes" per limiting step.

@@ -40,17 +40,9 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use br_obs::Counter;
+use br_sparse::hash::{fnv1a, fnv_mix, splitmix64, FNV_OFFSET};
 use br_sparse::{CsrMatrix, Scalar};
 use serde::{Deserialize, Serialize};
-
-/// FNV-1a offset basis (the same constants the plan fingerprints use).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-pub(crate) fn fnv_mix(hash: u64, value: u64) -> u64 {
-    (hash ^ value).wrapping_mul(FNV_PRIME)
-}
 
 /// Which row ordering the planner applies to A before analysis.
 ///
@@ -129,13 +121,7 @@ impl ReorderStrategy {
     pub fn fingerprint(self) -> u64 {
         match self {
             ReorderStrategy::None => 0,
-            other => {
-                let mut hash = FNV_OFFSET;
-                for byte in other.name().bytes() {
-                    hash = fnv_mix(hash, byte as u64);
-                }
-                hash
-            }
+            other => fnv1a(other.name().as_bytes()),
         }
     }
 }
@@ -294,16 +280,6 @@ fn bandwidth_under<T: Scalar>(a: &CsrMatrix<T>, order: Option<&[u32]>) -> u64 {
         }
     }
     widest
-}
-
-/// splitmix64 — the estimator's sampling PRNG, reproduced locally so the
-/// auto-selector's row sample is seeded by structure alone.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Number of rows the auto-selector samples.

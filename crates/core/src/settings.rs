@@ -9,11 +9,12 @@
 //! them in one value means the plan build and the plan-cache key read the
 //! same thing, and nothing reads process-wide state.
 
+use br_sparse::hash::{fnv_mix, FNV_OFFSET};
 use br_spgemm::accum::BinThresholds;
 use br_spgemm::estimate::EstimatorConfig;
 
 use crate::config::ReorganizerConfig;
-use crate::reorder::{fnv_mix, ReorderStrategy, FNV_OFFSET};
+use crate::reorder::ReorderStrategy;
 
 /// Everything a plan is a function of besides structure and device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -16,6 +16,7 @@
 
 use crate::chung_lu::{chung_lu, ChungLuConfig};
 use crate::mesh::{banded, stencil3d};
+use br_sparse::hash::fnv1a;
 use br_sparse::CsrMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -162,7 +163,7 @@ impl DatasetSpec {
     pub fn generate(&self, scale: ScaleFactor) -> CsrMatrix<f64> {
         let dim = self.scaled_dim(scale);
         let nnz = self.scaled_nnz(scale);
-        let seed = fnv1a(self.name);
+        let seed = fnv1a(self.name.as_bytes());
         match self.recipe {
             Recipe::Stencil { reach } => {
                 // Pick grid sides multiplying to ≈ dim.
@@ -183,16 +184,6 @@ impl DatasetSpec {
             .to_csr(),
         }
     }
-}
-
-/// 64-bit FNV-1a over the dataset name — a stable, dependency-free seed.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// The full Table II registry.

@@ -11,6 +11,7 @@
 
 use crate::registry::ScaleFactor;
 use crate::rmat::{rmat, RmatConfig};
+use br_sparse::hash::fnv1a;
 use br_sparse::CsrMatrix;
 
 /// Which product the dataset is used for.
@@ -68,7 +69,7 @@ impl SyntheticSpec {
 
     /// Generates `A` at the given scale.
     pub fn generate_a(&self, scale: ScaleFactor) -> CsrMatrix<f64> {
-        self.gen_one(self.elements, scale, fnv(self.name) ^ 0xA)
+        self.gen_one(self.elements, scale, fnv1a(self.name.as_bytes()) ^ 0xA)
     }
 
     /// Generates `B` at the given scale: the independent pair partner for
@@ -76,18 +77,11 @@ impl SyntheticSpec {
     pub fn generate_b(&self, scale: ScaleFactor) -> CsrMatrix<f64> {
         match self.op {
             SyntheticOp::Square => self.generate_a(scale),
-            SyntheticOp::Pair => self.gen_one(self.elements_b, scale, fnv(self.name) ^ 0xB),
+            SyntheticOp::Pair => {
+                self.gen_one(self.elements_b, scale, fnv1a(self.name.as_bytes()) ^ 0xB)
+            }
         }
     }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 const UNIFORM: [f64; 4] = [0.25, 0.25, 0.25, 0.25];

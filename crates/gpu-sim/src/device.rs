@@ -188,12 +188,7 @@ impl DeviceConfig {
         // FNV-1a over the Debug rendering: every field (including nested
         // `CostParams`) participates, and Rust's float formatting is the
         // shortest exact round-trip, so the text is canonical.
-        let mut h = 0xcbf29ce484222325u64;
-        for b in format!("{self:?}").bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        br_sparse::hash::fnv1a(format!("{self:?}").as_bytes())
     }
 }
 

@@ -53,9 +53,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use br_obs::{lock_recover, Counter, Registry};
-use br_service::chain::ChainRequest;
-use br_service::job::{parse_job_file, JobRequest, MatrixSource};
-use br_service::service::{Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work};
+use br_service::chain::{ChainRequest, RequestKind};
+use br_service::job::{parse_job_file, MatrixSource};
+use br_service::service::{Completion, Reply, ServiceConfig, SpgemmService, SubmitError};
 
 use crate::frame::{
     read_frame, write_frame, ChainStepSummary, Frame, FrameError, Lane, RejectCode, VERSION,
@@ -455,7 +455,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                     lane,
                     deadline_ms,
                     &spec,
-                    SubmitKind::Single,
+                    RequestKind::Job,
                 ),
                 Frame::SubmitChain {
                     request_id,
@@ -470,7 +470,7 @@ fn connection_loop(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
                     lane,
                     deadline_ms,
                     &spec,
-                    SubmitKind::Chain,
+                    RequestKind::Chain,
                 ),
                 Frame::Release => {
                     shared.service.release();
@@ -522,14 +522,6 @@ impl Client {
     }
 }
 
-/// Which frame type carried a submission — decides how its spec is
-/// materialized (and which shape of result answers it).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SubmitKind {
-    Single,
-    Chain,
-}
-
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     shared: &Shared,
@@ -539,7 +531,7 @@ fn handle_submit(
     lane: Lane,
     deadline_ms: u32,
     spec: &str,
-    kind: SubmitKind,
+    kind: RequestKind,
 ) {
     let i = &shared.instruments;
     i.requests[lane.index()].inc();
@@ -570,8 +562,8 @@ fn handle_submit(
         draining();
         return;
     }
-    let work = match materialize_spec(spec, kind, request_id) {
-        Ok(work) => work,
+    let request = match materialize_spec(spec, kind, request_id) {
+        Ok(request) => request,
         Err(message) => {
             reject(&i.reject_bad_spec, RejectCode::BadSpec, message);
             return;
@@ -592,7 +584,7 @@ fn handle_submit(
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms as u64));
     match shared
         .service
-        .submit_with(work, lane, deadline, client.reply.clone())
+        .submit_with(request, lane, deadline, client.reply.clone())
     {
         Ok(depth) => {
             i.admitted[lane.index()].inc();
@@ -624,11 +616,16 @@ fn handle_submit(
 const NO_FILE_SOURCES: &str =
     "file sources (input=, pair=) are not accepted over the wire; use dataset= or rmat=";
 
-/// Parses a one-line job spec and loads its operands (or builds the chain
-/// request, for `SubmitChain`). The spec's `chain=` key must agree with
-/// the frame type that carried it, and it may not name a file: the server
-/// opens nothing on a client's behalf.
-fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<Work, String> {
+/// Parses a one-line job spec and loads its operands into the request
+/// (a one-step multiplication for `Submit`, a chain for `SubmitChain`).
+/// The spec's `chain=` key must agree with the frame type that carried it,
+/// and it may not name a file: the server opens nothing on a client's
+/// behalf.
+fn materialize_spec(
+    spec: &str,
+    kind: RequestKind,
+    request_id: u64,
+) -> Result<ChainRequest, String> {
     let specs = parse_job_file(spec)?;
     let [one] = specs.as_slice() else {
         return Err("a Submit frame carries exactly one job line".to_string());
@@ -641,51 +638,48 @@ fn materialize_spec(spec: &str, kind: SubmitKind, request_id: u64) -> Result<Wor
         return Err(NO_FILE_SOURCES.to_string());
     }
     match (kind, one.chain) {
-        (SubmitKind::Single, Some(_)) => {
+        (RequestKind::Job, Some(_)) => {
             Err("chain= specs travel in SubmitChain frames, not Submit".to_string())
         }
-        (SubmitKind::Chain, None) => Err(
+        (RequestKind::Chain, None) => Err(
             "a SubmitChain spec needs a chain= key (use Submit for one multiplication)".to_string(),
         ),
-        (SubmitKind::Single, None) => {
+        (RequestKind::Job, None) => {
             let a = Arc::new(one.source.load()?);
             let b = match &one.pair {
                 Some(src) => Arc::new(src.load()?),
                 None => a.clone(),
             };
-            Ok(JobRequest::multiply(request_id, a, b)
-                .with_label(one.source.label())
-                .into())
+            Ok(ChainRequest::multiply(request_id, a, b).with_label(one.source.label()))
         }
-        (SubmitKind::Chain, Some(workload)) => {
+        (RequestKind::Chain, Some(workload)) => {
             let base = one.source.load()?;
             let label = format!("{}:{}", one.source.label(), workload.spec());
-            Ok(ChainRequest::workload(request_id, workload, &base)
-                .with_label(label)
-                .into())
+            Ok(ChainRequest::workload(request_id, workload, &base).with_label(label))
         }
     }
 }
 
 /// The one frame that answers an admitted request, counted by how it
-/// ended: the engine's typed outcome becomes a `Result` / `ChainResult`,
-/// its error a `Reject(Failed)` naming what went wrong, and an expired
-/// deadline a `Reject(DeadlineExpired)`.
+/// ended: the engine's typed outcome becomes a `Result` for a plain job
+/// and a `ChainResult` for a chain, its error a `Reject(Failed)` naming
+/// what went wrong, and an expired deadline a `Reject(DeadlineExpired)`.
 fn answer(i: &NetInstruments, lane: Lane, done: Completion) -> Frame {
     match done {
-        Completion::Job(outcome) => {
+        Completion::Done(outcome) if outcome.kind == RequestKind::Job => {
             i.results[lane.index()].inc();
+            let step = &outcome.steps[0];
             Frame::Result {
                 request_id: outcome.id,
-                label: outcome.label,
                 worker: outcome.worker as u32,
-                cache_hit: outcome.cache_hit,
+                cache_hit: step.cache_hit,
                 total_ms: outcome.total_ms,
-                gflops: outcome.gflops,
-                nnz_c: outcome.nnz_c as u64,
+                gflops: step.gflops,
+                nnz_c: outcome.result.nnz() as u64,
+                label: outcome.label,
             }
         }
-        Completion::Chain(outcome) => {
+        Completion::Done(outcome) => {
             i.results[lane.index()].inc();
             Frame::ChainResult {
                 request_id: outcome.id,

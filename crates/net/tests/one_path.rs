@@ -71,28 +71,15 @@ fn through_the_service() -> (Vec<Answer>, Counts) {
             .with_registry(registry.clone()),
     );
     for (id, line) in SPECS.iter().enumerate() {
-        let mut subs = expand_submissions(&parse_job_file(line).unwrap()).unwrap();
-        if let Some(mut chain) = subs.chains.pop() {
-            chain.id = id as u64;
-            service.submit(chain).unwrap();
-        } else {
-            let mut job = subs.jobs.pop().unwrap();
-            job.id = id as u64;
-            service.submit(job).unwrap();
-        }
+        let mut requests = expand_submissions(&parse_job_file(line).unwrap()).unwrap();
+        let mut request = requests.pop().unwrap();
+        request.id = id as u64;
+        service.submit(request).unwrap();
     }
     let batch = service.drain();
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
     let mut answers: BTreeMap<u64, Answer> = BTreeMap::new();
-    for job in &batch.outcomes {
-        let answer = (
-            vec![(job.cache_hit, job.total_ms.to_bits())],
-            job.total_ms.to_bits(),
-            job.nnz_c as u64,
-        );
-        answers.insert(job.id, answer);
-    }
-    for chain in &batch.chains {
+    for chain in &batch.outcomes {
         let steps = chain
             .steps
             .iter()

@@ -114,8 +114,7 @@ struct Inner {
 
 impl Inner {
     /// Evicts the least-recently-used entry if inserting `key` would
-    /// overflow `capacity`, returning whether an eviction happened. Shared
-    /// by [`PlanCache::insert`] and [`PlanCache::get_or_build`].
+    /// overflow `capacity`, returning whether an eviction happened.
     fn make_room_for(&mut self, key: &PlanKey, capacity: usize) -> bool {
         if !self.map.contains_key(key) && self.map.len() >= capacity {
             if let Some(victim) = self
@@ -249,41 +248,6 @@ impl PlanCache {
         &self.registry
     }
 
-    /// Looks up a plan, counting a hit or a miss and refreshing recency.
-    pub fn lookup(&self, key: &PlanKey) -> Option<Arc<ReorgPlan>> {
-        let mut inner = lock_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let plan = entry.plan.clone();
-                self.count_hit(&mut inner);
-                Some(plan)
-            }
-            None => {
-                self.count_miss(&mut inner);
-                None
-            }
-        }
-    }
-
-    /// Inserts (or replaces) a plan, evicting the least-recently-used entry
-    /// if the cache is full.
-    pub fn insert(&self, key: PlanKey, plan: Arc<ReorgPlan>) {
-        let mut inner = lock_recover(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        self.make_room_for(&mut inner, &key);
-        inner.map.insert(
-            key,
-            Entry {
-                plan,
-                last_used: tick,
-            },
-        );
-    }
-
     /// Returns the cached plan for `key`, building and inserting it with
     /// `build` on a miss. Single-flight: when several workers race on the
     /// same absent key, exactly one runs `build` (counted as **one miss**)
@@ -413,15 +377,25 @@ mod tests {
         (key, plan, ctx)
     }
 
+    /// Builds `key` into `cache` (or hits it), returning whether the plan
+    /// came from the cache.
+    fn fetch(cache: &PlanCache, key: &PlanKey, plan: &Arc<ReorgPlan>) -> bool {
+        cache.get_or_build(key, || plan.clone()).1
+    }
+
+    /// Whether `key` hits, without ever building it.
+    fn hit(cache: &PlanCache, key: &PlanKey) -> bool {
+        cache.get_or_build(key, || panic!("must not rebuild")).1
+    }
+
     #[test]
     fn hit_on_identical_signature_miss_on_different() {
         let cache = PlanCache::new(8);
         let (key, plan, _) = plan_for(1);
-        assert!(cache.lookup(&key).is_none());
-        cache.insert(key.clone(), plan);
-        assert!(cache.lookup(&key).is_some());
-        let (other_key, _, _) = plan_for(2);
-        assert!(cache.lookup(&other_key).is_none());
+        assert!(!fetch(&cache, &key, &plan));
+        assert!(hit(&cache, &key));
+        let (other_key, other_plan, _) = plan_for(2);
+        assert!(!fetch(&cache, &other_key, &other_plan));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
     }
@@ -436,15 +410,13 @@ mod tests {
         let key_of = |ctx: &ProblemContext<f64>| {
             PlanKey::for_settings(ctx.signature(), &dev.name, &settings)
         };
-        cache.insert(
-            key_of(&ctx),
-            Arc::new(ReorgPlan::build(&ctx, &dev, &settings)),
-        );
+        let plan = Arc::new(ReorgPlan::build(&ctx, &dev, &settings));
+        assert!(!fetch(&cache, &key_of(&ctx), &plan));
 
         // Same structure, new values → same key → hit.
         let scaled = a.map_values(|v| v + 1.0);
         let scaled_ctx = ProblemContext::new(&scaled, &scaled).unwrap();
-        assert!(cache.lookup(&key_of(&scaled_ctx)).is_some());
+        assert!(hit(&cache, &key_of(&scaled_ctx)));
 
         // Structure mutated (an entry pruned) → different key → miss.
         let mut val = a.val().to_vec();
@@ -459,7 +431,7 @@ mod tests {
         .unwrap()
         .prune(1e-12);
         let mutated_ctx = ProblemContext::new(&mutated, &mutated).unwrap();
-        assert!(cache.lookup(&key_of(&mutated_ctx)).is_none());
+        assert!(!cache.contains(&key_of(&mutated_ctx)));
     }
 
     #[test]
@@ -558,11 +530,11 @@ mod tests {
         let (ka, pa, _) = plan_for(10);
         let (kb, pb, _) = plan_for(11);
         let (kc, pc, _) = plan_for(12);
-        cache.insert(ka.clone(), pa);
-        cache.insert(kb.clone(), pb);
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
         // Touch A so B becomes the LRU victim.
-        assert!(cache.lookup(&ka).is_some());
-        cache.insert(kc.clone(), pc);
+        assert!(hit(&cache, &ka));
+        fetch(&cache, &kc, &pc);
         assert!(cache.contains(&ka), "recently-used survives");
         assert!(!cache.contains(&kb), "LRU entry is evicted");
         assert!(cache.contains(&kc));
@@ -572,25 +544,25 @@ mod tests {
 
     #[test]
     fn eviction_follows_exact_recency_order_across_multiple_evictions() {
-        // Fill to capacity 3, then establish recency A < C < B by lookups
-        // and verify successive inserts evict in exactly that order.
+        // Fill to capacity 3, then establish recency A < C < B by hits
+        // and verify successive builds evict in exactly that order.
         let cache = PlanCache::new(3);
         let (ka, pa, _) = plan_for(40);
         let (kb, pb, _) = plan_for(41);
         let (kc, pc, _) = plan_for(42);
         let (kd, pd, _) = plan_for(43);
         let (ke, pe, _) = plan_for(44);
-        cache.insert(ka.clone(), pa);
-        cache.insert(kb.clone(), pb);
-        cache.insert(kc.clone(), pc);
-        assert!(cache.lookup(&kc).is_some());
-        assert!(cache.lookup(&kb).is_some());
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
+        fetch(&cache, &kc, &pc);
+        assert!(hit(&cache, &kc));
+        assert!(hit(&cache, &kb));
 
-        cache.insert(kd.clone(), pd);
+        fetch(&cache, &kd, &pd);
         assert!(!cache.contains(&ka), "A is oldest → first victim");
         assert!(cache.contains(&kb) && cache.contains(&kc) && cache.contains(&kd));
 
-        cache.insert(ke.clone(), pe);
+        fetch(&cache, &ke, &pe);
         assert!(!cache.contains(&kc), "C is next-oldest → second victim");
         assert!(cache.contains(&kb) && cache.contains(&kd) && cache.contains(&ke));
         assert_eq!(cache.stats().evictions, 2);
@@ -598,38 +570,39 @@ mod tests {
     }
 
     #[test]
-    fn insert_refreshes_recency_like_a_lookup() {
-        // Re-inserting an existing key must protect it from the next
-        // eviction exactly as a lookup would.
+    fn a_repeat_request_refreshes_recency() {
+        // Requesting a resident key again must protect it from the next
+        // eviction.
         let cache = PlanCache::new(2);
         let (ka, pa, _) = plan_for(50);
         let (kb, pb, _) = plan_for(51);
         let (kc, pc, _) = plan_for(52);
-        cache.insert(ka.clone(), pa.clone());
-        cache.insert(kb.clone(), pb);
-        cache.insert(ka.clone(), pa); // refresh A; B is now the LRU entry
-        cache.insert(kc, pc);
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
+        assert!(fetch(&cache, &ka, &pa)); // refresh A; B is now the LRU entry
+        fetch(&cache, &kc, &pc);
         assert!(cache.contains(&ka), "refreshed entry survives");
         assert!(!cache.contains(&kb), "stale entry is the victim");
     }
 
     #[test]
-    fn missed_lookup_does_not_disturb_recency() {
+    fn probing_an_absent_key_does_not_disturb_recency() {
         let cache = PlanCache::new(2);
         let (ka, pa, _) = plan_for(60);
         let (kb, pb, _) = plan_for(61);
         let (kc, pc, _) = plan_for(62);
         let (kd, _, _) = plan_for(63);
-        cache.insert(ka.clone(), pa);
-        cache.insert(kb.clone(), pb);
-        // Misses on an absent key must not age or refresh resident entries.
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
+        // Probes of an absent key must not age or refresh resident
+        // entries, nor count as lookups.
         for _ in 0..5 {
-            assert!(cache.lookup(&kd).is_none());
+            assert!(!cache.contains(&kd));
         }
-        cache.insert(kc, pc);
+        fetch(&cache, &kc, &pc);
         assert!(!cache.contains(&ka), "A is still the LRU victim");
         assert!(cache.contains(&kb));
-        assert_eq!(cache.stats().misses, 5);
+        assert_eq!(cache.stats().misses, 3);
     }
 
     #[test]
@@ -637,8 +610,8 @@ mod tests {
         let cache = PlanCache::new(1);
         let (ka, pa, _) = plan_for(70);
         let (kb, pb, _) = plan_for(71);
-        cache.insert(ka.clone(), pa);
-        cache.insert(kb.clone(), pb);
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
         assert!(!cache.contains(&ka));
         assert!(cache.contains(&kb));
         assert_eq!(cache.stats().evictions, 1);
@@ -646,13 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn reinserting_an_existing_key_does_not_evict() {
+    fn requesting_a_resident_key_does_not_evict() {
         let cache = PlanCache::new(2);
         let (ka, pa, _) = plan_for(20);
         let (kb, pb, _) = plan_for(21);
-        cache.insert(ka.clone(), pa.clone());
-        cache.insert(kb, pb);
-        cache.insert(ka, pa);
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
+        assert!(hit(&cache, &ka));
         assert_eq!(cache.stats().evictions, 0);
         assert_eq!(cache.len(), 2);
     }
@@ -731,9 +704,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let cache = PlanCache::with_registry(2, registry.clone());
         let (key, plan, _) = plan_for(99);
-        assert!(cache.lookup(&key).is_none());
-        cache.insert(key.clone(), plan);
-        assert!(cache.lookup(&key).is_some());
+        assert!(!fetch(&cache, &key, &plan));
+        assert!(hit(&cache, &key));
         let text = registry.render_prometheus(false);
         assert!(text.contains("br_cache_hits_total 1"), "{text}");
         assert!(text.contains("br_cache_misses_total 1"), "{text}");
@@ -756,17 +728,15 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let first = PlanCache::with_registry(2, registry.clone());
         let (key, plan, _) = plan_for(7);
-        assert!(first.lookup(&key).is_none());
-        first.insert(key.clone(), plan.clone());
-        assert!(first.lookup(&key).is_some());
+        assert!(!fetch(&first, &key, &plan));
+        assert!(hit(&first, &key));
         let s1 = first.stats();
         assert_eq!((s1.hits, s1.misses), (1, 1));
 
         let second = PlanCache::with_registry(2, registry.clone());
-        assert!(second.lookup(&key).is_none());
-        second.insert(key.clone(), plan);
-        assert!(second.lookup(&key).is_some());
-        assert!(second.lookup(&key).is_some());
+        assert!(!fetch(&second, &key, &plan));
+        assert!(hit(&second, &key));
+        assert!(hit(&second, &key));
         let s2 = second.stats();
         assert_eq!((s2.hits, s2.misses), (2, 1));
         // The exposition keeps the cumulative process-wide view.
@@ -789,23 +759,23 @@ mod tests {
         second.get_or_build(&kb, || pb.clone()); // second: miss
         first.get_or_build(&ka, || unreachable!()); // first: hit
         second.get_or_build(&ka, || pa.clone()); // second: miss + eviction
-        assert!(first.lookup(&kb).is_none()); // first: miss
-        assert!(second.lookup(&ka).is_some()); // second: hit
+        first.get_or_build(&kb, || pb.clone()); // first: miss + eviction
+        assert!(hit(&second, &ka)); // second: hit
         second.get_or_build(&ka, || unreachable!()); // second: hit
         let (s1, s2) = (first.stats(), second.stats());
-        assert_eq!((s1.hits, s1.misses, s1.evictions), (1, 2, 0));
+        assert_eq!((s1.hits, s1.misses, s1.evictions), (1, 2, 1));
         assert_eq!((s2.hits, s2.misses, s2.evictions), (2, 2, 1));
         let text = registry.render_prometheus(false);
         assert!(text.contains("br_cache_hits_total 3"), "{text}");
         assert!(text.contains("br_cache_misses_total 4"), "{text}");
-        assert!(text.contains("br_cache_evictions_total 1"), "{text}");
+        assert!(text.contains("br_cache_evictions_total 2"), "{text}");
     }
 
     #[test]
     fn cross_thread_reuse_of_one_arc_plan() {
         let cache = Arc::new(PlanCache::new(4));
         let (key, plan, ctx) = plan_for(30);
-        cache.insert(key.clone(), plan);
+        assert!(!fetch(&cache, &key, &plan));
         let ctx = Arc::new(ctx);
         let dev = DeviceConfig::titan_xp();
 
@@ -816,7 +786,8 @@ mod tests {
             let ctx = ctx.clone();
             let dev = dev.clone();
             handles.push(std::thread::spawn(move || {
-                let plan = cache.lookup(&key).expect("plan is resident");
+                let (plan, cached) = cache.get_or_build(&key, || panic!("plan is resident"));
+                assert!(cached);
                 let run = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
                 (run.result.ptr().to_vec(), run.result.nnz())
             }));

@@ -1,60 +1,150 @@
-//! Chain jobs: multi-step [`br_workloads::ChainProgram`]s executed through
-//! the plan-cached service stack.
+//! Requests: every submission is a [`br_workloads::ChainProgram`] over
+//! `Arc`-shared inputs, executed through the plan-cached service stack.
 //!
 //! A [`ChainRequest`] carries a whole program (iterated squaring, triangle
 //! counting, Markov clustering, the Galerkin triple product, or a generic
-//! parsed spec) plus its `Arc`-shared input matrices.
-//! [`crate::engine::Engine::run_chain`] runs it step by step on one worker:
-//! every step goes through the *same* plan path as a standalone job, so
-//! each step gets its own cache hit or miss. Steps that repeat an operand
-//! structure already planned (the Galerkin refresh products, repeats of a
-//! converged Markov iterate) hit the cache; structure-churning steps
-//! (iterated squaring) miss every time.
+//! parsed spec) plus its input matrices. A plain multiplication is the
+//! one-step program `C = A·B` over the inputs `[A, B]`
+//! ([`ChainRequest::multiply`], [`ChainRequest::square`]); every such
+//! request shares one copy of that program. [`RequestKind`] remembers
+//! which of the two the caller asked for, for what the outside sees.
+//!
+//! [`crate::engine::Engine::run_chain`] runs a request step by step on one
+//! worker: every step goes through the plan path
+//! ([`crate::engine::Engine::run`]), so each step gets its own cache hit
+//! or miss. Steps that repeat an operand structure already planned (the
+//! Galerkin refresh products, repeats of a converged Markov iterate) hit
+//! the cache; structure-churning steps (iterated squaring) miss every time.
 //!
 //! Instrumentation: [`register_chain_instruments`] pre-registers the
 //! `br_chain_*` families — steps executed, per-step plan-cache hits and
 //! misses, a structure-churn counter (steps whose operand structures were
 //! first seen within the chain), and a fill-in histogram — so expositions
-//! show every family at zero before the first chain runs.
+//! show every family at zero before the first chain runs. They count the
+//! steps of [`RequestKind::Chain`] requests only.
 
-use std::sync::Arc;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Arc, OnceLock};
 
 use br_obs::{Counter, Histogram, Registry};
 use br_sparse::CsrMatrix;
 use br_workloads::{ChainProgram, Workload};
 
-/// One multi-step chain request.
+/// What the outside calls a request. Both kinds run as a chain program;
+/// the kind decides only the wire frame that answers it, the batch line,
+/// the span root, the `br_chain_*` counts, and the wording of its failure
+/// and refusal messages.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RequestKind {
+    /// One multiplication `C = A·B`, the one-step program.
+    Job,
+    /// A multi-step chain program.
+    Chain,
+}
+
+impl RequestKind {
+    /// `job` or `chain`: the span root and the word reports use.
+    pub fn name(self) -> &'static str {
+        match self {
+            RequestKind::Job => "job",
+            RequestKind::Chain => "chain",
+        }
+    }
+}
+
+/// A request's positional inputs. A plain multiplication holds its two
+/// operands inline, so building one allocates nothing: `br-net` builds a
+/// request on its connection thread and the worker frees it, and such a
+/// per-request allocation costs the cache-hit path page faults (ROADMAP
+/// item 2).
+#[derive(Debug, Clone)]
+pub enum Inputs {
+    /// `[A, B]` of a plain multiplication.
+    Pair([Arc<CsrMatrix<f64>>; 2]),
+    /// A chain's inputs.
+    List(Vec<Arc<CsrMatrix<f64>>>),
+}
+
+impl Deref for Inputs {
+    type Target = [Arc<CsrMatrix<f64>>];
+
+    fn deref(&self) -> &Self::Target {
+        match self {
+            Inputs::Pair(pair) => pair,
+            Inputs::List(list) => list,
+        }
+    }
+}
+
+impl DerefMut for Inputs {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        match self {
+            Inputs::Pair(pair) => pair,
+            Inputs::List(list) => list,
+        }
+    }
+}
+
+/// One request: a program over its inputs.
 #[derive(Debug, Clone)]
 pub struct ChainRequest {
-    /// Caller-chosen identifier, echoed in the outcome. Chain ids share the
-    /// namespace of job ids within one batch.
+    /// Caller-chosen identifier, echoed in the outcome. Ids of one batch
+    /// share one namespace.
     pub id: u64,
     /// Human-readable label for reports (workload spec, file stem, …).
     pub label: String,
+    /// A plain multiplication or a chain.
+    pub kind: RequestKind,
     /// The program to run.
-    pub program: ChainProgram,
+    pub program: Arc<ChainProgram>,
     /// Positional input matrices (`program.inputs` order).
-    pub inputs: Vec<Arc<CsrMatrix<f64>>>,
+    pub inputs: Inputs,
+}
+
+/// The program `C = A·B` of every plain multiplication, built once.
+fn multiply_program() -> Arc<ChainProgram> {
+    static PROGRAM: OnceLock<Arc<ChainProgram>> = OnceLock::new();
+    PROGRAM
+        .get_or_init(|| Arc::new(br_workloads::multiply()))
+        .clone()
 }
 
 impl ChainRequest {
-    /// A canonical-workload request over base matrix `base`.
+    /// A plain multiplication `C = A · B`.
+    pub fn multiply(id: u64, a: Arc<CsrMatrix<f64>>, b: Arc<CsrMatrix<f64>>) -> Self {
+        ChainRequest {
+            id,
+            label: format!("job-{id}"),
+            kind: RequestKind::Job,
+            program: multiply_program(),
+            inputs: Inputs::Pair([a, b]),
+        }
+    }
+
+    /// A squaring `C = A²`.
+    pub fn square(id: u64, a: Arc<CsrMatrix<f64>>) -> Self {
+        Self::multiply(id, a.clone(), a)
+    }
+
+    /// A canonical-workload chain over base matrix `base`.
     pub fn workload(id: u64, workload: Workload, base: &CsrMatrix<f64>) -> Self {
         ChainRequest {
             id,
             label: workload.spec(),
-            program: workload.program(),
-            inputs: workload.prepare_inputs(base),
+            kind: RequestKind::Chain,
+            program: Arc::new(workload.program()),
+            inputs: Inputs::List(workload.prepare_inputs(base)),
         }
     }
 
-    /// A generic-program request over explicit inputs.
+    /// A generic-program chain over explicit inputs.
     pub fn program(id: u64, program: ChainProgram, inputs: Vec<Arc<CsrMatrix<f64>>>) -> Self {
         ChainRequest {
             id,
             label: program.name.clone(),
-            program,
-            inputs,
+            kind: RequestKind::Chain,
+            program: Arc::new(program),
+            inputs: Inputs::List(inputs),
         }
     }
 
@@ -80,6 +170,10 @@ pub struct StepOutcome {
     pub total_ms: f64,
     /// Simulated precalculation-kernel time, ms (0 on cache hits).
     pub precalc_ms: f64,
+    /// Simulated expansion-kernel time, ms.
+    pub expansion_ms: f64,
+    /// Simulated merge-kernel time, ms.
+    pub merge_ms: f64,
     /// Host-side preprocessing charged to the step, ms (0 on cache hits).
     pub preprocess_ms: f64,
     /// Achieved simulated GFLOPS.
@@ -95,14 +189,16 @@ pub struct StepOutcome {
     pub fresh_structure: bool,
 }
 
-/// What the service reports for one completed chain.
+/// What the service reports for one completed request.
 #[derive(Debug, Clone)]
 pub struct ChainOutcome {
     /// Identifier from the request.
     pub id: u64,
     /// Label from the request.
     pub label: String,
-    /// Index of the worker that executed the chain.
+    /// Kind from the request.
+    pub kind: RequestKind,
+    /// Index of the worker that executed the request.
     pub worker: usize,
     /// Name of the worker's device.
     pub device: String,
@@ -110,9 +206,9 @@ pub struct ChainOutcome {
     pub steps: Vec<StepOutcome>,
     /// Summed simulated latency across all steps, ms.
     pub total_ms: f64,
-    /// Wall-clock time the chain spent queued, ms.
+    /// Wall-clock time the request spent queued, ms.
     pub queue_ms: f64,
-    /// Wall-clock time the worker spent on the chain, ms.
+    /// Wall-clock time the worker spent on the request, ms.
     pub host_ms: f64,
     /// The final step's output.
     pub result: Arc<CsrMatrix<f64>>,
@@ -202,7 +298,7 @@ mod tests {
         let request = ChainRequest::workload(0, Workload::Galerkin, &base);
         let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-        let chain = &batch.chains[0];
+        let chain = &batch.outcomes[0];
         assert_eq!(chain.steps.len(), 4);
         // The refresh products repeat the restrict/coarsen structures with
         // new values, so the value-independent plan keys hit.
@@ -224,7 +320,7 @@ mod tests {
         let request = ChainRequest::workload(0, Workload::Square { k: 3 }, &base);
         let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
         assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-        let chain = &batch.chains[0];
+        let chain = &batch.outcomes[0];
         assert_eq!(chain.cache_hits(), 0, "every squaring changes structure");
         assert_eq!(chain.cache_misses(), 3);
         assert_eq!(chain.structure_churn(), 3);
@@ -242,7 +338,7 @@ mod tests {
             let request = ChainRequest::workload(7, workload, &base);
             let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
             assert!(batch.failures.is_empty(), "{:?}", batch.failures);
-            let got = &batch.chains[0].result;
+            let got = &batch.outcomes[0].result;
             assert_eq!(got.ptr(), oracle.result.ptr(), "{}", workload.name());
             assert_eq!(got.idx(), oracle.result.idx(), "{}", workload.name());
             assert_eq!(got.val(), oracle.result.val(), "{}", workload.name());
@@ -269,6 +365,29 @@ mod tests {
     }
 
     #[test]
+    fn plain_jobs_share_one_program_and_count_no_chain_steps() {
+        let a = Arc::new(base_matrix(6));
+        let (x, y) = (
+            ChainRequest::square(0, a.clone()),
+            ChainRequest::square(1, a),
+        );
+        assert!(Arc::ptr_eq(&x.program, &y.program), "one multiply program");
+        assert!(matches!(x.inputs, Inputs::Pair(_)), "operands held inline");
+        let registry = Arc::new(Registry::new());
+        let config = ServiceConfig::default().with_registry(registry.clone());
+        let batch = SpgemmService::run_batch(config, vec![x, y]);
+        assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+        assert_eq!(batch.stats.cache.hits, 1);
+        let text = registry.render_prometheus(false);
+        assert!(text.contains("br_chain_steps_total 0"), "{text}");
+        assert!(
+            text.contains("br_span_total{path=\"job/plan\"} 2"),
+            "{text}"
+        );
+        assert!(!text.contains("path=\"chain"), "{text}");
+    }
+
+    #[test]
     fn chain_families_are_visible_before_any_chain_runs() {
         let registry = Arc::new(Registry::new());
         let service =
@@ -284,7 +403,7 @@ mod tests {
             assert!(text.contains(family), "missing {family}:\n{text}");
         }
         let batch = service.drain();
-        assert!(batch.chains.is_empty());
+        assert!(batch.outcomes.is_empty());
     }
 
     #[test]
@@ -294,7 +413,7 @@ mod tests {
         let mut request = ChainRequest::workload(3, Workload::Galerkin, &base);
         request.inputs[1] = Arc::new(br_workloads::aggregation_prolongator(4, 2));
         let batch = SpgemmService::run_batch(ServiceConfig::default(), vec![request]);
-        assert!(batch.chains.is_empty());
+        assert!(batch.outcomes.is_empty());
         assert_eq!(batch.failures.len(), 1);
         let failure = &batch.failures[0];
         assert_eq!(failure.id, 3);

@@ -1,14 +1,14 @@
 //! The one request path: plan-cache key → single-flight plan build →
 //! Cold/Cached execution.
 //!
-//! Every multiplication this crate serves goes through [`Engine::run`]: a
-//! plain job ([`Engine::run_job`]), each step of a chain
-//! ([`Engine::run_chain`]), and — through the same two calls — every
-//! request the `br-net` front end admits. The engine owns what those
-//! requests share: the [`PlanCache`], the [`PlanSettings`] every plan is
-//! built under (and keyed by), and the registry handles. What a worker
-//! thread owns — its simulated device and warmed merge scratch — is a
-//! [`Worker`], passed in per call.
+//! Every multiplication this crate serves goes through [`Engine::run`],
+//! called once per step of a request by [`Engine::run_chain`] — the one
+//! entry for every submission: a plain job (the one-step program), a
+//! chain, and every request the `br-net` front end admits. The engine
+//! owns what those requests share: the [`PlanCache`], the
+//! [`PlanSettings`] every plan is built under (and keyed by), and the
+//! registry handles. What a worker thread owns — its simulated device and
+//! warmed merge scratch — is a [`Worker`], passed in per call.
 //!
 //! A cache hit executes in [`PlanMode::Cached`] (no precalculation kernel,
 //! no host-side B-Splitting charge), a miss builds the [`ReorgPlan`],
@@ -16,7 +16,8 @@
 //! way — the plan captures only structure-dependent decisions.
 //!
 //! Spans: `plan` and `execute` around the two halves of every run, nested
-//! under `job` for a plain job and under `chain` for a chain's steps.
+//! under `job` for a plain job and under `chain` for a chain's steps
+//! ([`RequestKind::name`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,12 +31,14 @@ use br_sparse::CsrMatrix;
 use br_spgemm::accum::ScratchPool;
 use br_spgemm::context::ProblemContext;
 use br_spgemm::estimate::MethodChoice;
+use br_workloads::ChainError;
 
 use crate::cache::{PlanCache, PlanKey};
 use crate::chain::{
-    register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
+    register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, RequestKind,
+    StepOutcome,
 };
-use crate::job::{JobError, JobOutcome, JobRequest};
+use crate::job::JobError;
 
 /// One worker's execution state: a simulated device and merge scratch.
 /// Each worker thread owns one, so steady-state requests reuse warmed
@@ -149,50 +152,14 @@ impl Engine {
         })
     }
 
-    /// One job on `worker`, inside a `job` span. `queue_ms` is how long the
-    /// job waited for the worker.
-    pub fn run_job(
-        &self,
-        worker: &Worker,
-        job: &JobRequest,
-        queue_ms: f64,
-    ) -> Result<JobOutcome, JobError> {
-        let t0 = Instant::now();
-        let span = self.registry.span("job");
-        let RunOutcome { cache_hit, run, .. } =
-            self.run(worker, &job.a, &job.b)
-                .map_err(|message| JobError {
-                    id: job.id,
-                    label: job.label.clone(),
-                    message,
-                })?;
-        drop(span);
-        Ok(JobOutcome {
-            id: job.id,
-            label: job.label.clone(),
-            worker: worker.index,
-            device: worker.device().name.clone(),
-            cache_hit,
-            total_ms: run.total_ms,
-            precalc_ms: run.phase_ms("precalc"),
-            expansion_ms: run.phase_ms("expansion"),
-            merge_ms: run.phase_ms("merge"),
-            preprocess_ms: run.preprocess_ms,
-            queue_ms,
-            host_ms: t0.elapsed().as_secs_f64() * 1e3,
-            gflops: run.gflops(),
-            nnz_c: run.result.nnz(),
-            stats: run.stats,
-            result: run.result,
-        })
-    }
-
-    /// One chain on `worker`, step by step inside a `chain` span. Every
-    /// step is an [`Engine::run`], so each gets its own cache hit or miss:
-    /// steps that repeat an operand structure already planned (the Galerkin
-    /// refresh products, repeats of a converged Markov iterate) hit, and
-    /// structure-churning steps (iterated squaring) miss every time. A
-    /// failed step fails the chain with a message naming the step.
+    /// One request on `worker`, step by step inside a `job` or `chain`
+    /// span. Every step is an [`Engine::run`], so each gets its own cache
+    /// hit or miss: steps that repeat an operand structure already planned
+    /// (the Galerkin refresh products, repeats of a converged Markov
+    /// iterate) hit, and structure-churning steps (iterated squaring) miss
+    /// every time. A failed step fails a chain with a message naming the
+    /// step, and a plain job with the step's own message. `queue_ms` is how
+    /// long the request waited for the worker.
     pub fn run_chain(
         &self,
         worker: &Worker,
@@ -200,65 +167,76 @@ impl Engine {
         queue_ms: f64,
     ) -> Result<ChainOutcome, JobError> {
         let t0 = Instant::now();
-        let span = self.registry.span("chain");
+        let span = self.registry.span(request.kind.name());
         let run = request
             .program
-            .execute_with(&request.inputs, |_, _, a, b| {
+            .execute_with(&request.inputs, |index, _, a, b| {
                 let RunOutcome {
                     cache_hit,
                     method,
                     run,
                 } = self.run(worker, a, b)?;
-                let meta = StepMeta {
+                // What the executor measures itself (label, sizes, churn)
+                // comes from its step record below.
+                let step = StepOutcome {
+                    index,
+                    label: String::new(),
                     cache_hit,
                     method: method.name(),
                     total_ms: run.total_ms,
                     precalc_ms: run.phase_ms("precalc"),
+                    expansion_ms: run.phase_ms("expansion"),
+                    merge_ms: run.phase_ms("merge"),
                     preprocess_ms: run.preprocess_ms,
                     gflops: run.gflops(),
+                    product_nnz: 0,
+                    output_nnz: 0,
+                    fill_in_permille: 0,
+                    fresh_structure: false,
                 };
-                Ok((run.result, meta))
+                Ok((run.result, step))
             })
-            .map_err(|e: br_workloads::ChainError<String>| JobError {
+            .map_err(|e: ChainError<String>| JobError {
                 id: request.id,
                 label: request.label.clone(),
-                message: format!("chain failed: {e}"),
+                message: match (request.kind, e) {
+                    (RequestKind::Job, ChainError::Step { source, .. }) => source,
+                    (_, e) => format!("chain failed: {e}"),
+                },
             })?;
         drop(span);
 
-        let instruments = &self.chain;
+        let instruments = (request.kind == RequestKind::Chain).then_some(&self.chain);
         let mut steps = Vec::with_capacity(run.steps.len());
         let mut total_ms = 0.0;
         for record in run.steps {
-            instruments.steps.inc();
-            if record.meta.cache_hit {
-                instruments.cache_hits.inc();
-            } else {
-                instruments.cache_misses.inc();
-            }
-            if record.fresh_structure {
-                instruments.structure_churn.inc();
-            }
-            instruments.fill_in.observe(record.fill_in_permille);
-            total_ms += record.meta.total_ms;
-            steps.push(StepOutcome {
-                index: record.index,
+            let step = StepOutcome {
                 label: record.label,
-                cache_hit: record.meta.cache_hit,
-                method: record.meta.method,
-                total_ms: record.meta.total_ms,
-                precalc_ms: record.meta.precalc_ms,
-                preprocess_ms: record.meta.preprocess_ms,
-                gflops: record.meta.gflops,
                 product_nnz: record.product_nnz,
                 output_nnz: record.output_nnz,
                 fill_in_permille: record.fill_in_permille,
                 fresh_structure: record.fresh_structure,
-            });
+                ..record.meta
+            };
+            if let Some(instruments) = instruments {
+                instruments.steps.inc();
+                if step.cache_hit {
+                    instruments.cache_hits.inc();
+                } else {
+                    instruments.cache_misses.inc();
+                }
+                if step.fresh_structure {
+                    instruments.structure_churn.inc();
+                }
+                instruments.fill_in.observe(step.fill_in_permille);
+            }
+            total_ms += step.total_ms;
+            steps.push(step);
         }
         Ok(ChainOutcome {
             id: request.id,
             label: request.label.clone(),
+            kind: request.kind,
             worker: worker.index,
             device: worker.device().name.clone(),
             steps,
@@ -268,14 +246,4 @@ impl Engine {
             result: run.result,
         })
     }
-}
-
-/// What a chain step's [`Engine::run`] reports besides its product.
-struct StepMeta {
-    cache_hit: bool,
-    method: &'static str,
-    total_ms: f64,
-    precalc_ms: f64,
-    preprocess_ms: f64,
-    gflops: f64,
 }

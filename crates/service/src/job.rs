@@ -1,10 +1,9 @@
-//! Job descriptions, outcomes, and the `blockreorg-cli batch` job-file
-//! format.
+//! Job specs, failures, and the `blockreorg-cli batch` job-file format.
 //!
-//! A [`JobRequest`] is what the service executes: an operand pair (shared
-//! `Arc`s, so a batch of repeats holds one copy of the data); the plan
-//! settings belong to the service. A [`JobSpec`] is the *declarative* form read
-//! from a job file — a matrix source plus a repeat count — which
+//! What the service executes is a [`ChainRequest`]: a program over shared
+//! `Arc` operands (so a batch of repeats holds one copy of the data); the
+//! plan settings belong to the service. A [`JobSpec`] is the *declarative*
+//! form read from a job file — a matrix source plus a repeat count — which
 //! [`expand_submissions`] realizes into requests.
 //!
 //! Job-file format: one job per line, `key=value` tokens separated by
@@ -22,14 +21,13 @@
 //!
 //! A `chain=` line turns the source into the *base matrix* of a canonical
 //! [`br_workloads::Workload`]; [`expand_submissions`] realizes such lines
-//! into [`crate::chain::ChainRequest`]s (and plain lines into
-//! [`JobRequest`]s) sharing one id namespace. [`JobKeys`] reads the keys
+//! into chain requests and plain lines into one-step multiplications
+//! ([`ChainRequest::multiply`]), on one id namespace in file order. [`JobKeys`] reads the keys
 //! one at a time: job files, wire specs and the CLI's operand flags all go
 //! through it, so every spelling of a spec is held to the same bounds.
 
 use std::sync::Arc;
 
-use block_reorganizer::pass::ReorgStats;
 use br_datasets::registry::{DatasetSpec, RealWorldRegistry, ScaleFactor};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_sparse::io::read_matrix_market_file;
@@ -37,83 +35,8 @@ use br_sparse::CsrMatrix;
 use br_workloads::Workload;
 
 use crate::chain::ChainRequest;
-use crate::service::Work;
 
-/// One multiplication request `C = A · B`.
-#[derive(Debug, Clone)]
-pub struct JobRequest {
-    /// Caller-chosen identifier, echoed in the outcome.
-    pub id: u64,
-    /// Human-readable label for reports (dataset name, file stem, …).
-    pub label: String,
-    /// Left operand.
-    pub a: Arc<CsrMatrix<f64>>,
-    /// Right operand.
-    pub b: Arc<CsrMatrix<f64>>,
-}
-
-impl JobRequest {
-    /// A squaring request (`C = A²`).
-    pub fn square(id: u64, a: Arc<CsrMatrix<f64>>) -> Self {
-        Self::multiply(id, a.clone(), a)
-    }
-
-    /// A general `A · B` request.
-    pub fn multiply(id: u64, a: Arc<CsrMatrix<f64>>, b: Arc<CsrMatrix<f64>>) -> Self {
-        JobRequest {
-            id,
-            label: format!("job-{id}"),
-            a,
-            b,
-        }
-    }
-
-    /// Replaces the label (builder-style).
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-}
-
-/// What the service reports for one completed job.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// Identifier from the request.
-    pub id: u64,
-    /// Label from the request.
-    pub label: String,
-    /// Index of the worker that executed the job.
-    pub worker: usize,
-    /// Name of the worker's device.
-    pub device: String,
-    /// Whether the reorganization plan came from the cache.
-    pub cache_hit: bool,
-    /// Simulated end-to-end latency in ms (kernels + charged preprocessing).
-    pub total_ms: f64,
-    /// Simulated precalculation-kernel time in ms (0 on cache hits).
-    pub precalc_ms: f64,
-    /// Simulated expansion-kernel time in ms.
-    pub expansion_ms: f64,
-    /// Simulated merge-kernel time in ms.
-    pub merge_ms: f64,
-    /// Host-side B-Splitting preprocessing charged to this job, ms (0 on
-    /// cache hits — the plan already paid it).
-    pub preprocess_ms: f64,
-    /// Wall-clock time the job spent queued, ms.
-    pub queue_ms: f64,
-    /// Wall-clock time the worker spent on the job, ms.
-    pub host_ms: f64,
-    /// Achieved simulated GFLOPS.
-    pub gflops: f64,
-    /// `nnz(C)`.
-    pub nnz_c: usize,
-    /// Reorganization statistics of the executed plan.
-    pub stats: ReorgStats,
-    /// The numeric result.
-    pub result: CsrMatrix<f64>,
-}
-
-/// A failed job.
+/// A failed (or refused) request.
 #[derive(Debug, Clone)]
 pub struct JobError {
     /// Identifier from the request.
@@ -334,62 +257,32 @@ fn parse_rmat(value: &str) -> Result<(u32, usize), String> {
     Ok((s, ef))
 }
 
-/// Jobs and chains realized from one job file, sharing an id namespace in
-/// file order.
-#[derive(Debug, Clone, Default)]
-pub struct Submissions {
-    /// Single-multiplication requests.
-    pub jobs: Vec<JobRequest>,
-    /// Chain requests (`chain=` lines).
-    pub chains: Vec<ChainRequest>,
-}
-
-impl Submissions {
-    /// Every request as service work, in file order.
-    pub fn into_work(self) -> Vec<Work> {
-        let jobs = self.jobs.into_iter().map(Work::from);
-        let mut work: Vec<Work> = jobs
-            .chain(self.chains.into_iter().map(Work::from))
-            .collect();
-        work.sort_by_key(|w| w.name().1);
-        work
-    }
-}
-
-/// Realizes specs into jobs and chains. Repeats of one spec share the same
-/// `Arc`'d operands (a chain's, its prepared inputs), so the service sees
-/// structurally identical submissions — the plan-cache amortization case.
-pub fn expand_submissions(specs: &[JobSpec]) -> Result<Submissions, String> {
-    let mut out = Submissions::default();
-    let mut id = 0u64;
+/// Realizes specs into requests, in file order on one id namespace.
+/// Repeats of one spec share the same `Arc`'d operands (a chain's, its
+/// program and prepared inputs), so the service sees structurally identical
+/// submissions — the plan-cache amortization case.
+pub fn expand_submissions(specs: &[JobSpec]) -> Result<Vec<ChainRequest>, String> {
+    let mut out = Vec::new();
     for spec in specs {
         let a = Arc::new(spec.source.load()?);
         let base = spec.source.label();
-        if let Some(workload) = spec.chain {
-            let inputs = workload.prepare_inputs(&a);
-            for k in 0..spec.repeat {
-                out.chains.push(ChainRequest {
-                    id,
-                    label: format!("{base}:{}[{}/{}]", workload.spec(), k + 1, spec.repeat),
-                    program: workload.program(),
-                    inputs: inputs.clone(),
-                });
-                id += 1;
+        let template = match spec.chain {
+            Some(workload) => ChainRequest::workload(0, workload, &a)
+                .with_label(format!("{base}:{}", workload.spec())),
+            None => {
+                let b = match &spec.pair {
+                    Some(src) => Arc::new(src.load()?),
+                    None => a.clone(),
+                };
+                ChainRequest::multiply(0, a, b).with_label(base)
             }
-            continue;
-        }
-        let b = match &spec.pair {
-            Some(src) => Arc::new(src.load()?),
-            None => a.clone(),
         };
         for k in 0..spec.repeat {
-            out.jobs.push(JobRequest {
-                id,
-                label: format!("{base}[{}/{}]", k + 1, spec.repeat),
-                a: a.clone(),
-                b: b.clone(),
+            out.push(ChainRequest {
+                id: out.len() as u64,
+                label: format!("{}[{}/{}]", template.label, k + 1, spec.repeat),
+                ..template.clone()
             });
-            id += 1;
         }
     }
     Ok(out)
@@ -505,39 +398,52 @@ mod tests {
     }
 
     #[test]
-    fn expand_submissions_splits_jobs_and_chains_on_one_id_namespace() {
+    fn expand_submissions_keeps_jobs_and_chains_on_one_id_namespace() {
+        use crate::chain::RequestKind;
         let specs =
             parse_job_file("rmat=6,4 repeat=2\nchain=triangle rmat=6,4 seed=5 repeat=2\n").unwrap();
-        let subs = expand_submissions(&specs).unwrap();
-        assert_eq!(subs.jobs.len(), 2);
-        assert_eq!(subs.chains.len(), 2);
-        assert_eq!(subs.jobs[1].id, 1);
-        assert_eq!(subs.chains[0].id, 2);
-        assert_eq!(subs.chains[1].id, 3);
+        let requests = expand_submissions(&specs).unwrap();
+        let kinds: Vec<RequestKind> = requests.iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                RequestKind::Job,
+                RequestKind::Job,
+                RequestKind::Chain,
+                RequestKind::Chain
+            ]
+        );
+        assert_eq!(requests[1].id, 1);
+        assert_eq!(requests[2].id, 2);
+        assert_eq!(requests[3].id, 3);
         assert!(
-            subs.chains[0].label.contains("triangle"),
+            requests[2].label.contains("triangle"),
             "{}",
-            subs.chains[0].label
+            requests[2].label
         );
         // Chain repeats share the prepared inputs.
-        assert!(Arc::ptr_eq(
-            &subs.chains[0].inputs[0],
-            &subs.chains[1].inputs[0]
-        ));
-        // As service work, a chain line ahead of a job line stays ahead.
+        assert!(Arc::ptr_eq(&requests[2].inputs[0], &requests[3].inputs[0]));
+        // A chain line ahead of a job line stays ahead.
         let specs = parse_job_file("chain=triangle rmat=6,4\nrmat=6,4\n").unwrap();
-        let work = expand_submissions(&specs).unwrap().into_work();
-        assert!(matches!(&work[..], [Work::Chain(c), Work::Job(j)] if c.id == 0 && j.id == 1));
+        let requests = expand_submissions(&specs).unwrap();
+        assert!(matches!(
+            &requests[..],
+            [c, j] if c.kind == RequestKind::Chain && c.id == 0
+                && j.kind == RequestKind::Job && j.id == 1
+        ));
     }
 
     #[test]
     fn expand_shares_operands_across_repeats() {
         let specs = parse_job_file("rmat=6,4 repeat=3").unwrap();
-        let jobs = expand_submissions(&specs).unwrap().jobs;
+        let jobs = expand_submissions(&specs).unwrap();
         assert_eq!(jobs.len(), 3);
-        assert!(Arc::ptr_eq(&jobs[0].a, &jobs[1].a));
-        assert!(Arc::ptr_eq(&jobs[1].a, &jobs[2].a));
-        assert!(Arc::ptr_eq(&jobs[0].a, &jobs[0].b), "square by default");
+        assert!(Arc::ptr_eq(&jobs[0].inputs[0], &jobs[1].inputs[0]));
+        assert!(Arc::ptr_eq(&jobs[1].inputs[0], &jobs[2].inputs[0]));
+        assert!(
+            Arc::ptr_eq(&jobs[0].inputs[0], &jobs[0].inputs[1]),
+            "square by default"
+        );
         assert_eq!(jobs[2].label, "rmat-6-4[3/3]");
         assert_eq!(jobs[2].id, 2);
     }

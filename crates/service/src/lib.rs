@@ -11,9 +11,16 @@
 //!
 //! This crate is the serving layer that cashes that opportunity in:
 //!
-//! * [`engine::Engine`] — the one request path every job, chain step, and
-//!   `br-net` request takes: plan-cache key → single-flight plan build →
-//!   Cold/Cached execution. It owns the plan cache, the
+//! * [`chain::ChainRequest`] — the one request type. A plain job is the
+//!   one-step program `C = A·B` ([`chain::ChainRequest::multiply`],
+//!   [`chain::ChainRequest::square`]); a chain is a multi-step
+//!   [`br_workloads::ChainProgram`]. Its [`chain::RequestKind`] only picks
+//!   what the outside sees: the wire frame, the batch line, span names, the
+//!   `br_chain_*` counts, and the wording of failures.
+//! * [`engine::Engine`] — the one request path every submission takes:
+//!   [`engine::Engine::run_chain`] runs a request step by step, each step
+//!   plan-cache key → single-flight plan build → Cold/Cached execution
+//!   ([`engine::Engine::run`]). It owns the plan cache, the
 //!   [`block_reorganizer::PlanSettings`] every plan is built under, and the
 //!   registry handles; a worker thread brings its own [`engine::Worker`]
 //!   (simulated device plus merge scratch).
@@ -31,14 +38,17 @@
 //!   (the batch collector, or the frame builder of a `br-net` connection),
 //!   worker lifecycle, and drain.
 //! * [`stats::ServiceStats`] — per-phase latency, queue depth, cache hit
-//!   rate, and per-device utilization for one service run.
-//! * [`job`] — job descriptions, plus the job-file format consumed by
+//!   rate, and per-device utilization for one service run, counted per
+//!   submission and aggregated per multiplication.
+//! * [`job`] — job specs, plus the job-file format consumed by
 //!   `blockreorg-cli batch`.
 //!
 //! Observability: every service (and its engine's plan cache) registers
-//! its instruments — lifecycle spans (`job/submit`, `job`, `job/plan`,
-//! `job/execute`, and `chain/plan`, `chain/execute` per chain step), per-lane
-//! queue gauges, and cache hit/miss/eviction/single-flight counters — in a
+//! its instruments — lifecycle spans rooted at the request's kind
+//! (`job/submit`, `job`, `job/plan`, `job/execute` for a plain job;
+//! `chain/submit`, `chain`, and `chain/plan`, `chain/execute` per chain
+//! step), per-lane queue gauges, the `br_chain_*` step counters (chains
+//! only), and cache hit/miss/eviction/single-flight counters — in a
 //! [`br_obs::Registry`]. By default each service gets a
 //! private registry; pass one via
 //! [`service::ServiceConfig::with_registry`] (the CLI uses
@@ -55,9 +65,7 @@
 //! use std::sync::Arc;
 //!
 //! let a = Arc::new(rmat(RmatConfig::snap_like(8, 6, 7)).to_csr());
-//! let jobs: Vec<JobRequest> = (0..4)
-//!     .map(|id| JobRequest::square(id, a.clone()))
-//!     .collect();
+//! let jobs = (0..4).map(|id| ChainRequest::square(id, a.clone()));
 //! let batch = SpgemmService::run_batch(ServiceConfig::default(), jobs);
 //! assert_eq!(batch.outcomes.len(), 4);
 //! assert!(batch.stats.cache.hits >= 3, "repeats reuse the plan");
@@ -77,28 +85,27 @@ pub mod stats;
 pub mod prelude {
     pub use crate::cache::{CacheStats, PlanCache, PlanKey};
     pub use crate::chain::{
-        register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
+        register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, Inputs,
+        RequestKind, StepOutcome,
     };
     pub use crate::engine::{Engine, RunOutcome, Worker};
     pub use crate::job::{
-        expand_submissions, parse_job_file, JobError, JobKeys, JobOutcome, JobRequest, JobSpec,
-        MatrixSource, Submissions,
+        expand_submissions, parse_job_file, JobError, JobKeys, JobSpec, MatrixSource,
     };
     pub use crate::queue::{JobQueue, Lane, PushError};
     pub use crate::service::{
-        BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work,
+        BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError,
     };
     pub use crate::stats::{ServiceStats, WorkerStats};
 }
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
 pub use chain::{
-    register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, StepOutcome,
+    register_chain_instruments, ChainInstruments, ChainOutcome, ChainRequest, Inputs, RequestKind,
+    StepOutcome,
 };
 pub use engine::{Engine, RunOutcome, Worker};
-pub use job::{JobError, JobOutcome, JobRequest};
+pub use job::JobError;
 pub use queue::{JobQueue, Lane, PushError};
-pub use service::{
-    BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError, Work,
-};
+pub use service::{BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError};
 pub use stats::{ServiceStats, WorkerStats};

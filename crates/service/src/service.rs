@@ -3,8 +3,9 @@
 //! [`SpgemmService::start`] spawns one worker thread per configured device;
 //! each worker owns a [`Worker`] (simulated device plus merge scratch) and
 //! pops submissions from the shared [`JobQueue`], interactive lane first.
-//! Every job and chain runs through the service's one [`Engine`], whose
-//! plan cache makes repeats of a structure skip the analysis.
+//! Every submission is a [`ChainRequest`] — a plain job is the one-step
+//! program — and runs through the service's one [`Engine`], whose plan
+//! cache makes repeats of a structure skip the analysis.
 //!
 //! Each submission carries the [`Reply`] of its submitter, which hears how
 //! it ended: [`SpgemmService::submit`] attaches the service's own
@@ -21,9 +22,9 @@ use block_reorganizer::PlanSettings;
 use br_gpu_sim::device::DeviceConfig;
 use br_obs::{lock_recover, Counter, Gauge, Histogram, Registry};
 
-use crate::chain::{ChainOutcome, ChainRequest};
+use crate::chain::{ChainOutcome, ChainRequest, RequestKind};
 use crate::engine::{Engine, Worker};
-use crate::job::{JobError, JobOutcome, JobRequest};
+use crate::job::JobError;
 use crate::queue::{JobQueue, Lane, PushError};
 use crate::stats::{ServiceStats, WorkerStats};
 
@@ -103,50 +104,15 @@ impl ServiceConfig {
     }
 }
 
-/// One unit of work for the pool.
-#[derive(Debug)]
-pub enum Work {
-    /// A single multiplication.
-    Job(JobRequest),
-    /// A whole chain: it occupies one queue slot and runs to completion on
-    /// one worker, step by step. Boxed: a chain request is far bigger than
-    /// a job.
-    Chain(Box<ChainRequest>),
-}
-
-impl Work {
-    /// What reports name the work by: its kind, id, and label.
-    pub(crate) fn name(&self) -> (&'static str, u64, &str) {
-        match self {
-            Work::Job(job) => ("job", job.id, &job.label),
-            Work::Chain(chain) => ("chain", chain.id, &chain.label),
-        }
-    }
-}
-
-impl From<JobRequest> for Work {
-    fn from(job: JobRequest) -> Self {
-        Work::Job(job)
-    }
-}
-
-impl From<ChainRequest> for Work {
-    fn from(chain: ChainRequest) -> Self {
-        Work::Chain(Box::new(chain))
-    }
-}
-
 /// How a submission ended: what its [`Reply`] receives.
 #[derive(Debug)]
 pub enum Completion {
-    /// The job finished. Boxed: an outcome (with its result matrix) dwarfs
-    /// an error.
-    Job(Box<JobOutcome>),
-    /// The chain finished.
-    Chain(Box<ChainOutcome>),
-    /// The job or chain failed.
+    /// The request finished. Boxed: an outcome (with its per-step roll-up)
+    /// dwarfs an error.
+    Done(Box<ChainOutcome>),
+    /// The request failed.
     Failed(JobError),
-    /// The deadline passed while the work (of this id) was queued; it
+    /// The deadline passed while the request (of this id) was queued; it
     /// never ran.
     Expired(u64),
 }
@@ -157,22 +123,22 @@ pub enum Completion {
 /// submitter, so submitting allocates nothing for it.
 pub type Reply = Arc<dyn Fn(Lane, Completion) + Send + Sync>;
 
-/// Why the service refused a submission (the work comes back).
+/// Why the service refused a submission (the request comes back).
 #[derive(Debug)]
 pub enum SubmitError {
     /// The bounded queue is at capacity.
-    QueueFull(Work),
+    QueueFull(ChainRequest),
     /// The service is already draining.
-    Draining(Work),
+    Draining(ChainRequest),
 }
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (reason, work) = match self {
-            SubmitError::QueueFull(work) => ("queue full", work),
-            SubmitError::Draining(work) => ("service draining", work),
+        let (reason, request) = match self {
+            SubmitError::QueueFull(request) => ("queue full", request),
+            SubmitError::Draining(request) => ("service draining", request),
         };
-        let (kind, id, _) = work.name();
+        let (kind, id) = (request.kind.name(), request.id);
         write!(f, "{reason}, {kind} {id} rejected")
     }
 }
@@ -180,11 +146,10 @@ impl std::fmt::Display for SubmitError {
 impl From<SubmitError> for JobError {
     fn from(err: SubmitError) -> Self {
         let message = err.to_string();
-        let (SubmitError::QueueFull(work) | SubmitError::Draining(work)) = err;
-        let (_, id, label) = work.name();
+        let (SubmitError::QueueFull(request) | SubmitError::Draining(request)) = err;
         JobError {
-            id,
-            label: label.to_string(),
+            id: request.id,
+            label: request.label,
             message,
         }
     }
@@ -193,12 +158,9 @@ impl From<SubmitError> for JobError {
 /// Everything a finished batch reports.
 #[derive(Debug)]
 pub struct BatchOutcome {
-    /// Successful jobs, in submission order.
-    pub outcomes: Vec<JobOutcome>,
-    /// Successful chains, in submission order. Failed chains land in
-    /// `failures` alongside failed jobs (ids share one namespace).
-    pub chains: Vec<ChainOutcome>,
-    /// Failed jobs and chains, in submission order.
+    /// Successful requests, jobs and chains alike, in submission order.
+    pub outcomes: Vec<ChainOutcome>,
+    /// Failed requests, in submission order.
     pub failures: Vec<JobError>,
     /// The aggregate report.
     pub stats: ServiceStats,
@@ -206,7 +168,7 @@ pub struct BatchOutcome {
 
 /// What one queue slot holds.
 struct Queued {
-    work: Work,
+    request: ChainRequest,
     deadline: Option<Instant>,
     reply: Reply,
     enqueued: Instant,
@@ -341,31 +303,31 @@ impl SpgemmService {
         }
     }
 
-    /// Admits `work` into the batch lane; [`drain`](Self::drain) reports
-    /// how it ended.
-    pub fn submit(&self, work: impl Into<Work>) -> Result<(), SubmitError> {
-        self.submit_with(work.into(), Lane::Batch, None, self.collector.clone())
+    /// Admits `request` into the batch lane; [`drain`](Self::drain)
+    /// reports how it ended.
+    pub fn submit(&self, request: ChainRequest) -> Result<(), SubmitError> {
+        self.submit_with(request, Lane::Batch, None, self.collector.clone())
             .map(drop)
     }
 
-    /// Admits `work` into `lane` with its submitter's `reply`, which
-    /// receives the completion — or, without the work running,
+    /// Admits `request` into `lane` with its submitter's `reply`, which
+    /// receives the completion — or, without the request running,
     /// [`Completion::Expired`] if `deadline` passes while it is queued.
     /// Returns the combined queue depth after the push. A refused
     /// submission is never replied to.
     pub fn submit_with(
         &self,
-        work: Work,
+        request: ChainRequest,
         lane: Lane,
         deadline: Option<Instant>,
         reply: Reply,
     ) -> Result<usize, SubmitError> {
-        let _span = self.engine.registry().span(match work {
-            Work::Job(_) => "job/submit",
-            Work::Chain(_) => "chain/submit",
+        let _span = self.engine.registry().span(match request.kind {
+            RequestKind::Job => "job/submit",
+            RequestKind::Chain => "chain/submit",
         });
         let queued = Queued {
-            work,
+            request,
             deadline,
             reply,
             enqueued: Instant::now(),
@@ -376,8 +338,8 @@ impl SpgemmService {
                 self.instruments.sample_depth(&self.queue, lane);
                 Ok(depth)
             }
-            Err(PushError::Full(queued)) => Err(SubmitError::QueueFull(queued.work)),
-            Err(PushError::Closed(queued)) => Err(SubmitError::Draining(queued.work)),
+            Err(PushError::Full(queued)) => Err(SubmitError::QueueFull(queued.request)),
+            Err(PushError::Closed(queued)) => Err(SubmitError::Draining(queued.request)),
         }
     }
 
@@ -410,17 +372,17 @@ impl SpgemmService {
     }
 
     /// Runs a whole batch of jobs and/or chains: submit everything, drain,
-    /// report. On a bounded queue (`queue_capacity`), work refused by
+    /// report. On a bounded queue (`queue_capacity`), a request refused by
     /// admission control appears in `failures` with a "queue full" message
     /// instead of vanishing.
-    pub fn run_batch<W: Into<Work>>(
+    pub fn run_batch(
         config: ServiceConfig,
-        work: impl IntoIterator<Item = W>,
+        requests: impl IntoIterator<Item = ChainRequest>,
     ) -> BatchOutcome {
         let service = Self::start(config);
-        let rejected: Vec<JobError> = work
+        let rejected: Vec<JobError> = requests
             .into_iter()
-            .filter_map(|w| service.submit(w).err())
+            .filter_map(|r| service.submit(r).err())
             .map(JobError::from)
             .collect();
         let mut batch = service.drain();
@@ -444,19 +406,16 @@ impl SpgemmService {
             .map(|h| h.join().expect("service worker panicked"))
             .collect();
         let mut outcomes = Vec::new();
-        let mut chains = Vec::new();
         let mut failures = Vec::new();
         for done in lock_recover(&self.results).try_iter() {
             match done {
-                Completion::Job(outcome) => outcomes.push(*outcome),
-                Completion::Chain(outcome) => chains.push(*outcome),
+                Completion::Done(outcome) => outcomes.push(*outcome),
                 Completion::Failed(err) => failures.push(err),
-                // Collected work carries no deadline.
+                // Collected requests carry no deadline.
                 Completion::Expired(_) => {}
             }
         }
         outcomes.sort_by_key(|o| o.id);
-        chains.sort_by_key(|c| c.id);
         failures.sort_by_key(|f| f.id);
         let wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
         let worker_stats = reports
@@ -483,7 +442,6 @@ impl SpgemmService {
         );
         BatchOutcome {
             outcomes,
-            chains,
             failures,
             stats,
         }
@@ -506,21 +464,16 @@ fn worker_loop(
         let waited = queued.enqueued.elapsed();
         instruments.queue_wait[lane.index()].observe(waited.as_nanos() as u64);
         if queued.deadline.is_some_and(|d| Instant::now() > d) {
-            let (_, id, _) = queued.work.name();
-            (queued.reply)(lane, Completion::Expired(id));
+            (queued.reply)(lane, Completion::Expired(queued.request.id));
             continue;
         }
         let queue_ms = waited.as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let done = match &queued.work {
-            Work::Job(job) => engine
-                .run_job(&worker, job, queue_ms)
-                .map(|outcome| Completion::Job(Box::new(outcome))),
-            Work::Chain(chain) => engine
-                .run_chain(&worker, chain, queue_ms)
-                .map(|outcome| Completion::Chain(Box::new(outcome))),
-        }
-        .unwrap_or_else(Completion::Failed);
+        let done = engine
+            .run_chain(&worker, &queued.request, queue_ms)
+            .map_or_else(Completion::Failed, |outcome| {
+                Completion::Done(Box::new(outcome))
+            });
         busy_ms += t0.elapsed().as_secs_f64() * 1e3;
         jobs += 1;
         if matches!(done, Completion::Failed(_)) {

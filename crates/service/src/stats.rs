@@ -1,7 +1,7 @@
 //! Aggregate statistics for one service run.
 
 use crate::cache::CacheStats;
-use crate::job::JobOutcome;
+use crate::chain::ChainOutcome;
 
 /// Utilization of one worker (one simulated device).
 #[derive(Debug, Clone, PartialEq)]
@@ -10,20 +10,22 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Device the worker simulates.
     pub device: String,
-    /// Jobs the worker completed.
+    /// Requests the worker completed.
     pub jobs: usize,
-    /// Wall-clock ms the worker spent executing jobs.
+    /// Wall-clock ms the worker spent executing requests.
     pub busy_ms: f64,
     /// `busy_ms / wall_ms` of the whole run, in `[0, 1]`.
     pub utilization: f64,
 }
 
-/// Everything `blockreorg-cli batch` prints after a run.
+/// Everything `blockreorg-cli batch` prints after a run. Counts are per
+/// submission (a job or a whole chain); latencies and phases are per
+/// multiplication (one per chain step), the unit the plan cache counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceStats {
-    /// Jobs that completed successfully.
+    /// Submissions that completed successfully.
     pub jobs: usize,
-    /// Jobs that failed.
+    /// Submissions that failed.
     pub failures: usize,
     /// Wall-clock duration of the batch, ms.
     pub wall_ms: f64,
@@ -31,11 +33,11 @@ pub struct ServiceStats {
     pub cache: CacheStats,
     /// Highest queue depth observed.
     pub max_queue_depth: usize,
-    /// Mean simulated end-to-end latency across all jobs, ms.
+    /// Mean simulated latency across all multiplications, ms.
     pub mean_total_ms: f64,
-    /// Mean simulated latency of cache-miss (cold) jobs, ms.
+    /// Mean simulated latency of cache-miss (cold) multiplications, ms.
     pub mean_cold_ms: f64,
-    /// Mean simulated latency of cache-hit (warm) jobs, ms.
+    /// Mean simulated latency of cache-hit (warm) multiplications, ms.
     pub mean_warm_ms: f64,
     /// Summed simulated precalculation-kernel time, ms.
     pub precalc_ms: f64,
@@ -43,9 +45,9 @@ pub struct ServiceStats {
     pub expansion_ms: f64,
     /// Summed simulated merge-kernel time, ms.
     pub merge_ms: f64,
-    /// Summed host-side preprocessing charged to jobs, ms.
+    /// Summed host-side preprocessing charged to multiplications, ms.
     pub preprocess_ms: f64,
-    /// Mean wall-clock queue wait, ms.
+    /// Mean wall-clock queue wait per submission, ms.
     pub mean_queue_ms: f64,
     /// Per-worker utilization.
     pub workers: Vec<WorkerStats>,
@@ -54,7 +56,7 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// Builds the report from completed outcomes and run-level counters.
     pub fn from_outcomes(
-        outcomes: &[JobOutcome],
+        outcomes: &[ChainOutcome],
         failures: usize,
         wall_ms: f64,
         cache: CacheStats,
@@ -68,16 +70,15 @@ impl ServiceStats {
                 values.iter().sum::<f64>() / values.len() as f64
             }
         };
-        let totals: Vec<f64> = outcomes.iter().map(|o| o.total_ms).collect();
-        let cold: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| !o.cache_hit)
-            .map(|o| o.total_ms)
+        let steps = || outcomes.iter().flat_map(|o| &o.steps);
+        let totals: Vec<f64> = steps().map(|s| s.total_ms).collect();
+        let cold: Vec<f64> = steps()
+            .filter(|s| !s.cache_hit)
+            .map(|s| s.total_ms)
             .collect();
-        let warm: Vec<f64> = outcomes
-            .iter()
-            .filter(|o| o.cache_hit)
-            .map(|o| o.total_ms)
+        let warm: Vec<f64> = steps()
+            .filter(|s| s.cache_hit)
+            .map(|s| s.total_ms)
             .collect();
         let queue: Vec<f64> = outcomes.iter().map(|o| o.queue_ms).collect();
         ServiceStats {
@@ -89,10 +90,10 @@ impl ServiceStats {
             mean_total_ms: mean(&totals),
             mean_cold_ms: mean(&cold),
             mean_warm_ms: mean(&warm),
-            precalc_ms: outcomes.iter().map(|o| o.precalc_ms).sum(),
-            expansion_ms: outcomes.iter().map(|o| o.expansion_ms).sum(),
-            merge_ms: outcomes.iter().map(|o| o.merge_ms).sum(),
-            preprocess_ms: outcomes.iter().map(|o| o.preprocess_ms).sum(),
+            precalc_ms: steps().map(|s| s.precalc_ms).sum(),
+            expansion_ms: steps().map(|s| s.expansion_ms).sum(),
+            merge_ms: steps().map(|s| s.merge_ms).sum(),
+            preprocess_ms: steps().map(|s| s.preprocess_ms).sum(),
             mean_queue_ms: mean(&queue),
             workers,
         }
@@ -149,27 +150,37 @@ impl std::fmt::Display for ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use block_reorganizer::pass::ReorgStats;
+    use crate::chain::{RequestKind, StepOutcome};
     use br_sparse::CsrMatrix;
+    use std::sync::Arc;
 
-    fn outcome(hit: bool, total: f64, queue: f64) -> JobOutcome {
-        JobOutcome {
+    fn outcome(hit: bool, total: f64, queue: f64) -> ChainOutcome {
+        ChainOutcome {
             id: 0,
             label: "t".into(),
+            kind: RequestKind::Job,
             worker: 0,
             device: "Titan Xp".into(),
-            cache_hit: hit,
+            steps: vec![StepOutcome {
+                index: 0,
+                label: "C".into(),
+                cache_hit: hit,
+                method: "reorganized",
+                total_ms: total,
+                precalc_ms: if hit { 0.0 } else { 1.0 },
+                expansion_ms: 2.0,
+                merge_ms: 3.0,
+                preprocess_ms: if hit { 0.0 } else { 0.5 },
+                gflops: 1.0,
+                product_nnz: 0,
+                output_nnz: 0,
+                fill_in_permille: 0,
+                fresh_structure: true,
+            }],
             total_ms: total,
-            precalc_ms: if hit { 0.0 } else { 1.0 },
-            expansion_ms: 2.0,
-            merge_ms: 3.0,
-            preprocess_ms: if hit { 0.0 } else { 0.5 },
             queue_ms: queue,
             host_ms: 1.0,
-            gflops: 1.0,
-            nnz_c: 0,
-            stats: ReorgStats::default(),
-            result: CsrMatrix::<f64>::zeros(1, 1),
+            result: Arc::new(CsrMatrix::<f64>::zeros(1, 1)),
         }
     }
 

@@ -18,7 +18,9 @@ fn cache_hits_skip_rebinning_at_every_worker_count() {
     const N: u64 = 8;
     let a = Arc::new(rmat(RmatConfig::graph500(8, 8, 55)).to_csr());
     for workers in [1usize, 2, 4, 8] {
-        let jobs: Vec<JobRequest> = (0..N).map(|id| JobRequest::square(id, a.clone())).collect();
+        let jobs: Vec<ChainRequest> = (0..N)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect();
         let before = classification_runs();
         let batch = SpgemmService::run_batch(
             ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8),

@@ -33,7 +33,9 @@ fn repeat_hits_replay_and_the_memo_fills_once_at_every_worker_count() {
     let a = Arc::new(rmat(RmatConfig::graph500(8, 8, 55)).to_csr());
     for workers in [1usize, 2, 4, 8] {
         // N repeats of one exact-planned job with default bins.
-        let jobs: Vec<JobRequest> = (0..N).map(|id| JobRequest::square(id, a.clone())).collect();
+        let jobs: Vec<ChainRequest> = (0..N)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect();
         let launches = global_total("br_sim_kernel_launches_total");
         let replays = global_total("br_sim_kernel_replays_total");
         let batch = SpgemmService::run_batch(
@@ -54,7 +56,7 @@ fn repeat_hits_replay_and_the_memo_fills_once_at_every_worker_count() {
         let warm: Vec<u64> = batch
             .outcomes
             .iter()
-            .filter(|o| o.cache_hit)
+            .filter(|o| o.steps[0].cache_hit)
             .map(|o| o.total_ms.to_bits())
             .collect();
         assert!(warm.windows(2).all(|w| w[0] == w[1]), "workers={workers}");

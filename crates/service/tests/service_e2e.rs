@@ -35,16 +35,19 @@ fn cached_execution_is_bit_identical_to_cold() {
         let batch = SpgemmService::run_batch(
             ServiceConfig::default(),
             vec![
-                JobRequest::square(0, a.clone()),
-                JobRequest::square(1, a.clone()),
+                ChainRequest::square(0, a.clone()),
+                ChainRequest::square(1, a.clone()),
             ],
         );
         assert!(batch.failures.is_empty(), "{name}: {:?}", batch.failures);
         assert_eq!(batch.outcomes.len(), 2, "{name}");
         let cold = &batch.outcomes[0];
         let warm = &batch.outcomes[1];
-        assert!(!cold.cache_hit, "{name}: first run must be a miss");
-        assert!(warm.cache_hit, "{name}: second run must hit the cache");
+        assert!(!cold.steps[0].cache_hit, "{name}: first run must be a miss");
+        assert!(
+            warm.steps[0].cache_hit,
+            "{name}: second run must hit the cache"
+        );
         assert_bit_identical(&cold.result, &warm.result, name);
 
         // And against a plain one-shot pass outside the service.
@@ -62,8 +65,8 @@ fn cached_execution_is_bit_identical_to_cold() {
 fn repeated_batch_amortizes_preprocessing() {
     const N: usize = 8;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 7)).to_csr());
-    let jobs: Vec<JobRequest> = (0..N as u64)
-        .map(|id| JobRequest::square(id, a.clone()))
+    let jobs: Vec<ChainRequest> = (0..N as u64)
+        .map(|id| ChainRequest::square(id, a.clone()))
         .collect();
 
     // Several workers: the single-flight cache keeps hit/miss counts a
@@ -78,7 +81,11 @@ fn repeated_batch_amortizes_preprocessing() {
         "every repeat after the first reuses the plan"
     );
     assert_eq!(batch.stats.cache.misses, 1);
-    let hits = batch.outcomes.iter().filter(|o| o.cache_hit).count();
+    let hits = batch
+        .outcomes
+        .iter()
+        .filter(|o| o.steps[0].cache_hit)
+        .count();
     assert_eq!(hits, N - 1);
 
     // Baseline: N independent cold runs of the same multiplication.
@@ -97,9 +104,9 @@ fn repeated_batch_amortizes_preprocessing() {
         cold_mean
     );
     // Warm jobs skip the precalc kernel and the host preprocessing charge.
-    for warm in batch.outcomes.iter().filter(|o| o.cache_hit) {
-        assert_eq!(warm.precalc_ms, 0.0);
-        assert_eq!(warm.preprocess_ms, 0.0);
+    for warm in batch.outcomes.iter().filter(|o| o.steps[0].cache_hit) {
+        assert_eq!(warm.steps[0].precalc_ms, 0.0);
+        assert_eq!(warm.steps[0].preprocess_ms, 0.0);
     }
 }
 
@@ -114,9 +121,9 @@ fn multi_worker_pool_completes_every_job_correctly() {
     let mut jobs = Vec::new();
     for id in 0..N {
         if id % 2 == 0 {
-            jobs.push(JobRequest::square(id, a.clone()));
+            jobs.push(ChainRequest::square(id, a.clone()));
         } else {
-            jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+            jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
         }
     }
     let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), 4, 8);
@@ -159,7 +166,9 @@ fn multi_worker_pool_completes_every_job_correctly() {
 #[test]
 fn heterogeneous_devices_cache_plans_per_device() {
     let a = Arc::new(rmat(RmatConfig::graph500(8, 6, 11)).to_csr());
-    let jobs: Vec<JobRequest> = (0..8).map(|id| JobRequest::square(id, a.clone())).collect();
+    let jobs: Vec<ChainRequest> = (0..8)
+        .map(|id| ChainRequest::square(id, a.clone()))
+        .collect();
     let config = ServiceConfig {
         devices: vec![DeviceConfig::titan_xp(), DeviceConfig::tesla_v100()],
         cache_capacity: 8,
@@ -188,9 +197,9 @@ fn batch_counters_are_deterministic_across_worker_counts() {
         let mut jobs = Vec::new();
         for id in 0..N {
             if id % 3 == 0 {
-                jobs.push(JobRequest::square(id, a.clone()));
+                jobs.push(ChainRequest::square(id, a.clone()));
             } else {
-                jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+                jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
             }
         }
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8);
@@ -232,13 +241,13 @@ fn service_drains_after_panic_inside_queue_critical_section() {
     let a = Arc::new(rmat(RmatConfig::snap_like(7, 6, 33)).to_csr());
     let service = SpgemmService::start(ServiceConfig::uniform(DeviceConfig::titan_xp(), 2, 8));
     for id in 0..3 {
-        assert!(service.submit(JobRequest::square(id, a.clone())).is_ok());
+        assert!(service.submit(ChainRequest::square(id, a.clone())).is_ok());
     }
     // Panic while holding the queue mutex (poisons it), then keep going.
     service.poison_queue_for_test();
     for id in 3..6 {
         assert!(
-            service.submit(JobRequest::square(id, a.clone())).is_ok(),
+            service.submit(ChainRequest::square(id, a.clone())).is_ok(),
             "submissions must survive a poisoned queue mutex"
         );
     }
@@ -263,9 +272,9 @@ fn service_exposition_is_byte_identical_across_worker_counts() {
         let mut jobs = Vec::new();
         for id in 0..N {
             if id % 2 == 0 {
-                jobs.push(JobRequest::square(id, a.clone()));
+                jobs.push(ChainRequest::square(id, a.clone()));
             } else {
-                jobs.push(JobRequest::multiply(id, a.clone(), b.clone()));
+                jobs.push(ChainRequest::multiply(id, a.clone(), b.clone()));
             }
         }
         let config = ServiceConfig::uniform(DeviceConfig::titan_xp(), workers, 8)
@@ -307,14 +316,17 @@ fn bad_jobs_fail_gracefully_without_poisoning_the_batch() {
     let a = Arc::new(rmat(RmatConfig::graph500(7, 6, 5)).to_csr());
     let skinny = Arc::new(CsrMatrix::<f64>::zeros(3, 3));
     let jobs = vec![
-        JobRequest::square(0, a.clone()),
-        JobRequest::multiply(1, a.clone(), skinny), // shape mismatch
-        JobRequest::square(2, a.clone()),
+        ChainRequest::square(0, a.clone()),
+        ChainRequest::multiply(1, a.clone(), skinny), // shape mismatch
+        ChainRequest::square(2, a.clone()),
     ];
     let batch = SpgemmService::run_batch(ServiceConfig::default(), jobs);
     assert_eq!(batch.outcomes.len(), 2);
     assert_eq!(batch.failures.len(), 1);
     assert_eq!(batch.failures[0].id, 1);
+    // A plain multiplication fails with its own message, unwrapped.
+    let message = &batch.failures[0].message;
+    assert!(message.starts_with("invalid operands: "), "{message}");
     assert_eq!(batch.stats.failures, 1);
     assert_bit_identical(
         &batch.outcomes[0].result,
@@ -332,8 +344,10 @@ fn bad_jobs_fail_gracefully_without_poisoning_the_batch() {
 fn estimator_enabled_service_matches_exact_results() {
     use br_spgemm::estimate::EstimatorConfig;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 77)).to_csr());
-    let jobs = |n: u64| -> Vec<JobRequest> {
-        (0..n).map(|id| JobRequest::square(id, a.clone())).collect()
+    let jobs = |n: u64| -> Vec<ChainRequest> {
+        (0..n)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect()
     };
 
     let exact = SpgemmService::run_batch(ServiceConfig::default(), jobs(3));
@@ -366,8 +380,10 @@ fn estimator_enabled_service_matches_exact_results() {
 fn reordered_service_matches_baseline_results() {
     use block_reorganizer::reorder::ReorderStrategy;
     let a = Arc::new(rmat(RmatConfig::graph500(9, 8, 41)).to_csr());
-    let jobs = |n: u64| -> Vec<JobRequest> {
-        (0..n).map(|id| JobRequest::square(id, a.clone())).collect()
+    let jobs = |n: u64| -> Vec<ChainRequest> {
+        (0..n)
+            .map(|id| ChainRequest::square(id, a.clone()))
+            .collect()
     };
 
     let baseline = SpgemmService::run_batch(ServiceConfig::default(), jobs(3));
@@ -424,7 +440,7 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
         let service = SpgemmService::start(config);
         for (k, a) in singles.iter().enumerate() {
             service
-                .submit(JobRequest::square(k as u64, a.clone()))
+                .submit(ChainRequest::square(k as u64, a.clone()))
                 .unwrap();
         }
         service
@@ -442,8 +458,12 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
             "{workers} workers: {:?}",
             batch.failures
         );
-        assert_eq!(batch.outcomes.len(), SINGLES as usize);
-        assert_eq!(batch.chains.len(), 1);
+        let (chains, jobs): (Vec<&ChainOutcome>, Vec<&ChainOutcome>) = batch
+            .outcomes
+            .iter()
+            .partition(|o| o.kind == RequestKind::Chain);
+        assert_eq!(jobs.len(), SINGLES as usize);
+        assert_eq!(chains.len(), 1);
 
         // Every key is distinct → all misses; every insert past capacity
         // evicts exactly one plan.
@@ -454,16 +474,15 @@ fn eviction_stress_counters_are_deterministic_across_worker_counts() {
             (0, misses, misses - CAPACITY as u64, CAPACITY),
             "{workers} workers"
         );
-        assert_eq!(batch.chains[0].cache_hits(), 0, "{workers} workers");
+        assert_eq!(chains[0].cache_hits(), 0, "{workers} workers");
         assert_eq!(
-            batch.chains[0].structure_churn(),
+            chains[0].structure_churn(),
             CHAIN_STEPS as usize,
             "{workers} workers"
         );
 
-        let job_results: Vec<CsrMatrix<f64>> =
-            batch.outcomes.iter().map(|o| o.result.clone()).collect();
-        let chain_result = (*batch.chains[0].result).clone();
+        let job_results: Vec<CsrMatrix<f64>> = jobs.iter().map(|o| (*o.result).clone()).collect();
+        let chain_result = (*chains[0].result).clone();
         match &baseline {
             None => baseline = Some((job_results, chain_result)),
             Some((jobs0, chain0)) => {
@@ -498,21 +517,23 @@ fn replies_answer_each_submission_once_and_expiry_counts_no_job() {
     let (tx, rx) = mpsc::channel();
     let reply: Reply = Arc::new(move |lane, done| tx.send((lane, done)).unwrap());
     let submit = |id: u64, lane: Lane, deadline: Option<Instant>| {
-        let job = JobRequest::square(id, a.clone()).into();
+        let job = ChainRequest::square(id, a.clone());
         service.submit_with(job, lane, deadline, reply.clone())
     };
     assert_eq!(submit(0, Lane::Batch, None).unwrap(), 1);
     assert_eq!(submit(1, Lane::Batch, Some(Instant::now())).unwrap(), 2);
     assert_eq!(submit(2, Lane::Interactive, None).unwrap(), 3);
     match submit(3, Lane::Interactive, None) {
-        Err(SubmitError::QueueFull(Work::Job(job))) => assert_eq!(job.id, 3),
+        Err(SubmitError::QueueFull(job)) if job.kind == RequestKind::Job => {
+            assert_eq!(job.id, 3)
+        }
         other => panic!("expected QueueFull with the job back, got {other:?}"),
     }
     std::thread::sleep(Duration::from_millis(5));
     assert!(service.release());
     let answers: Vec<(u64, Lane, &str)> = (0..3)
         .map(|_| match rx.recv().unwrap() {
-            (lane, Completion::Job(outcome)) => (outcome.id, lane, "job"),
+            (lane, Completion::Done(outcome)) => (outcome.id, lane, outcome.kind.name()),
             (lane, Completion::Expired(id)) => (id, lane, "expired"),
             (lane, other) => panic!("{lane:?}: unexpected {other:?}"),
         })
@@ -542,9 +563,49 @@ fn replies_answer_each_submission_once_and_expiry_counts_no_job() {
     }
     assert!(
         matches!(
-            service.submit(JobRequest::square(9, a.clone())),
+            service.submit(ChainRequest::square(9, a.clone())),
             Err(SubmitError::Draining(_))
         ),
         "a drained service refuses new work"
     );
+}
+
+/// A batch of jobs and chains reports per submission and aggregates per
+/// multiplication: one plain job plus two Galerkin chains is 3 submissions
+/// and 9 multiplications (1 + 2 × 4), 3 cold and 6 warm — the same split
+/// the cache counts — and every latency mean and phase sum is the one
+/// computed by hand over those 9 steps.
+#[test]
+fn batch_report_counts_submissions_and_aggregates_every_multiplication() {
+    let specs = parse_job_file("rmat=7,4\nchain=galerkin rmat=9,6 repeat=2\n").unwrap();
+    let requests = expand_submissions(&specs).unwrap();
+    let batch = SpgemmService::run_batch(ServiceConfig::default(), requests);
+    assert!(batch.failures.is_empty(), "{:?}", batch.failures);
+    let stats = &batch.stats;
+    assert_eq!(stats.jobs, 3, "one per submission");
+    let kinds: Vec<RequestKind> = batch.outcomes.iter().map(|o| o.kind).collect();
+    assert_eq!(
+        kinds,
+        [RequestKind::Job, RequestKind::Chain, RequestKind::Chain]
+    );
+
+    let steps: Vec<&StepOutcome> = batch.outcomes.iter().flat_map(|o| &o.steps).collect();
+    let (cold, warm): (Vec<&StepOutcome>, Vec<&StepOutcome>) =
+        steps.iter().partition(|s| !s.cache_hit);
+    assert_eq!((steps.len(), cold.len(), warm.len()), (9, 3, 6));
+    assert_eq!((stats.cache.misses, stats.cache.hits), (3, 6));
+
+    let mean =
+        |steps: &[&StepOutcome]| steps.iter().map(|s| s.total_ms).sum::<f64>() / steps.len() as f64;
+    let sum = |phase: fn(&StepOutcome) -> f64| steps.iter().map(|s| phase(s)).sum::<f64>();
+    assert_eq!(stats.mean_total_ms, mean(&steps));
+    assert_eq!(stats.mean_cold_ms, mean(&cold));
+    assert_eq!(stats.mean_warm_ms, mean(&warm));
+    assert_eq!(stats.precalc_ms, sum(|s| s.precalc_ms));
+    assert_eq!(stats.expansion_ms, sum(|s| s.expansion_ms));
+    assert_eq!(stats.merge_ms, sum(|s| s.merge_ms));
+    assert_eq!(stats.preprocess_ms, sum(|s| s.preprocess_ms));
+    assert!(stats.expansion_ms > 0.0 && stats.merge_ms > 0.0);
+    let queue = batch.outcomes.iter().map(|o| o.queue_ms).sum::<f64>() / 3.0;
+    assert_eq!(stats.mean_queue_ms, queue, "queue wait is per submission");
 }

@@ -12,6 +12,7 @@
 //! [`CsrMatrix::sort_rows`] when a canonical form is required for comparison.
 
 use crate::error::SparseError;
+use crate::hash::{fnv_mix, FNV_OFFSET};
 use crate::scalar::Scalar;
 use crate::{CscMatrix, DenseMatrix, Result};
 
@@ -212,6 +213,18 @@ impl<T: Scalar> CsrMatrix<T> {
     #[inline]
     pub fn val(&self) -> &[T] {
         &self.val
+    }
+
+    /// Value-independent hash of the sparsity structure: one FNV word step
+    /// ([`fnv_mix`]) per row pointer, then per column index. Equal
+    /// structures hash equal; the plan cache's matrix signature and the
+    /// chain executor's structure-churn check both use it.
+    pub fn structure_hash(&self) -> u64 {
+        let h = self
+            .ptr
+            .iter()
+            .fold(FNV_OFFSET, |h, &p| fnv_mix(h, p as u64));
+        self.idx.iter().fold(h, |h, &j| fnv_mix(h, j as u64))
     }
 
     /// Column indices and values of row `r`.

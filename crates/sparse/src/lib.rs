@@ -20,6 +20,8 @@
 //! * Element-wise chain operators ([`eltwise`]) — pattern masking, column
 //!   normalisation, and threshold pruning, the deterministic post-ops of
 //!   the `br-workloads` chain executor.
+//! * The one hash and PRNG ([`hash`]) — FNV-1a and splitmix64, behind
+//!   every fingerprint and seed in the workspace.
 //!
 //! Index convention: column indices are `u32` (matching what the paper's
 //! CUDA kernels would use on-device); row/column pointer arrays are `usize`.
@@ -33,6 +35,7 @@ pub mod csr;
 pub mod dense;
 pub mod eltwise;
 pub mod error;
+pub mod hash;
 pub mod io;
 pub mod ops;
 pub mod par;

@@ -13,14 +13,6 @@ use br_sparse::ops::symbolic::{block_products, row_intermediate_nnz, symbolic_nn
 use br_sparse::{CscMatrix, CsrMatrix, Result, Scalar};
 use serde::{Deserialize, Serialize};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// One FNV-1a-style mixing step over a 64-bit word.
-fn fnv_mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
-
 /// A compact fingerprint of one matrix's *sparsity structure*: dimensions,
 /// nnz, and a hash of the row-pointer and column-index arrays.
 ///
@@ -37,25 +29,19 @@ pub struct MatrixSignature {
     pub ncols: u64,
     /// Number of stored entries.
     pub nnz: u64,
-    /// FNV-1a hash over the row-pointer and column-index arrays.
+    /// FNV hash over the row-pointer and column-index arrays
+    /// ([`CsrMatrix::structure_hash`]).
     pub structure_hash: u64,
 }
 
 impl MatrixSignature {
     /// Computes the signature of a CSR matrix.
     pub fn of<T: Scalar>(m: &CsrMatrix<T>) -> Self {
-        let mut h = FNV_OFFSET;
-        for &p in m.ptr() {
-            h = fnv_mix(h, p as u64);
-        }
-        for &j in m.idx() {
-            h = fnv_mix(h, j as u64);
-        }
         MatrixSignature {
             nrows: m.nrows() as u64,
             ncols: m.ncols() as u64,
             nnz: m.nnz() as u64,
-            structure_hash: h,
+            structure_hash: m.structure_hash(),
         }
     }
 }

@@ -22,6 +22,7 @@
 //! row), so the "estimates" are exactly the exact quantities.
 
 use br_obs::{Counter, Histogram};
+use br_sparse::hash::{fnv_mix, splitmix64, FNV_OFFSET};
 use br_sparse::Scalar;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -29,13 +30,6 @@ use std::sync::OnceLock;
 use crate::accum::BinThresholds;
 use crate::context::ProblemContext;
 use crate::pipeline::SpgemmMethod;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(FNV_PRIME)
-}
 
 /// Estimator instruments in the process-wide registry. All are pure
 /// functions of the estimated work (never of wall clock or scheduling),
@@ -214,16 +208,6 @@ impl WorkloadEstimate {
 /// (block products, CSC view) is excluded from both sides.
 pub fn exact_plan_ops<T: Scalar>(ctx: &ProblemContext<T>) -> u64 {
     ctx.a.nnz() as u64 + ctx.intermediate_total
-}
-
-/// splitmix64 — tiny, seedable, excellent diffusion; the standard choice
-/// for deterministic index sampling.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Draws `k` distinct indices from `0..n`, sorted ascending, via Floyd's

@@ -179,6 +179,22 @@ impl Workload {
     }
 }
 
+/// The one-step product `C = A·B` over the inputs `A`, `B`: a single
+/// multiplication as a chain program.
+pub fn multiply() -> ChainProgram {
+    ChainProgram {
+        name: "multiply".into(),
+        inputs: vec!["A".into(), "B".into()],
+        steps: vec![ChainStep {
+            label: "C".into(),
+            a: Operand::Input(0),
+            transpose_a: false,
+            b: Operand::Input(1),
+            post: Vec::new(),
+        }],
+    }
+}
+
 /// `k` iterated-squaring steps: `S₀ = A·A`, `Sᵢ = Sᵢ₋₁·Sᵢ₋₁`, result
 /// `A^(2^k)`. Every step multiplies a structure no earlier step saw.
 pub fn square_k_times(k: usize) -> ChainProgram {
@@ -507,6 +523,18 @@ mod tests {
             !run.steps[3].fresh_structure,
             "T'·P repeats T·P's structure"
         );
+    }
+
+    #[test]
+    fn multiply_is_one_fresh_product_of_its_two_inputs() {
+        let a = Arc::new(ring(6));
+        let b = Arc::new(planted_partition(2, 3, 2, 4));
+        let program = multiply();
+        program.validate().unwrap();
+        let run = program.execute_reference(&[a.clone(), b.clone()]).unwrap();
+        assert_eq!(*run.result, spgemm_gustavson(&a, &b).unwrap());
+        assert_eq!(run.steps.len(), 1);
+        assert!(run.steps[0].fresh_structure, "its only step is fresh");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+use br_sparse::hash::{fnv_mix, FNV_OFFSET};
 use br_sparse::ops::spgemm_gustavson;
 use br_sparse::{CsrMatrix, SparseError};
 
@@ -156,31 +157,16 @@ impl<M> ChainRun<M> {
     }
 }
 
-/// Value-independent FNV-1a fingerprint of an operand pair's sparsity
-/// structure — the chain-local analogue of the plan cache's problem
-/// signature, used to flag structure churn without depending on the
-/// planning stack.
+/// Value-independent fingerprint of an operand pair's sparsity structure:
+/// each operand's dimensions and [`CsrMatrix::structure_hash`] (the hash
+/// the plan cache's matrix signature uses), word-mixed — the chain-local
+/// structure-churn signal, without depending on the planning stack.
 fn structure_fingerprint(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    for m in [a, b] {
-        eat(m.nrows() as u64);
-        eat(m.ncols() as u64);
-        for &p in m.ptr() {
-            eat(p as u64);
-        }
-        for &c in m.idx() {
-            eat(c as u64);
-        }
-    }
-    h
+    [a, b].iter().fold(FNV_OFFSET, |h, m| {
+        [m.nrows() as u64, m.ncols() as u64, m.structure_hash()]
+            .iter()
+            .fold(h, |h, &v| fnv_mix(h, v))
+    })
 }
 
 impl ChainProgram {
@@ -276,11 +262,16 @@ impl ChainProgram {
                 resolve(step.a)
             };
             let b = resolve(step.b);
-            let fp = structure_fingerprint(&a, &b);
-            let fresh_structure = !seen.contains(&fp);
-            if fresh_structure {
-                seen.push(fp);
-            }
+            // A one-step program's only step is fresh by definition, so a
+            // plain multiplication hashes nothing.
+            let fresh_structure = self.steps.len() == 1 || {
+                let fp = structure_fingerprint(&a, &b);
+                let fresh = !seen.contains(&fp);
+                if fresh {
+                    seen.push(fp);
+                }
+                fresh
+            };
             let (product, meta) = run(i, &step.label, &a, &b)
                 .map_err(|source| ChainError::Step { index: i, source })?;
             let product_nnz = product.nnz();

@@ -25,7 +25,7 @@ pub mod chain;
 pub mod spec;
 
 pub use canonical::{
-    aggregation_prolongator, galerkin, markov_cluster, markov_seed, planted_partition,
+    aggregation_prolongator, galerkin, markov_cluster, markov_seed, multiply, planted_partition,
     square_k_times, triangle_count, Workload,
 };
 pub use chain::{ChainError, ChainProgram, ChainRun, ChainStep, Operand, PostOp, StepRecord};

@@ -403,9 +403,7 @@ fn run_batch(mut args: Args) -> ! {
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| runtime_error(&format!("cannot read job file {path}: {e}")));
     let specs = parse_job_file(&text).unwrap_or_else(|e| runtime_error(&e));
-    let work = expand_submissions(&specs)
-        .unwrap_or_else(|e| runtime_error(&e))
-        .into_work();
+    let requests = expand_submissions(&specs).unwrap_or_else(|e| runtime_error(&e));
 
     let mut devices: Vec<DeviceConfig> = group.device.split(',').map(device_of).collect();
     if let Some(workers) = group.workers {
@@ -417,7 +415,7 @@ fn run_batch(mut args: Args) -> ! {
     }
     outln!(
         "batch: {} jobs from {path}, {} workers, plan cache {} entries",
-        work.len(),
+        requests.len(),
         devices.len(),
         group.cache
     );
@@ -428,28 +426,26 @@ fn run_batch(mut args: Args) -> ! {
 
     let config = group.service(devices, queue_cap);
     let batch = group.metrics.around(|| {
-        let batch = SpgemmService::run_batch(config, work);
+        let batch = SpgemmService::run_batch(config, requests);
         for outcome in &batch.outcomes {
-            outln!(
-                "{:<24} worker {}  {}  {:>10.4} ms  {:>8.2} GFLOPS  nnz(C) = {}",
-                outcome.label,
-                outcome.worker,
-                if outcome.cache_hit { "hit " } else { "miss" },
-                outcome.total_ms,
-                outcome.gflops,
-                outcome.nnz_c
-            );
-        }
-        for chain in &batch.chains {
-            outln!(
-                "{:<24} worker {}  {}/{} plan hits  {:>10.4} ms  nnz(C) = {}",
-                chain.label,
-                chain.worker,
-                chain.cache_hits(),
-                chain.steps.len(),
-                chain.total_ms,
-                chain.result.nnz()
-            );
+            let (label, worker, nnz) = (&outcome.label, outcome.worker, outcome.result.nnz());
+            match outcome.kind {
+                RequestKind::Job => {
+                    let step = &outcome.steps[0];
+                    outln!(
+                        "{label:<24} worker {worker}  {}  {:>10.4} ms  {:>8.2} GFLOPS  nnz(C) = {nnz}",
+                        if step.cache_hit { "hit " } else { "miss" },
+                        outcome.total_ms,
+                        step.gflops,
+                    )
+                }
+                RequestKind::Chain => outln!(
+                    "{label:<24} worker {worker}  {}/{} plan hits  {:>10.4} ms  nnz(C) = {nnz}",
+                    outcome.cache_hits(),
+                    outcome.steps.len(),
+                    outcome.total_ms,
+                ),
+            }
         }
         outln!();
         out!("{}", batch.stats);

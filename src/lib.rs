@@ -45,8 +45,8 @@ pub mod prelude {
     pub use br_datasets::rmat::{rmat, RmatConfig};
     pub use br_gpu_sim::device::DeviceConfig;
     pub use br_service::{
-        BatchOutcome, CacheStats, ChainRequest, Engine, JobOutcome, JobRequest, PlanCache, PlanKey,
-        ServiceConfig, ServiceStats, SpgemmService, Worker,
+        BatchOutcome, CacheStats, ChainOutcome, ChainRequest, Engine, PlanCache, PlanKey,
+        RequestKind, ServiceConfig, ServiceStats, SpgemmService, Worker,
     };
     pub use br_sparse::ops::{multiply_flops, spgemm_gustavson};
     pub use br_sparse::stats::DegreeStats;

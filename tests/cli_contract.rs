@@ -178,6 +178,59 @@ fn batch_runs_chain_lines() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A batch of a job and two chains prints its lines in file order and a
+/// report over all 3 submissions and all 9 multiplications (3 cold,
+/// 6 warm), whose latency and phase lines are the means and sums computed
+/// by hand over the steps of the same batch run in process.
+#[test]
+fn mixed_batch_reports_every_submission_and_multiplication() {
+    use blockreorg::service::prelude::*;
+
+    let text = "rmat=7,4\nchain=galerkin rmat=9,6 repeat=2\n";
+    let dir = scratch("batch-mixed", &[("jobs.txt", text)]);
+    let jobs = dir.join("jobs.txt");
+    let stdout = stdout_of(&["batch", "--jobs", jobs.to_str().unwrap(), "--workers", "1"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let line = |prefix: &str| -> usize {
+        let found = stdout.lines().position(|l| l.starts_with(prefix));
+        found.unwrap_or_else(|| panic!("no line starting {prefix:?}:\n{stdout}"))
+    };
+    assert!(stdout.starts_with("batch: 3 jobs from"), "{stdout}");
+    assert!(line("rmat-7-4[1/1]") < line("rmat-9-6:galerkin[1/2]"));
+    assert!(line("rmat-9-6:galerkin[1/2]") < line("rmat-9-6:galerkin[2/2]"));
+    assert!(stdout.contains("batch: 3 jobs (0 failed)"), "{stdout}");
+    assert!(stdout.contains("cache: 6 hits / 3 misses"), "{stdout}");
+
+    let requests = expand_submissions(&parse_job_file(text).unwrap()).unwrap();
+    let batch = SpgemmService::run_batch(ServiceConfig::default(), requests);
+    let steps: Vec<&StepOutcome> = batch.outcomes.iter().flat_map(|o| &o.steps).collect();
+    assert_eq!(steps.len(), 9);
+    let mean = |keep: fn(&StepOutcome) -> bool| {
+        let ms: Vec<f64> = steps
+            .iter()
+            .filter(|s| keep(s))
+            .map(|s| s.total_ms)
+            .collect();
+        ms.iter().sum::<f64>() / ms.len() as f64
+    };
+    let sum = |phase: fn(&StepOutcome) -> f64| steps.iter().map(|s| phase(s)).sum::<f64>();
+    let latency = format!(
+        "latency (simulated): mean {:.4} ms  cold {:.4} ms  warm {:.4} ms",
+        mean(|_| true),
+        mean(|s| !s.cache_hit),
+        mean(|s| s.cache_hit)
+    );
+    let phases = format!(
+        "phases (summed): precalc {:.4} ms  expansion {:.4} ms  merge {:.4} ms  host preprocess {:.4} ms",
+        sum(|s| s.precalc_ms),
+        sum(|s| s.expansion_ms),
+        sum(|s| s.merge_ms),
+        sum(|s| s.preprocess_ms)
+    );
+    assert!(stdout.contains(&latency), "want {latency:?}:\n{stdout}");
+    assert!(stdout.contains(&phases), "want {phases:?}:\n{stdout}");
+}
+
 /// Runs `args` with stdout (or stderr) writing into a pipe nobody reads.
 fn with_closed(stream: &str, args: &[&str]) -> Output {
     let (reader, writer) = std::io::pipe().unwrap();
