@@ -112,11 +112,6 @@ pub fn f2(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Formats a float with 3 decimals.
-pub fn f3(v: f64) -> String {
-    format!("{v:.3}")
-}
-
 /// Formats a count with thousands separators for readability.
 pub fn count(n: u64) -> String {
     let s = n.to_string();
@@ -190,6 +185,5 @@ mod tests {
     #[test]
     fn float_formatters() {
         assert_eq!(f2(1.434), "1.43");
-        assert_eq!(f3(0.12345), "0.123");
     }
 }

@@ -262,7 +262,8 @@ pub enum MethodSel {
     KwayMerge,
     /// The reorganizer plan built under a forced row-reorder strategy and
     /// executed from the cached plan (`reorder` suite). The numeric result
-    /// stays bit-identical because the plan un-permutes its output.
+    /// stays bit-identical because the permutation reaches only the
+    /// simulated launch stream.
     Reordered(ReorderStrategy),
 }
 
@@ -369,7 +370,7 @@ impl BenchCase {
 
 /// Runs a whole suite under `settings` and assembles the report, with the
 /// worker count resolved from the ambient [`par`] configuration
-/// (`--threads` override, `BR_THREADS`, else available cores). `progress`
+/// (`BR_THREADS`, which `--threads` sets, else available cores). `progress`
 /// receives one line per completed case (pass `|_| {}` to silence).
 pub fn run_suite(suite: Suite, settings: &PlanSettings, progress: impl FnMut(&str)) -> BenchReport {
     run_suite_threaded(suite, par::effective_threads(None), settings, progress)
@@ -445,7 +446,7 @@ pub fn run_suite_threaded(
         wall_ms,
         cases_per_sec: per_sec(cases.len() as u64),
         jobs_per_sec: per_sec(service.jobs),
-        bins: Some(bin_census(suite, settings)),
+        bins: Some(bin_census(suite, settings, threads)),
         obs: Some(ObsHostStats {
             families: obs_totals.families,
             samples: obs_totals.samples,
@@ -679,8 +680,9 @@ fn suite_thresholds(suite: Suite, settings: &PlanSettings, ncols: usize) -> BinT
 /// uniform in practice. Kway rows additionally record a log2 histogram of
 /// their run counts (A-row nonzeros): the tournament-tree widths the k-way
 /// bin actually builds. Structure-only and deterministic; recorded in the
-/// report's informational `host` section, never compared.
-fn bin_census(suite: Suite, settings: &PlanSettings) -> BinHostStats {
+/// report's informational `host` section, never compared. Row products
+/// are counted over `threads` workers.
+fn bin_census(suite: Suite, settings: &PlanSettings, threads: usize) -> BinHostStats {
     let mut seen: Vec<(&'static str, String)> = Vec::new();
     let mut recorded: Option<BinThresholds> = None;
     let mut runs_hist: Vec<u64> = Vec::new();
@@ -714,7 +716,7 @@ fn bin_census(suite: Suite, settings: &PlanSettings) -> BinHostStats {
             stats.heavy_min = thresholds.heavy_min;
             stats.kway_min = Some(thresholds.kway_min);
         }
-        let bins = RowBins::of(&a, &a, thresholds).expect("square shapes always agree");
+        let bins = RowBins::of(&a, &a, thresholds, threads).expect("square shapes always agree");
         for (r, &p) in bins.row_products.iter().enumerate() {
             if thresholds.bin_of(p) == br_spgemm::accum::RowBin::Kway {
                 let runs = a.row_nnz(r).max(1) as u64;
@@ -860,8 +862,8 @@ mod tests {
 
     #[test]
     fn bin_census_is_deterministic_and_counts_every_row() {
-        let census = bin_census(Suite::Quick, &default_settings());
-        assert_eq!(census, bin_census(Suite::Quick, &default_settings()));
+        let census = bin_census(Suite::Quick, &default_settings(), 2);
+        assert_eq!(census, bin_census(Suite::Quick, &default_settings(), 2));
         // The recorded pair is what the engine applies to the suite's
         // first problem (harbor, tiny scale).
         let harbor = RealWorldRegistry::get("harbor")
@@ -898,8 +900,8 @@ mod tests {
         // Under the kway suite's forced thresholds the census must move
         // rows into the k-way bin and the runs histogram must cover
         // exactly those rows.
-        let census = bin_census(Suite::Kway, &default_settings());
-        assert_eq!(census, bin_census(Suite::Kway, &default_settings()));
+        let census = bin_census(Suite::Kway, &default_settings(), 2);
+        assert_eq!(census, bin_census(Suite::Kway, &default_settings(), 2));
         assert_eq!(census.kway_min, Some(KWAY_SUITE_MIN));
         let kway_rows = census.kway_rows.expect("kway census records the bin");
         assert!(kway_rows > 0, "{census:?}");
@@ -1074,7 +1076,7 @@ mod tests {
                     .case(&format!("{dataset}@tiny/{flavor}/titan-xp"))
                     .unwrap_or_else(|| panic!("missing {flavor} case for {dataset}"));
                 // Reordering only permutes the launch schedule; the
-                // numeric work and the un-permuted result must not change.
+                // numeric work and the result must not change.
                 assert_eq!(
                     base.metrics.flops, reordered.metrics.flops,
                     "{dataset}/{flavor}"

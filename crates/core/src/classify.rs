@@ -84,16 +84,6 @@ impl Classification {
             threshold,
         }
     }
-
-    /// Share of non-empty pairs classified as dominators.
-    pub fn dominator_fraction(&self) -> f64 {
-        let nonempty = self.dominators.len() + self.low_performers.len() + self.normals.len();
-        if nonempty == 0 {
-            0.0
-        } else {
-            self.dominators.len() as f64 / nonempty as f64
-        }
-    }
 }
 
 /// Data-driven α selection (Section IV-B: "the criteria for classification
@@ -194,8 +184,9 @@ mod tests {
             c.dominators.len()
         );
         // The paper's youtube walkthrough: dominator count is tiny
-        // relative to all pairs.
-        assert!(c.dominator_fraction() < 0.05);
+        // relative to all non-empty pairs.
+        let nonempty = c.dominators.len() + c.low_performers.len() + c.normals.len();
+        assert!((c.dominators.len() as f64) < 0.05 * nonempty as f64);
     }
 
     #[test]

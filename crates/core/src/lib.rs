@@ -31,8 +31,9 @@
 //! (the per-vector factor selection the paper sketches), [`mod@tune`]
 //! (per-matrix configuration search over the simulator), and
 //! [`mod@reorder`] (deterministic row-reordering strategies — degree,
-//! RCM-style, structure-hash clustering — planned once and replayed from
-//! the cached plan, with the output un-permuted bit-identically).
+//! RCM-style, structure-hash clustering — planned once and replayed by
+//! the cached plan's simulations; the numeric merge never sees the
+//! permutation, so output stays bit-identical).
 
 #![warn(missing_docs)]
 

@@ -26,7 +26,6 @@
 //! [`Cold`]: PlanMode::Cold
 //! [`Cached`]: PlanMode::Cached
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -35,7 +34,7 @@ use br_gpu_sim::profiler::KernelProfile;
 use br_gpu_sim::sim::{record_replays, GpuSimulator};
 use br_gpu_sim::trace::KernelLaunch;
 use br_sparse::error::SparseError;
-use br_sparse::{CsrMatrix, Result, Scalar};
+use br_sparse::{Result, Scalar};
 use br_spgemm::accum::{spgemm_adaptive_planned, RowBins, ScratchPool};
 use br_spgemm::context::{ProblemContext, ProblemSignature};
 use br_spgemm::estimate::{
@@ -44,7 +43,6 @@ use br_spgemm::estimate::{
 };
 use br_spgemm::expansion::outer::outer_pair_block;
 use br_spgemm::merge::kway::binned_merge_launches;
-use br_spgemm::numeric::default_threads;
 use br_spgemm::workspace::Workspace;
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +101,9 @@ pub struct ReorgPlan {
     /// Host numeric row binning (adaptive merge engine): classified once at
     /// build time from the context's `row_products` and reused — with the
     /// per-row partition weights it carries — on every cached execution.
+    /// Always in the operands' row order, also when the plan reorders: the
+    /// merge runs on the operands as given, and only the simulated launch
+    /// stream gathers the bins into the analysed order.
     pub bins: RowBins,
     /// Host-side B-Splitting preprocessing cost paid at build time, ms.
     pub preprocess_ms: f64,
@@ -118,10 +119,11 @@ pub struct ReorgPlan {
     /// is the default and keeps the plan byte-identical to the
     /// pre-reordering pipeline.
     pub reorder: ReorderStrategy,
-    /// Row permutation of `A` the plan's analysis ran over, replayed on
-    /// every execution (permute `A`, run the planned pipeline, un-permute
-    /// the rows of `C`). `None` means identity — every default-strategy
-    /// plan, and any strategy whose order degenerates to the input order.
+    /// Row permutation of `A` the plan's analysis ran over, replayed by
+    /// every simulation, which builds its launch stream over the permuted
+    /// problem. The numeric merge never permutes: row order changes no
+    /// merged row. `None` means identity — every default-strategy plan, and
+    /// any strategy whose order degenerates to the input order.
     pub permutation: Option<Permutation>,
     /// How this plan's workloads were obtained (exact vs estimated).
     pub build: PlanBuild,
@@ -158,7 +160,7 @@ impl ReplayMemo {
     /// that device's; otherwise `simulate` runs, filling an empty memo
     /// exactly once even under concurrent callers, and leaving another
     /// device's memo in place.
-    fn get_or_simulate(&self, device: u64, simulate: &mut dyn FnMut() -> Simulated) -> Simulated {
+    fn get_or_simulate(&self, device: u64, simulate: impl Fn() -> Simulated) -> Simulated {
         let mut filled = false;
         let (memo_device, memo) = self.0.get_or_init(|| {
             filled = true;
@@ -262,10 +264,10 @@ impl ReorgPlan {
     /// computed once and the whole analysis (classification, splitting,
     /// gathering, limiting, row binning) runs over the *permuted* problem;
     /// the resolved strategy and the permutation are stored in the plan so
-    /// executions replay them. The plan's signature stays that of the
-    /// **original** operands — callers never permute anything themselves,
-    /// and the executed result is un-permuted on output, so it is
-    /// bit-identical to the unreordered multiply.
+    /// simulations replay them. The plan's signature stays that of the
+    /// **original** operands, and its row bins are gathered back into their
+    /// order once here, so executions merge the operands as given and the
+    /// result is bit-identical to the unreordered multiply.
     ///
     /// The sampled path extrapolates per-row workloads from a seeded
     /// column/row sample, chooses the expansion method per problem, and
@@ -281,9 +283,12 @@ impl ReorgPlan {
         settings: &PlanSettings,
     ) -> Self {
         let (reorder, permutation) = reorder::plan_permutation(&ctx.a, settings.reorder);
-        let permuted = permutation.as_ref().map(|p| ctx.permute_rows(p.forward()));
-        let mut plan = Self::analyze(permuted.as_ref().unwrap_or(ctx), device, settings);
+        let Some(p) = &permutation else {
+            return Self::analyze(ctx, device, settings);
+        };
+        let mut plan = Self::analyze(&ctx.permute_rows(p.forward()), device, settings);
         plan.signature = ctx.signature();
+        plan.bins = plan.bins.permuted(p.inverse());
         plan.reorder = reorder;
         plan.permutation = permutation;
         plan
@@ -392,33 +397,25 @@ impl ReorgPlan {
         device: &DeviceConfig,
         mode: PlanMode,
     ) -> Result<ReorganizerRun<T>> {
-        self.execute_on(&GpuSimulator::new(device.clone()), ctx, mode)
+        self.execute_with_scratch(&GpuSimulator::new(device.clone()), ctx, mode, None)
     }
 
     /// Executes the plan against a caller-owned simulator (the `br-service`
-    /// worker pool keeps one per worker).
+    /// worker pool keeps one per worker), with an optional merge-scratch
+    /// pool so steady-state jobs reuse warmed accumulators instead of
+    /// allocating per execution.
+    ///
+    /// The host numeric multiply runs first, once, on the operands as
+    /// given: the adaptive row-binned engine over the plan's cached
+    /// [`RowBins`] (no re-binning, no weights scan) on the simulator's
+    /// thread count. Then a [`PlanMode::Cold`] execution simulates; the
+    /// first [`PlanMode::Cached`] one simulates and memoizes its profiles
+    /// and stats, and every later one on a device with the same
+    /// [`DeviceConfig::fingerprint`] replays them (counted under
+    /// `br_sim_kernel_replays_total`).
     ///
     /// Fails with [`SparseError::InvalidStructure`] when `ctx` does not
     /// structurally match the operands the plan was built for.
-    pub fn execute_on<T: Scalar>(
-        &self,
-        sim: &GpuSimulator,
-        ctx: &ProblemContext<T>,
-        mode: PlanMode,
-    ) -> Result<ReorganizerRun<T>> {
-        self.execute_with_scratch(sim, ctx, mode, None)
-    }
-
-    /// [`ReorgPlan::execute_on`] with an optional merge-scratch pool — the
-    /// `br-service` workers pass their per-worker pool so steady-state jobs
-    /// reuse warmed accumulators instead of allocating per execution. The
-    /// host numeric multiply runs through the adaptive row-binned engine
-    /// using the plan's cached [`RowBins`] (no re-binning, no weights scan).
-    ///
-    /// The first [`PlanMode::Cached`] execution memoizes its profiles and
-    /// stats; every later one on a device with the same
-    /// [`DeviceConfig::fingerprint`] replays them (counted under
-    /// `br_sim_kernel_replays_total`) and runs only the numeric merge.
     pub fn execute_with_scratch<T: Scalar>(
         &self,
         sim: &GpuSimulator,
@@ -434,51 +431,16 @@ impl ReorgPlan {
                 ctx.signature()
             )));
         }
-        // The numeric multiply runs over the permuted problem the analysis
-        // saw (when the plan reorders), and its rows are scattered back:
-        // row i of the permuted product is row forward[i] of the real one,
-        // so gathering by the inverse restores the original order without
-        // touching any within-row entry — callers get the bit-identical
-        // unreordered result.
-        let numeric = |a: &CsrMatrix<T>| -> Result<CsrMatrix<T>> {
-            let c = spgemm_adaptive_planned(a, &ctx.b, default_threads(), &self.bins, pool)?;
-            Ok(match &self.permutation {
-                Some(p) => c.permute_rows(p.inverse()),
-                None => c,
-            })
-        };
-        let mut result = None;
-        // Runs at most once per execution (see `ReplayMemo`).
-        let mut simulate = || {
-            let ctx = match &self.permutation {
-                Some(p) => Cow::Owned(ctx.permute_rows(p.forward())),
-                None => Cow::Borrowed(ctx),
-            };
-            let (ws, launches, host_ms, stats) = self.launch_stream(&ctx, mode);
-            // Merge while trace generation has left the operands
-            // cache-warm, then simulate.
-            result = Some(numeric(&ctx.a));
-            Simulated {
-                profiles: sim.run_sequence(&launches, &ws.layout),
-                host_ms,
-                stats,
-            }
-        };
+        let result = spgemm_adaptive_planned(&ctx.a, &ctx.b, sim.threads(), &self.bins, pool)?;
         let Simulated {
             profiles,
             host_ms,
             stats,
         } = match mode {
-            PlanMode::Cold => simulate(),
+            PlanMode::Cold => self.simulate(sim, ctx, mode),
             PlanMode::Cached => self
                 .replay
-                .get_or_simulate(sim.device().fingerprint(), &mut simulate),
-        };
-        // A replay permutes only `A`'s rows: the numerics read nothing else.
-        let result = match (result, &self.permutation) {
-            (Some(result), _) => result?,
-            (None, Some(p)) => numeric(&ctx.a.permute_rows(p.forward()))?,
-            (None, None) => numeric(&ctx.a)?,
+                .get_or_simulate(sim.device().fingerprint(), || self.simulate(sim, ctx, mode)),
         };
         let kernel_ms: f64 = profiles.iter().map(|p| p.time_ms).sum();
         Ok(ReorganizerRun {
@@ -498,15 +460,27 @@ impl ReorgPlan {
         self.replay.0.get().map(|(device, _)| *device)
     }
 
-    /// This plan's launch stream over `ctx` (already permuted when the plan
-    /// reorders), with the host preprocessing time and stats the execution
-    /// reports. Workspace totals are permutation-invariant, so the layout
-    /// matches the unpermuted one.
-    fn launch_stream<T: Scalar>(
+    /// Simulates this plan's launch stream over `ctx`, with the host
+    /// preprocessing time and stats the execution reports. A reordering
+    /// plan builds the stream over the permuted problem its analysis saw,
+    /// with its bins gathered into that order; nothing else is permuted.
+    /// Workspace totals are permutation-invariant, so the layout matches
+    /// the unpermuted one.
+    fn simulate<T: Scalar>(
         &self,
+        sim: &GpuSimulator,
         ctx: &ProblemContext<T>,
         mode: PlanMode,
-    ) -> (Workspace, Vec<KernelLaunch>, f64, ReorgStats) {
+    ) -> Simulated {
+        let (permuted_ctx, permuted_bins);
+        let (ctx, bins) = match &self.permutation {
+            Some(p) => {
+                permuted_ctx = ctx.permute_rows(p.forward());
+                permuted_bins = self.bins.permuted(p.forward());
+                (&permuted_ctx, &permuted_bins)
+            }
+            None => (ctx, &self.bins),
+        };
         let ws = Workspace::for_context(ctx);
         // The chosen method swaps the simulated launch stream; the host
         // numeric multiply always runs the adaptive engine with the plan's
@@ -521,14 +495,10 @@ impl ReorgPlan {
                 // tournament launch when the plan's bins route rows there.
                 // With an empty kway bin this is exactly the old single
                 // launch, so kway-off plans simulate identically.
-                let merge = binned_merge_launches(
-                    ctx,
-                    &ws,
-                    self.config.block_size,
-                    true,
-                    &self.bins,
-                    |r| self.limit_plan.extra_smem(r),
-                );
+                let merge =
+                    binned_merge_launches(ctx, &ws, self.config.block_size, true, bins, |r| {
+                        self.limit_plan.extra_smem(r)
+                    });
                 let (launches, host_ms) = match mode {
                     PlanMode::Cold => {
                         let mut v = vec![precalc_launch(ctx, &ws), expansion];
@@ -550,7 +520,11 @@ impl ReorgPlan {
             // baselines in `br_spgemm::pipeline`.
             Some(baseline) => (baseline.launches(ctx, &ws), 0.0, ReorgStats::default()),
         };
-        (ws, launches, host_ms, stats)
+        Simulated {
+            profiles: sim.run_sequence(&launches, &ws.layout),
+            host_ms,
+            stats,
+        }
     }
 
     /// Builds the reorganized expansion launch from the stored plans:
@@ -663,6 +637,7 @@ mod tests {
     use super::*;
     use crate::pass::BlockReorganizer;
     use br_datasets::chung_lu::{chung_lu, ChungLuConfig};
+    use br_sparse::CsrMatrix;
 
     /// Sampled planning under `estimator`, everything else default.
     fn estimated(estimator: EstimatorConfig) -> PlanSettings {
@@ -978,6 +953,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Bitwise equality of two executions' numeric results.
+    fn assert_same_result(x: &ReorganizerRun<f64>, y: &ReorganizerRun<f64>, what: &str) {
+        assert_eq!(x.result.ptr(), y.result.ptr(), "{what}");
+        assert_eq!(x.result.idx(), y.result.idx(), "{what}");
+        let bits = |r: &ReorganizerRun<f64>| -> Vec<u64> {
+            r.result.val().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(x), bits(y), "{what}: values");
+    }
+
+    #[test]
+    fn reordered_plans_merge_the_operands_as_given_at_any_thread_count() {
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let cfg = ReorganizerConfig::default();
+        let oracle = ReorgPlan::build(&ctx, &dev, &cfg.into())
+            .execute(&ctx, &dev, PlanMode::Cached)
+            .unwrap();
+        for strategy in [
+            ReorderStrategy::Degree,
+            ReorderStrategy::Rcm,
+            ReorderStrategy::Cluster,
+            ReorderStrategy::Auto,
+        ] {
+            let plan = ReorgPlan::build_with_reorder(&ctx, &cfg, &dev, strategy);
+            // The bins stay in the operands' row order.
+            assert_eq!(plan.bins.row_products, ctx.row_products, "{strategy:?}");
+            for threads in [1, 2, 4] {
+                let sim = GpuSimulator::new(dev.clone()).with_threads(threads);
+                let plan = plan.clone();
+                // Cold, the Cached execution that fills the memo, and one
+                // that replays it.
+                for (i, mode) in [PlanMode::Cold, PlanMode::Cached, PlanMode::Cached]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let run = plan.execute_with_scratch(&sim, &ctx, mode, None).unwrap();
+                    assert_same_result(&run, &oracle, &format!("{strategy:?} t{threads} #{i}"));
+                }
+                assert_eq!(plan.replay_device(), Some(dev.fingerprint()));
+            }
+        }
+    }
+
+    #[test]
+    fn an_execution_merges_on_its_simulators_thread_count() {
+        // 300 rows of one product each: the balanced partition cuts one
+        // range per merge thread, and each range returns its scratch.
+        let a = CsrMatrix::<f64>::identity(300);
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
+        let sim = GpuSimulator::new(dev).with_threads(3);
+        let pool = ScratchPool::new();
+        plan.execute_with_scratch(&sim, &ctx, PlanMode::Cold, Some(&pool))
+            .unwrap();
+        assert_eq!(pool.idle(), 3);
     }
 
     #[test]

@@ -6,17 +6,15 @@
 //! Following Islam & Dai's matrix-reordering/cluster-wise-computation
 //! line, this module reorders the **rows of A** before planning so that
 //! similar rows (and therefore similar merge blocks) are adjacent in the
-//! launch stream. Because only rows move — never the accumulation order
-//! *within* a row — the multiply stays bit-for-bit identical once the
-//! output is un-permuted: row `i` of the permuted product is exactly row
-//! `forward[i]` of the original product, computed by the same kernel in
-//! the same generation order.
+//! launch stream. Only the simulated schedule moves: row `i` of the
+//! permuted problem is row `forward[i]` of the original, and the numeric
+//! merge runs on the operands as given, so the multiply stays bit-for-bit
+//! identical to the unreordered one.
 //!
 //! Everything here is a pure function of A's **structure** (never its
 //! values), so a [`Permutation`] can live inside a cached, serializable
-//! `ReorgPlan` and be replayed on every multiplication that hits the
-//! plan: permute A, run the planned pipeline over the permuted problem,
-//! un-permute the rows of C on the way out.
+//! `ReorgPlan` and be replayed by every simulation of that plan: permute
+//! the problem, then build and simulate the planned launch stream over it.
 //!
 //! Three concrete strategies (plus `none` and an `auto` selector):
 //!

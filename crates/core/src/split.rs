@@ -119,15 +119,6 @@ pub fn plan_splits<T: Scalar>(
         .collect()
 }
 
-/// The mapper array of Figure 5: one entry per piece, naming its original
-/// pair, in piece launch order.
-pub fn mapper_array(plans: &[SplitPlan]) -> Vec<u32> {
-    plans
-        .iter()
-        .flat_map(|p| std::iter::repeat_n(p.pair as u32, p.pieces.len()))
-        .collect()
-}
-
 /// Host-side preprocessing cost: copying the dominator vectors into the
 /// temporary matrices `A′, B′` plus pointer expansion.
 pub fn preprocess_ms<T: Scalar>(ctx: &ProblemContext<T>, plans: &[SplitPlan]) -> f64 {
@@ -268,13 +259,6 @@ mod tests {
         // Still capped by column size.
         let capped = choose_factor(SplitPolicy::Greedy, &dev, 10, 1_000_000, 1_000);
         assert!(capped <= 16);
-    }
-
-    #[test]
-    fn mapper_tracks_piece_to_pair() {
-        let plans = vec![SplitPlan::new(5, 10, 2), SplitPlan::new(9, 6, 4)];
-        let mapper = mapper_array(&plans);
-        assert_eq!(mapper, vec![5, 5, 9, 9, 9, 9]);
     }
 
     fn arrow_ctx() -> ProblemContext<f64> {

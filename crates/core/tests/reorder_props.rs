@@ -1,13 +1,14 @@
-//! Property tests for the row-reordering stage (DESIGN.md §15): any
-//! strategy's permute → multiply → un-permute pipeline must return results
-//! bit-identical to the identity ordering, across random structures, RMAT
-//! seeds, host thread counts, and degenerate inputs.
+//! Property tests for the row-reordering stage (DESIGN.md §15): a plan
+//! built under any strategy must return results bit-identical to the
+//! identity ordering, across random structures, RMAT seeds, host thread
+//! counts, and degenerate inputs.
 
 use block_reorganizer::config::ReorganizerConfig;
 use block_reorganizer::plan::{PlanMode, ReorgPlan};
 use block_reorganizer::reorder::{Permutation, ReorderStrategy};
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_gpu_sim::device::DeviceConfig;
+use br_gpu_sim::sim::GpuSimulator;
 use br_sparse::{CooMatrix, CsrMatrix};
 use br_spgemm::context::ProblemContext;
 use proptest::prelude::*;
@@ -32,14 +33,16 @@ fn square_csr(max_dim: u32, max_nnz: usize) -> impl Strategy<Value = CsrMatrix<f
     })
 }
 
-/// Executes the square of `a` under every strategy and asserts the output
-/// is bitwise equal to the unreordered baseline.
-fn assert_all_strategies_bit_identical(a: &CsrMatrix<f64>, what: &str) {
+/// Executes the square of `a` under every strategy on a simulator with
+/// `threads` host workers, which the numeric merge also runs on, and
+/// asserts the output is bitwise equal to the unreordered baseline.
+fn assert_all_strategies_bit_identical(a: &CsrMatrix<f64>, threads: usize, what: &str) {
     let dev = DeviceConfig::titan_xp();
+    let sim = GpuSimulator::new(dev.clone()).with_threads(threads);
     let cfg = ReorganizerConfig::default();
     let ctx = ProblemContext::new(a, a).expect("square shapes agree");
     let oracle = ReorgPlan::build(&ctx, &dev, &cfg.into())
-        .execute(&ctx, &dev, PlanMode::Cached)
+        .execute_with_scratch(&sim, &ctx, PlanMode::Cached, None)
         .expect("baseline executes");
     for strategy in STRATEGIES {
         let plan = ReorgPlan::build_with_reorder(&ctx, &cfg, &dev, strategy);
@@ -55,7 +58,7 @@ fn assert_all_strategies_bit_identical(a: &CsrMatrix<f64>, what: &str) {
             }
         }
         let run = plan
-            .execute(&ctx, &dev, PlanMode::Cached)
+            .execute_with_scratch(&sim, &ctx, PlanMode::Cached, None)
             .expect("reordered plan executes");
         assert_eq!(run.result.ptr(), oracle.result.ptr(), "{what}/{strategy:?}");
         assert_eq!(run.result.idx(), oracle.result.idx(), "{what}/{strategy:?}");
@@ -73,7 +76,7 @@ proptest! {
 
     #[test]
     fn random_structures_unpermute_to_the_identity_result(a in square_csr(48, 200)) {
-        assert_all_strategies_bit_identical(&a, "random");
+        assert_all_strategies_bit_identical(&a, 2, "random");
     }
 
     #[test]
@@ -96,33 +99,31 @@ proptest! {
         scale in 5u32..8,
     ) {
         let a = rmat(RmatConfig::graph500(scale, 6, seed)).to_csr();
-        assert_all_strategies_bit_identical(&a, "rmat");
+        assert_all_strategies_bit_identical(&a, 2, "rmat");
     }
 }
 
 /// Thread counts sweep: the reordered pipeline keeps the bit-identity
-/// contract at 1 and 8 host workers. Runs as one sequential test because
-/// the thread override is process-global.
+/// contract at 1 and 8 host workers, each given to the simulator it runs
+/// on, so no other test sees the count.
 #[test]
 fn reorder_is_bit_identical_at_any_thread_count() {
     let a = rmat(RmatConfig::graph500(9, 8, 7)).to_csr();
     for threads in [1usize, 8] {
-        br_sparse::par::set_global_threads(threads);
-        assert_all_strategies_bit_identical(&a, "threads");
+        assert_all_strategies_bit_identical(&a, threads, "threads");
     }
-    br_sparse::par::set_global_threads(1);
 }
 
 #[test]
 fn degenerate_inputs_survive_every_strategy() {
     // All-zero structure: nothing to reorder, nothing to break.
     let empty = CsrMatrix::<f64>::zeros(4, 4);
-    assert_all_strategies_bit_identical(&empty, "empty");
+    assert_all_strategies_bit_identical(&empty, 2, "empty");
 
     // A single row (1×1 with one entry): every order is the identity.
     let mut coo = CooMatrix::new(1, 1);
     coo.push(0, 0, 2.5).unwrap();
-    assert_all_strategies_bit_identical(&coo.to_csr(), "single-row");
+    assert_all_strategies_bit_identical(&coo.to_csr(), 2, "single-row");
 
     // Already degree-sorted banded matrix: strategies that would produce
     // the identity must store no permutation at all.
@@ -134,7 +135,7 @@ fn degenerate_inputs_survive_every_strategy() {
         }
     }
     let sorted = coo.to_csr();
-    assert_all_strategies_bit_identical(&sorted, "banded");
+    assert_all_strategies_bit_identical(&sorted, 2, "banded");
     let identity = Permutation::identity(n as usize);
     assert!(identity.is_identity());
     assert_eq!(identity.forward(), identity.inverse());

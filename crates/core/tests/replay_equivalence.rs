@@ -83,12 +83,16 @@ fn assert_replay_is_exact(
     assert_eq!(plan.replay_device(), None, "{what}: a clone starts empty");
     let fill_sim = GpuSimulator::new(dev.clone()).with_threads(fill_threads);
     let replay_sim = GpuSimulator::new(dev.clone()).with_threads(replay_threads);
-    let first = plan.execute_on(&fill_sim, ctx, PlanMode::Cached).unwrap();
+    let first = plan
+        .execute_with_scratch(&fill_sim, ctx, PlanMode::Cached, None)
+        .unwrap();
     assert_eq!(plan.replay_device(), Some(dev.fingerprint()), "{what}");
-    let replay = plan.execute_on(&replay_sim, ctx, PlanMode::Cached).unwrap();
+    let replay = plan
+        .execute_with_scratch(&replay_sim, ctx, PlanMode::Cached, None)
+        .unwrap();
     let fresh = plan
         .clone()
-        .execute_on(&replay_sim, ctx, PlanMode::Cached)
+        .execute_with_scratch(&replay_sim, ctx, PlanMode::Cached, None)
         .unwrap();
     assert_bitwise_equal(&replay, &fresh, &what);
     assert_bitwise_equal(&first, &fresh, &what);

@@ -9,7 +9,7 @@
 //! pure function of these degree sequences, so a configuration-model clone
 //! exercises the pass identically to the original matrix.
 
-use br_sparse::{CooMatrix, CsrMatrix, Scalar};
+use br_sparse::CooMatrix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,12 +95,6 @@ pub fn configuration_model(
     coo
 }
 
-/// Clones the row-degree profile of an existing matrix into a fresh random
-/// matrix of the same shape.
-pub fn degree_clone<T: Scalar>(m: &CsrMatrix<T>, seed: u64) -> CsrMatrix<f64> {
-    configuration_model(&m.row_degrees(), m.ncols(), ColumnModel::MatchDegrees, seed).to_csr()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +132,13 @@ mod tests {
             ..ChungLuConfig::social(3000, 24_000, 4)
         })
         .to_csr();
-        let clone = degree_clone(&original, 77);
+        let clone = configuration_model(
+            &original.row_degrees(),
+            original.ncols(),
+            ColumnModel::MatchDegrees,
+            77,
+        )
+        .to_csr();
         assert_eq!(clone.row_degrees(), original.row_degrees());
         assert_eq!(clone.nrows(), original.nrows());
         assert_eq!(clone.ncols(), original.ncols());

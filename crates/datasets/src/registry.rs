@@ -137,27 +137,6 @@ impl DatasetSpec {
         (((dim as f64) * mean_deg) as usize).min(dim * dim * 3 / 5)
     }
 
-    /// Loads the *genuine* matrix from `<dir>/<name>.mtx` when the file
-    /// exists (users with the Florida/SNAP downloads get the paper-faithful
-    /// path), falling back to the surrogate at the given scale otherwise.
-    pub fn load_or_generate(
-        &self,
-        dir: impl AsRef<std::path::Path>,
-        scale: ScaleFactor,
-    ) -> CsrMatrix<f64> {
-        let path = dir.as_ref().join(format!("{}.mtx", self.name));
-        if path.is_file() {
-            match br_sparse::io::read_matrix_market_file::<f64, _>(&path) {
-                Ok(m) => return m,
-                Err(e) => eprintln!(
-                    "warning: {} unreadable ({e}); using the surrogate",
-                    path.display()
-                ),
-            }
-        }
-        self.generate(scale)
-    }
-
     /// Generates the surrogate matrix at the given scale (deterministic:
     /// the seed is derived from the dataset name).
     pub fn generate(&self, scale: ScaleFactor) -> CsrMatrix<f64> {
@@ -499,14 +478,6 @@ impl RealWorldRegistry {
         Self::all().into_iter().find(|d| d.name == name)
     }
 
-    /// The Florida (regular) subset, in table order.
-    pub fn florida() -> Vec<DatasetSpec> {
-        Self::all()
-            .into_iter()
-            .filter(|d| d.collection == Collection::Florida)
-            .collect()
-    }
-
     /// The SNAP (skewed) subset, in table order.
     pub fn snap() -> Vec<DatasetSpec> {
         Self::all()
@@ -534,7 +505,8 @@ mod tests {
     fn registry_has_28_datasets() {
         let all = RealWorldRegistry::all();
         assert_eq!(all.len(), 28);
-        assert_eq!(RealWorldRegistry::florida().len(), 19);
+        let florida = all.iter().filter(|d| d.collection == Collection::Florida);
+        assert_eq!(florida.count(), 19);
         assert_eq!(RealWorldRegistry::snap().len(), 9);
     }
 
@@ -608,46 +580,6 @@ mod tests {
         let mean = nnz as f64 / dim as f64;
         let paper_mean = p.paper_nnz_a as f64 / p.paper_dim as f64;
         assert!((mean - paper_mean).abs() / paper_mean < 0.1);
-    }
-
-    #[test]
-    fn load_or_generate_prefers_real_files() {
-        let dir = std::env::temp_dir().join("br_registry_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = RealWorldRegistry::get("QCD").unwrap();
-        // No file yet → surrogate.
-        let surrogate = spec.load_or_generate(&dir, ScaleFactor::Tiny);
-        assert_eq!(surrogate, spec.generate(ScaleFactor::Tiny));
-        // Drop a tiny "real" file in place → it wins, whatever the scale.
-        let real =
-            br_sparse::CsrMatrix::try_new(2, 2, vec![0, 1, 2], vec![1, 0], vec![3.0, 4.0]).unwrap();
-        br_sparse::io::write_matrix_market_file(&real, dir.join("QCD.mtx")).unwrap();
-        let loaded = spec.load_or_generate(&dir, ScaleFactor::Tiny);
-        assert!(loaded.approx_eq(&real, 1e-12));
-        std::fs::remove_file(dir.join("QCD.mtx")).unwrap();
-    }
-
-    #[test]
-    fn load_or_generate_falls_back_on_corrupt_files() {
-        // A present-but-unreadable .mtx (truncated download, wrong format)
-        // must not abort the run: the loader warns and generates the
-        // surrogate instead.
-        let dir = std::env::temp_dir().join("br_registry_corrupt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = RealWorldRegistry::get("scircuit").unwrap();
-        let path = dir.join("scircuit.mtx");
-        std::fs::write(
-            &path,
-            "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1.0\n",
-        )
-        .unwrap();
-        let loaded = spec.load_or_generate(&dir, ScaleFactor::Tiny);
-        assert_eq!(loaded, spec.generate(ScaleFactor::Tiny));
-        // Not even a header.
-        std::fs::write(&path, "this is not a matrix\n").unwrap();
-        let loaded = spec.load_or_generate(&dir, ScaleFactor::Tiny);
-        assert_eq!(loaded, spec.generate(ScaleFactor::Tiny));
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

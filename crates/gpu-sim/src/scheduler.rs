@@ -11,19 +11,6 @@
 //! LBI = (Σᵢ cycles(SMᵢ) / MAX cycles(SM)) / N
 //! ```
 
-/// One block's position in the simulated timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockPlacement {
-    /// Block index in launch order.
-    pub block: usize,
-    /// SM the block ran on.
-    pub sm: u32,
-    /// Start cycle on that SM.
-    pub start: f64,
-    /// End cycle on that SM.
-    pub end: f64,
-}
-
 /// Outcome of scheduling one kernel's blocks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
@@ -31,10 +18,6 @@ pub struct ScheduleResult {
     pub sm_busy: Vec<f64>,
     /// Kernel makespan in cycles (max over SMs).
     pub makespan: f64,
-    /// Which SM each block ran on, in launch order.
-    pub assignment: Vec<u32>,
-    /// Full timeline: per-block (SM, start, end), in launch order.
-    pub placements: Vec<BlockPlacement>,
 }
 
 impl ScheduleResult {
@@ -48,19 +31,6 @@ impl ScheduleResult {
         let n = self.sm_busy.len() as f64;
         self.sm_busy.iter().map(|&c| c / max).sum::<f64>() / n
     }
-
-    /// SM utilization = mean busy over makespan (equals LBI here; kept as a
-    /// named alias because the paper reports both terms).
-    pub fn sm_utilization(&self) -> f64 {
-        self.lbi()
-    }
-
-    /// Busy times sorted descending — Figure 3(a)'s presentation.
-    pub fn sm_busy_descending(&self) -> Vec<f64> {
-        let mut v = self.sm_busy.clone();
-        v.sort_by(|a, b| b.partial_cmp(a).expect("busy times are finite"));
-        v
-    }
 }
 
 /// Greedy list scheduling of `durations` (in launch order) onto `num_sms`
@@ -69,9 +39,7 @@ pub fn schedule(durations: &[f64], num_sms: u32) -> ScheduleResult {
     assert!(num_sms > 0, "need at least one SM");
     let n = num_sms as usize;
     let mut busy = vec![0.0f64; n];
-    let mut assignment = Vec::with_capacity(durations.len());
-    let mut placements = Vec::with_capacity(durations.len());
-    for (i, &d) in durations.iter().enumerate() {
+    for &d in durations {
         debug_assert!(d.is_finite() && d >= 0.0, "block duration must be finite");
         // Argmin over SM free times; ties go to the lowest index, matching
         // hardware's deterministic slot scan.
@@ -80,22 +48,12 @@ pub fn schedule(durations: &[f64], num_sms: u32) -> ScheduleResult {
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
             .expect("at least one SM");
-        let start = busy[sm];
         busy[sm] += d;
-        assignment.push(sm as u32);
-        placements.push(BlockPlacement {
-            block: i,
-            sm: sm as u32,
-            start,
-            end: busy[sm],
-        });
     }
     let makespan = busy.iter().copied().fold(0.0, f64::max);
     ScheduleResult {
         sm_busy: busy,
         makespan,
-        assignment,
-        placements,
     }
 }
 
@@ -137,7 +95,6 @@ mod tests {
         let r = schedule(&d, 2);
         let total: f64 = r.sm_busy.iter().sum();
         assert!((total - 25.0).abs() < 1e-12);
-        assert_eq!(r.assignment.len(), 5);
     }
 
     #[test]
@@ -147,13 +104,6 @@ mod tests {
         assert!(r.makespan >= 5.0);
         let r2 = schedule(&[2.0; 8], 4);
         assert!((r2.makespan - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn descending_view_is_sorted() {
-        let r = schedule(&[1.0, 5.0, 3.0], 3);
-        let v = r.sm_busy_descending();
-        assert!(v.windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]
@@ -191,31 +141,6 @@ mod tests {
         let r = schedule(&[], 30);
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.lbi(), 1.0);
-    }
-
-    #[test]
-    fn placements_are_consistent_with_busy_times() {
-        let d = [3.0, 7.0, 2.0, 9.0];
-        let r = schedule(&d, 2);
-        assert_eq!(r.placements.len(), 4);
-        for p in &r.placements {
-            assert!((p.end - p.start - d[p.block]).abs() < 1e-12);
-            assert_eq!(r.assignment[p.block], p.sm);
-            assert!(p.end <= r.makespan + 1e-12);
-        }
-        // Per-SM placements must not overlap.
-        for sm in 0..2u32 {
-            let mut spans: Vec<(f64, f64)> = r
-                .placements
-                .iter()
-                .filter(|p| p.sm == sm)
-                .map(|p| (p.start, p.end))
-                .collect();
-            spans.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            for w in spans.windows(2) {
-                assert!(w[0].1 <= w[1].0 + 1e-12, "overlap on SM {sm}");
-            }
-        }
     }
 
     #[test]

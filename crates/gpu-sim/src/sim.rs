@@ -110,8 +110,8 @@ impl ShapeKey {
 
 impl GpuSimulator {
     /// Creates a simulator for the given device, with the host worker
-    /// count resolved from the ambient `par` configuration (`--threads`
-    /// override, `BR_THREADS`, else available cores).
+    /// count resolved once from `BR_THREADS` (which `--threads` sets), else
+    /// the available cores.
     pub fn new(device: DeviceConfig) -> Self {
         GpuSimulator {
             device,
@@ -138,8 +138,7 @@ impl GpuSimulator {
 
     /// Runs one kernel on a cold L2.
     pub fn run(&self, launch: &KernelLaunch, layout: &MemoryLayout) -> KernelProfile {
-        let mut l2 = L2Cache::for_device(&self.device);
-        self.run_with_cache(launch, layout, &mut l2)
+        self.launch(launch, layout, &mut L2Cache::for_device(&self.device))
     }
 
     /// Runs a sequence of kernels back-to-back, L2 state carried across.
@@ -151,39 +150,17 @@ impl GpuSimulator {
         let mut l2 = L2Cache::for_device(&self.device);
         launches
             .iter()
-            .map(|k| self.run_with_cache(k, layout, &mut l2))
+            .map(|k| self.launch(k, layout, &mut l2))
             .collect()
     }
 
-    /// Runs one kernel on a cold L2 and also returns the full scheduling
-    /// timeline (per-block SM assignment with start/end cycles) — the raw
-    /// material for Gantt-style analyses of Figure 3(a).
-    pub fn run_detailed(
-        &self,
-        launch: &KernelLaunch,
-        layout: &MemoryLayout,
-    ) -> (KernelProfile, crate::scheduler::ScheduleResult) {
-        let mut l2 = L2Cache::for_device(&self.device);
-        self.run_with_cache_detailed(launch, layout, &mut l2)
-    }
-
-    /// Runs one kernel against an existing L2 state.
-    pub fn run_with_cache(
+    /// Runs one kernel against the L2 state `l2`, leaving it there.
+    fn launch(
         &self,
         launch: &KernelLaunch,
         layout: &MemoryLayout,
         l2: &mut L2Cache,
     ) -> KernelProfile {
-        self.run_with_cache_detailed(launch, layout, l2).0
-    }
-
-    /// [`GpuSimulator::run_with_cache`], also returning the schedule.
-    pub fn run_with_cache_detailed(
-        &self,
-        launch: &KernelLaunch,
-        layout: &MemoryLayout,
-        l2: &mut L2Cache,
-    ) -> (KernelProfile, crate::scheduler::ScheduleResult) {
         let dev = &self.device;
         #[cfg(debug_assertions)]
         if let Err(e) = crate::validate::validate_launch(launch, layout, dev) {
@@ -204,7 +181,7 @@ impl GpuSimulator {
                 bandwidth_pressure: 0.0,
             };
             record_profile(&profile);
-            return (profile, schedule(&[], dev.num_sms));
+            return profile;
         }
 
         // Host worker count for the per-block passes. Everything reduced
@@ -405,7 +382,7 @@ impl GpuSimulator {
             name: launch.name.clone(),
             makespan_cycles: makespan,
             time_ms: dev.cycles_to_ms(makespan),
-            sm_busy: sched.sm_busy.clone(),
+            sm_busy: sched.sm_busy,
             num_blocks: launch.blocks.len(),
             busy_cycles: durations.iter().sum(),
             sync_stall_cycles: sync_stall,
@@ -415,7 +392,7 @@ impl GpuSimulator {
             bandwidth_pressure: rho,
         };
         record_profile(&profile);
-        (profile, sched)
+        profile
     }
 }
 
@@ -550,30 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn run_detailed_timeline_matches_profile() {
-        let (layout, r) = layout_with(1 << 22);
-        let blocks: Vec<_> = (0..50)
-            .map(|i| {
-                TraceBuilder::new(256, 256)
-                    .compute(1000 + i * 37)
-                    .read(r, i * 8192, 4096)
-                    .build()
-            })
-            .collect();
-        let launch = KernelLaunch::new("timeline", blocks);
-        let (profile, sched) = sim().run_detailed(&launch, &layout);
-        assert_eq!(sched.placements.len(), 50);
-        assert_eq!(profile.sm_busy, sched.sm_busy);
-        // Makespan = schedule makespan + launch latency.
-        assert!(profile.makespan_cycles > sched.makespan);
-        // Every placement ends within the schedule makespan.
-        assert!(sched
-            .placements
-            .iter()
-            .all(|p| p.end <= sched.makespan + 1e-9));
-    }
-
-    #[test]
     fn bandwidth_pressure_rises_with_streaming_volume() {
         let (layout, r) = layout_with(1 << 30);
         let light = KernelLaunch::new(
@@ -666,11 +619,11 @@ mod tests {
         let dev = DeviceConfig::titan_xp();
         let baseline = GpuSimulator::new(dev.clone())
             .with_threads(1)
-            .run_detailed(&launch, &layout);
+            .run(&launch, &layout);
         for threads in [2, 3, 8] {
             let parallel = GpuSimulator::new(dev.clone())
                 .with_threads(threads)
-                .run_detailed(&launch, &layout);
+                .run(&launch, &layout);
             // Every float must match exactly, not approximately: the
             // reductions are folded in launch order on the calling thread.
             assert_eq!(

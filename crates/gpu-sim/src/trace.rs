@@ -109,11 +109,6 @@ impl BlockTrace {
         self.threads.div_ceil(warp_size).max(1)
     }
 
-    /// Warps containing at least one effective thread.
-    pub fn effective_warps(&self, warp_size: u32) -> u32 {
-        self.effective_threads.div_ceil(warp_size).max(1)
-    }
-
     /// Effective warps as a fraction: `effective_threads / warp_size`.
     ///
     /// This is the latency-hiding currency — a warp with 2 of 32 lanes
@@ -477,7 +472,6 @@ mod tests {
         assert_eq!(t.bytes_read(), 4096);
         assert_eq!(t.bytes_written(), 1024);
         assert_eq!(t.warps(32), 8);
-        assert_eq!(t.effective_warps(32), 2);
         assert!((t.effective_ratio() - 40.0 / 256.0).abs() < 1e-12);
     }
 

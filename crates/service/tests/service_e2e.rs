@@ -374,8 +374,9 @@ fn estimator_enabled_service_matches_exact_results() {
 
 /// Reordering is invisible to callers: a service configured with any
 /// row-reordering strategy returns results bit-identical to the baseline
-/// service (plans un-permute their output), and the strategy fingerprint
-/// in the plan key keeps reordered plans from aliasing baseline plans.
+/// service (the permutation reaches only the simulated launches), and the
+/// strategy fingerprint in the plan key keeps reordered plans from aliasing
+/// baseline plans.
 #[test]
 fn reordered_service_matches_baseline_results() {
     use block_reorganizer::reorder::ReorderStrategy;

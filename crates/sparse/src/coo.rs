@@ -51,41 +51,6 @@ impl<T: Scalar> CooMatrix<T> {
         m
     }
 
-    /// Builds a COO matrix from parallel triplet arrays, validating bounds.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: Vec<u32>,
-        cols: Vec<u32>,
-        vals: Vec<T>,
-    ) -> Result<Self> {
-        if rows.len() != cols.len() || rows.len() != vals.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "triplet arrays must have equal length: rows={}, cols={}, vals={}",
-                rows.len(),
-                cols.len(),
-                vals.len()
-            )));
-        }
-        for (&r, &c) in rows.iter().zip(&cols) {
-            if r as usize >= nrows || c as usize >= ncols {
-                return Err(SparseError::IndexOutOfBounds {
-                    row: r as usize,
-                    col: c as usize,
-                    nrows,
-                    ncols,
-                });
-            }
-        }
-        Ok(CooMatrix {
-            nrows,
-            ncols,
-            rows,
-            cols,
-            vals,
-        })
-    }
-
     /// Appends one entry. Out-of-bounds coordinates are an error.
     pub fn push(&mut self, row: u32, col: u32, val: T) -> Result<()> {
         if row as usize >= self.nrows || col as usize >= self.ncols {
@@ -225,17 +190,6 @@ mod tests {
         assert!(m.push(2, 0, 1.0).is_err());
         assert!(m.push(0, 2, 1.0).is_err());
         assert_eq!(m.nnz(), 0);
-    }
-
-    #[test]
-    fn from_triplets_validates_lengths_and_bounds() {
-        assert!(CooMatrix::<f64>::from_triplets(2, 2, vec![0], vec![0, 1], vec![1.0]).is_err());
-        assert!(
-            CooMatrix::<f64>::from_triplets(2, 2, vec![0, 5], vec![0, 1], vec![1.0, 2.0]).is_err()
-        );
-        assert!(
-            CooMatrix::<f64>::from_triplets(2, 2, vec![0, 1], vec![0, 1], vec![1.0, 2.0]).is_ok()
-        );
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl<T: Scalar> CscMatrix<T> {
         self.ptr[c + 1] - self.ptr[c]
     }
 
-    /// Per-column nnz — the column degree sequence.
-    pub fn col_degrees(&self) -> Vec<usize> {
-        self.ptr.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
     /// Reinterprets `self` as the CSR of `Aᵀ` (zero-copy relabelling).
     pub fn to_csr_of_transpose(self) -> CsrMatrix<T> {
         CsrMatrix::from_parts_unchecked(self.ncols, self.nrows, self.ptr, self.idx, self.val)
@@ -187,7 +182,7 @@ mod tests {
         let (rows, vals) = m.col(0);
         assert_eq!(rows, &[0, 2]);
         assert_eq!(vals, &[1.0, 3.0]);
-        assert_eq!(m.col_degrees(), vec![2, 1, 1]);
+        assert_eq!(m.col_nnz(2), 1);
     }
 
     #[test]
@@ -221,7 +216,7 @@ mod tests {
         assert_eq!(permuted, m.to_csr().permute_rows(&order).to_csc());
         // Column nnz is invariant under row permutation; the pointer
         // array is reused untouched.
-        assert_eq!(permuted.col_degrees(), m.col_degrees());
+        assert!((0..3).all(|c| permuted.col_nnz(c) == m.col_nnz(c)));
         assert_eq!(permuted.ptr(), m.ptr());
         // Identity order is a plain clone.
         assert_eq!(m.permute_rows(&[0, 1, 2]), m);

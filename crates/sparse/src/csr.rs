@@ -7,9 +7,9 @@
 //! 2. Within each row, column indices are strictly increasing (sorted, no
 //!    duplicates) and `< ncols`.
 //!
-//! Kernels that produce *unordered* CSR (the paper's merge outputs unordered
-//! rows, like Gustavson's) use [`CsrMatrix::from_parts_unsorted`] followed by
-//! [`CsrMatrix::sort_rows`] when a canonical form is required for comparison.
+//! Unordered rows (the paper's merge outputs unordered rows, like
+//! Gustavson's) become canonical through [`CsrMatrix::sort_rows`] when a
+//! canonical form is required for comparison.
 
 use crate::error::SparseError;
 use crate::hash::{fnv_mix, FNV_OFFSET};
@@ -66,36 +66,6 @@ impl<T: Scalar> CsrMatrix<T> {
         };
         debug_assert!(m.check_invariants().is_ok(), "CSR invariants violated");
         m
-    }
-
-    /// Builds a CSR matrix whose rows may be *unsorted* (but duplicate-free).
-    ///
-    /// This is the output contract of the paper's merge phase ("unordered CSR
-    /// format similar to the Gustavson merge algorithm"). Only structural
-    /// pointer invariants and index bounds are validated.
-    pub fn from_parts_unsorted(
-        nrows: usize,
-        ncols: usize,
-        ptr: Vec<usize>,
-        idx: Vec<u32>,
-        val: Vec<T>,
-    ) -> Result<Self> {
-        let m = CsrMatrix {
-            nrows,
-            ncols,
-            ptr,
-            idx,
-            val,
-        };
-        m.check_pointer_invariants()?;
-        for &c in &m.idx {
-            if c as usize >= ncols {
-                return Err(SparseError::InvalidStructure(format!(
-                    "column index {c} out of bounds for {ncols} columns"
-                )));
-            }
-        }
-        Ok(m)
     }
 
     /// An empty (all-zero) matrix of the given shape.
@@ -350,11 +320,6 @@ impl<T: Scalar> CsrMatrix<T> {
         self.ptr.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Decomposes into `(nrows, ncols, ptr, idx, val)`.
-    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<u32>, Vec<T>) {
-        (self.nrows, self.ncols, self.ptr, self.idx, self.val)
-    }
-
     /// Returns a copy with every stored value transformed by `f`
     /// (structure unchanged — `f` returning zero keeps an explicit zero).
     pub fn map_values(&self, f: impl Fn(T) -> T) -> CsrMatrix<T> {
@@ -387,25 +352,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         CsrMatrix {
             nrows: self.nrows,
-            ncols: self.ncols,
-            ptr,
-            idx,
-            val,
-        }
-    }
-
-    /// Extracts the submatrix of rows `rows.start..rows.end` (all columns).
-    pub fn row_slice(&self, rows: std::ops::Range<usize>) -> CsrMatrix<T> {
-        assert!(rows.end <= self.nrows, "row range out of bounds");
-        let base = self.ptr[rows.start];
-        let ptr: Vec<usize> = self.ptr[rows.start..=rows.end]
-            .iter()
-            .map(|&p| p - base)
-            .collect();
-        let idx = self.idx[base..self.ptr[rows.end]].to_vec();
-        let val = self.val[base..self.ptr[rows.end]].to_vec();
-        CsrMatrix {
-            nrows: rows.len(),
             ncols: self.ncols,
             ptr,
             idx,
@@ -489,9 +435,14 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_unsorted_accepts_unordered_rows() {
-        let m = CsrMatrix::<f64>::from_parts_unsorted(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0])
-            .unwrap();
+    fn sort_rows_canonicalizes_unordered_rows() {
+        let m = CsrMatrix::<f64> {
+            nrows: 1,
+            ncols: 3,
+            ptr: vec![0, 2],
+            idx: vec![2, 0],
+            val: vec![1.0, 2.0],
+        };
         assert!(m.check_invariants().is_err());
         let mut m = m;
         m.sort_rows();
@@ -574,25 +525,6 @@ mod tests {
         assert_eq!(p.nrows(), 2);
         assert_eq!(p.ncols(), 3);
         p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn row_slice_extracts_contiguous_rows() {
-        let m = sample();
-        let s = m.row_slice(1..3);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.ncols(), 3);
-        assert_eq!(s.row_nnz(0), 0); // original row 1 was empty
-        assert_eq!(s.get(1, 1), 4.0); // original (2,1)
-        s.check_invariants().unwrap();
-        // full slice is identity
-        assert_eq!(m.row_slice(0..3), m);
-    }
-
-    #[test]
-    #[should_panic(expected = "row range out of bounds")]
-    fn row_slice_rejects_overflow() {
-        let _ = sample().row_slice(1..9);
     }
 
     #[test]

@@ -25,12 +25,6 @@ impl<T: Scalar> DenseMatrix<T> {
         }
     }
 
-    /// Builds from a row-major slice; `data.len()` must equal `nrows*ncols`.
-    pub fn from_rows(nrows: usize, ncols: usize, data: Vec<T>) -> Self {
-        assert_eq!(data.len(), nrows * ncols, "row-major data length mismatch");
-        DenseMatrix { nrows, ncols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -89,11 +83,17 @@ impl<T: Scalar> DenseMatrix<T> {
 mod tests {
     use super::*;
 
+    /// A row-major matrix of `data`.
+    fn dense(nrows: usize, ncols: usize, data: Vec<f64>) -> DenseMatrix<f64> {
+        assert_eq!(data.len(), nrows * ncols);
+        DenseMatrix { nrows, ncols, data }
+    }
+
     #[test]
     fn matmul_known_product() {
         // [[1,2],[3,4]] * [[5,6],[7,8]] = [[19,22],[43,50]]
-        let a = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = DenseMatrix::from_rows(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
+        let a = dense(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = dense(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
         assert_eq!(c.get(0, 0), 19.0);
         assert_eq!(c.get(0, 1), 22.0);
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn matmul_identity_is_noop() {
-        let a = DenseMatrix::from_rows(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let a = dense(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut i = DenseMatrix::zeros(3, 3);
         for k in 0..3 {
             *i.get_mut(k, k) = 1.0;
@@ -113,8 +113,8 @@ mod tests {
 
     #[test]
     fn rectangular_shapes() {
-        let a = DenseMatrix::from_rows(1, 3, vec![1.0, 0.0, 2.0]);
-        let b = DenseMatrix::from_rows(3, 2, vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
+        let a = dense(1, 3, vec![1.0, 0.0, 2.0]);
+        let b = dense(3, 2, vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
         let c = a.matmul(&b);
         assert_eq!(c.nrows(), 1);
         assert_eq!(c.ncols(), 2);

@@ -28,15 +28,15 @@ use crate::{par, Result};
 /// entries, stitched back together in chunk order.
 type RowChunk<T> = (Vec<usize>, Vec<u32>, Vec<T>);
 
-/// Applies a per-row filter `keep(row, col, val)` over row chunks and
-/// stitches the chunks in order — the shared engine behind masking and
-/// pruning. Bit-identical at any thread count because the filter is
-/// row-local and assembly order is fixed by the chunk bounds.
+/// Applies a per-row filter `keep(row, col, val)` over row chunks on
+/// `threads` workers and stitches the chunks in order — the shared engine
+/// behind masking and pruning. Bit-identical at any thread count because
+/// the filter is row-local and assembly order is fixed by the chunk bounds.
 fn filter_rows<T: Scalar>(
     m: &CsrMatrix<T>,
+    threads: usize,
     keep: impl Fn(usize, u32, T) -> bool + Sync,
 ) -> CsrMatrix<T> {
-    let threads = par::effective_threads(None);
     let bounds = par::chunk_bounds(m.nrows(), threads);
     let chunks: Vec<RowChunk<T>> = par::ordered_bounds_map(&bounds, |range| {
         let mut ptr = Vec::with_capacity(range.len());
@@ -79,6 +79,15 @@ impl<T: Scalar> CsrMatrix<T> {
     /// intersection of the two rows, so the result is canonical by
     /// construction and bit-identical at any thread count.
     pub fn mask_by_pattern(&self, pattern: &CsrMatrix<T>) -> Result<CsrMatrix<T>> {
+        self.mask_by_pattern_threaded(pattern, par::effective_threads(None))
+    }
+
+    /// [`CsrMatrix::mask_by_pattern`] over `threads` workers.
+    fn mask_by_pattern_threaded(
+        &self,
+        pattern: &CsrMatrix<T>,
+        threads: usize,
+    ) -> Result<CsrMatrix<T>> {
         if self.nrows() != pattern.nrows() || self.ncols() != pattern.ncols() {
             return Err(SparseError::ShapeMismatch {
                 op: "mask_by_pattern",
@@ -86,7 +95,7 @@ impl<T: Scalar> CsrMatrix<T> {
                 rhs: (pattern.nrows(), pattern.ncols()),
             });
         }
-        Ok(filter_rows(self, |r, c, _| {
+        Ok(filter_rows(self, threads, |r, c, _| {
             let (cols, _) = pattern.row(r);
             cols.binary_search(&c).is_ok()
         }))
@@ -103,6 +112,12 @@ impl<T: Scalar> CsrMatrix<T> {
     /// chunks; structure is unchanged and values are bit-identical at any
     /// thread count.
     pub fn column_normalize(&self) -> CsrMatrix<T> {
+        self.column_normalize_threaded(par::effective_threads(None))
+    }
+
+    /// [`CsrMatrix::column_normalize`] with the divide over `threads`
+    /// workers.
+    fn column_normalize_threaded(&self, threads: usize) -> CsrMatrix<T> {
         let mut colsum = vec![T::ZERO; self.ncols()];
         for r in 0..self.nrows() {
             let (cols, vals) = self.row(r);
@@ -110,7 +125,6 @@ impl<T: Scalar> CsrMatrix<T> {
                 colsum[c as usize] += v;
             }
         }
-        let threads = par::effective_threads(None);
         let bounds = par::chunk_bounds(self.nrows(), threads);
         let chunks: Vec<Vec<T>> = par::ordered_bounds_map(&bounds, |range| {
             let mut out = Vec::new();
@@ -140,7 +154,12 @@ impl<T: Scalar> CsrMatrix<T> {
     /// [`CsrMatrix::prune`], bit-identical to it at any thread count
     /// because the filter is per-entry and assembly order is fixed.
     pub fn threshold_prune(&self, tol: f64) -> CsrMatrix<T> {
-        filter_rows(self, |_, _, v| v.abs().to_f64() > tol)
+        self.threshold_prune_threaded(tol, par::effective_threads(None))
+    }
+
+    /// [`CsrMatrix::threshold_prune`] over `threads` workers.
+    fn threshold_prune_threaded(&self, tol: f64, threads: usize) -> CsrMatrix<T> {
+        filter_rows(self, threads, |_, _, v| v.abs().to_f64() > tol)
     }
 }
 
@@ -243,8 +262,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         /// Property: every element-wise op is bit-identical to its
         /// sequential twin at any thread count — the determinism contract
-        /// the chain executor relies on. The sequential twins are computed
-        /// under a forced single-thread override.
+        /// the chain executor relies on. Each count goes to the operators'
+        /// bodies directly, so no other test sees it.
         #[test]
         fn prop_eltwise_ops_are_thread_count_invariant(seed in 0u64..10_000) {
             let mut rng = SmallRng::seed_from_u64(seed);
@@ -252,17 +271,14 @@ mod tests {
             let ncols = rng.gen_range(1usize..40);
             let m = random_csr(&mut rng, nrows, ncols);
             let pat = random_csr(&mut rng, nrows, ncols);
-            par::set_global_threads(1);
-            let masked1 = m.mask_by_pattern(&pat).unwrap();
-            let norm1 = m.column_normalize();
-            let pruned1 = m.threshold_prune(0.5);
+            let masked1 = m.mask_by_pattern_threaded(&pat, 1).unwrap();
+            let norm1 = m.column_normalize_threaded(1);
+            let pruned1 = m.threshold_prune_threaded(0.5, 1);
             for threads in [2usize, 3, 8] {
-                par::set_global_threads(threads);
-                proptest::prop_assert_eq!(&m.mask_by_pattern(&pat).unwrap(), &masked1);
-                proptest::prop_assert_eq!(&m.column_normalize(), &norm1);
-                proptest::prop_assert_eq!(&m.threshold_prune(0.5), &pruned1);
+                proptest::prop_assert_eq!(&m.mask_by_pattern_threaded(&pat, threads).unwrap(), &masked1);
+                proptest::prop_assert_eq!(&m.column_normalize_threaded(threads), &norm1);
+                proptest::prop_assert_eq!(&m.threshold_prune_threaded(0.5, threads), &pruned1);
             }
-            par::set_global_threads(0);
             // And the parallel prune is bit-identical to the sequential
             // csr::prune at every tolerance.
             proptest::prop_assert_eq!(m.threshold_prune(0.5), m.prune(0.5));

@@ -22,16 +22,13 @@
 //!   sequential rounding bit-for-bit at any thread count.
 //!
 //! The worker count is resolved by [`effective_threads`] from, in priority
-//! order: an explicit argument (e.g. `blockreorg-cli --threads`), the
-//! process-wide override set by [`set_global_threads`], the `BR_THREADS`
-//! environment variable, and finally [`available_threads`]. A count of `1`
-//! always takes the exact sequential code path (no scope, no spawn).
+//! order: an explicit argument, the `BR_THREADS` environment variable
+//! (which `blockreorg-cli --threads` sets while it reads its flags, before
+//! any thread starts), and finally [`available_threads`]. Callers resolve
+//! it once and pass the count down. A count of `1` always takes the exact
+//! sequential code path (no scope, no spawn).
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Process-wide thread-count override; `0` means "unset".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Name of the environment variable consulted by [`effective_threads`].
 pub const THREADS_ENV_VAR: &str = "BR_THREADS";
@@ -57,26 +54,11 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Sets (or with `0` clears) the process-wide thread-count override. Takes
-/// precedence over `BR_THREADS`; an explicit per-call argument still wins.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The process-wide override installed by [`set_global_threads`], if any.
-pub fn global_threads() -> Option<usize> {
-    match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Resolves the worker count: `explicit` > [`set_global_threads`] >
-/// `BR_THREADS` > [`available_threads`]; always ≥ 1.
+/// Resolves the worker count: `explicit` > `BR_THREADS` >
+/// [`available_threads`]; always ≥ 1.
 pub fn effective_threads(explicit: Option<usize>) -> usize {
     explicit
         .filter(|&n| n > 0)
-        .or_else(global_threads)
         .or_else(env_threads)
         .unwrap_or_else(available_threads)
         .max(1)
@@ -372,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_beats_global_beats_default() {
+    fn explicit_count_wins_and_zero_means_unset() {
         // Explicit argument always wins; `0` explicit means "unset".
         assert_eq!(effective_threads(Some(3)), 3);
         assert!(effective_threads(None) >= 1);

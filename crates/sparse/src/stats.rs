@@ -111,49 +111,6 @@ impl DegreeStats {
     }
 }
 
-/// Maximum-likelihood estimate of a discrete power-law exponent `γ` for
-/// degrees ≥ `xmin` (Clauset–Shalizi–Newman continuous approximation:
-/// `γ̂ = 1 + n / Σ ln(xᵢ / (xmin − ½))`).
-///
-/// Returns `None` when fewer than 10 degrees reach `xmin` — too few tail
-/// samples for the estimate to mean anything. Social networks land around
-/// `γ ∈ (2, 3)`; regular meshes have no meaningful fit (huge γ̂).
-pub fn power_law_exponent(degrees: &[usize], xmin: usize) -> Option<f64> {
-    let xmin = xmin.max(1);
-    let tail: Vec<f64> = degrees
-        .iter()
-        .filter(|&&d| d >= xmin)
-        .map(|&d| d as f64)
-        .collect();
-    if tail.len() < 10 {
-        return None;
-    }
-    let denom: f64 = tail.iter().map(|&x| (x / (xmin as f64 - 0.5)).ln()).sum();
-    if denom <= 0.0 {
-        return None;
-    }
-    Some(1.0 + tail.len() as f64 / denom)
-}
-
-/// Log-binned degree histogram: bucket `k` counts rows with degree in
-/// `[2ᵏ, 2ᵏ⁺¹)` (bucket 0 holds degrees 0 and 1). This is the paper's
-/// Figure 3(b) axis.
-pub fn log2_degree_histogram(degrees: &[usize]) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for &d in degrees {
-        let bucket = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize - 1
-        };
-        if hist.len() <= bucket {
-            hist.resize(bucket + 1, 0);
-        }
-        hist[bucket] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,42 +154,6 @@ mod tests {
             CsrMatrix::<f64>::try_new(3, 3, vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], vec![1.0; 6])
                 .unwrap();
         assert_eq!(DegreeStats::of_rows(&m), DegreeStats::of_cols(&m));
-    }
-
-    #[test]
-    fn log_histogram_buckets() {
-        // degrees: 0,1 -> bucket 0; 2,3 -> bucket 1; 4..7 -> bucket 2; 32 -> bucket 5
-        let h = log2_degree_histogram(&[0, 1, 2, 3, 4, 7, 32]);
-        assert_eq!(h[0], 2);
-        assert_eq!(h[1], 2);
-        assert_eq!(h[2], 2);
-        assert_eq!(h[5], 1);
-        assert_eq!(h.len(), 6);
-    }
-
-    #[test]
-    fn power_law_mle_recovers_known_exponent() {
-        // Sample a discrete power law with gamma = 2.5 via inverse CDF.
-        let gamma: f64 = 2.5;
-        let xmin = 2usize;
-        let mut degrees = Vec::new();
-        let mut u = 0.05f64;
-        for _ in 0..20_000 {
-            u = (u * 69.069 + 0.3819) % 1.0; // deterministic LCG-ish stream
-            let x = (xmin as f64 - 0.5) * (1.0 - u).powf(-1.0 / (gamma - 1.0));
-            degrees.push(x.round() as usize);
-        }
-        let est = power_law_exponent(&degrees, xmin).expect("plenty of samples");
-        assert!(
-            (est - gamma).abs() < 0.15,
-            "MLE should recover gamma=2.5: got {est}"
-        );
-    }
-
-    #[test]
-    fn power_law_mle_needs_enough_tail() {
-        assert!(power_law_exponent(&[1, 1, 2, 50], 10).is_none());
-        assert!(power_law_exponent(&[], 1).is_none());
     }
 
     #[test]

@@ -365,15 +365,34 @@ impl RowBins {
         }
     }
 
-    /// Classifies the rows of `C = A · B` from the operands' structure.
+    /// Classifies the rows of `C = A · B` from the operands' structure,
+    /// counting row products over `threads` workers.
     pub fn of<T: Scalar>(
         a: &CsrMatrix<T>,
         b: &CsrMatrix<T>,
         thresholds: BinThresholds,
+        threads: usize,
     ) -> Result<RowBins> {
         let _span = br_obs::global().span("spgemm_classify");
-        let weights = row_intermediate_nnz_threaded(a, b, par::effective_threads(None))?;
+        let weights = row_intermediate_nnz_threaded(a, b, threads)?;
         Ok(Self::classify(&weights, thresholds))
+    }
+
+    /// The same bins with rows gathered into `order`: row `i` of the result
+    /// is row `order[i]` of `self`, as in `CsrMatrix::permute_rows`. The
+    /// per-bin totals do not depend on row order, so nothing is classified
+    /// again.
+    pub fn permuted(&self, order: &[u32]) -> RowBins {
+        assert_eq!(order.len(), self.nrows(), "order must cover every row");
+        RowBins {
+            thresholds: self.thresholds,
+            row_products: order
+                .iter()
+                .map(|&r| self.row_products[r as usize])
+                .collect(),
+            rows: self.rows,
+            products: self.products,
+        }
     }
 
     /// Number of classified rows.
@@ -942,7 +961,7 @@ pub fn spgemm_adaptive<T: Scalar>(
     threads: usize,
     thresholds: BinThresholds,
 ) -> Result<CsrMatrix<T>> {
-    let bins = RowBins::of(a, b, thresholds)?;
+    let bins = RowBins::of(a, b, thresholds, threads)?;
     spgemm_adaptive_planned(a, b, threads, &bins, None)
 }
 
@@ -1245,7 +1264,7 @@ mod tests {
             heavy_min: 128,
             kway_min: 512,
         };
-        let bins = RowBins::of(&a, &a, thresholds).unwrap();
+        let bins = RowBins::of(&a, &a, thresholds, 2).unwrap();
         assert!(
             bins.rows.iter().all(|&r| r > 0),
             "want all bins populated: {:?}",
@@ -1316,14 +1335,14 @@ mod tests {
     fn planned_execution_rejects_mismatched_bins() {
         let a = rmat(RmatConfig::snap_like(7, 6, 5)).to_csr();
         let other = CsrMatrix::<f64>::identity(3);
-        let bins = RowBins::of(&other, &other, BinThresholds::default()).unwrap();
+        let bins = RowBins::of(&other, &other, BinThresholds::default(), 2).unwrap();
         assert!(spgemm_adaptive_planned(&a, &a, 2, &bins, None).is_err());
     }
 
     #[test]
     fn planned_execution_with_pool_matches_and_recycles_scratch() {
         let a = rmat(RmatConfig::graph500(9, 8, 3)).to_csr();
-        let bins = RowBins::of(&a, &a, BinThresholds::default()).unwrap();
+        let bins = RowBins::of(&a, &a, BinThresholds::default(), 2).unwrap();
         let oracle = spgemm_gustavson(&a, &a).unwrap();
         let pool = ScratchPool::<f64>::new();
         for _ in 0..3 {
@@ -1337,9 +1356,9 @@ mod tests {
     fn classification_is_structure_only_and_counts_runs() {
         let a = rmat(RmatConfig::snap_like(7, 6, 11)).to_csr();
         let before = classification_runs();
-        let bins = RowBins::of(&a, &a, BinThresholds::default()).unwrap();
+        let bins = RowBins::of(&a, &a, BinThresholds::default(), 2).unwrap();
         let scaled = a.map_values(|v| v * 3.0);
-        let bins_scaled = RowBins::of(&scaled, &scaled, BinThresholds::default()).unwrap();
+        let bins_scaled = RowBins::of(&scaled, &scaled, BinThresholds::default(), 2).unwrap();
         assert_eq!(bins, bins_scaled, "values must not influence binning");
         assert!(classification_runs() >= before + 2);
         assert_eq!(bins.rows.iter().sum::<u64>(), a.nrows() as u64);
@@ -1347,6 +1366,22 @@ mod tests {
             bins.products.iter().sum::<u64>(),
             bins.row_products.iter().sum::<u64>()
         );
+    }
+
+    #[test]
+    fn permuted_bins_gather_rows_and_keep_the_totals() {
+        let a = rmat(RmatConfig::snap_like(7, 6, 11)).to_csr();
+        let bins = RowBins::of(&a, &a, BinThresholds::default(), 2).unwrap();
+        let n = bins.nrows() as u32;
+        let reversed: Vec<u32> = (0..n).rev().collect();
+        let permuted = bins.permuted(&reversed);
+        for (i, &r) in reversed.iter().enumerate() {
+            assert_eq!(permuted.row_products[i], bins.row_products[r as usize]);
+            assert_eq!(permuted.bin(i), bins.bin(r as usize));
+        }
+        assert_eq!(permuted.rows, bins.rows);
+        assert_eq!(permuted.products, bins.products);
+        assert_eq!(permuted.permuted(&reversed), bins);
     }
 
     #[test]
@@ -1360,6 +1395,7 @@ mod tests {
                 heavy_min: 99,
                 kway_min: 400,
             },
+            2,
         )
         .unwrap();
         let json = serde_json::to_string(&bins).unwrap();

@@ -8,8 +8,9 @@
 use br_sparse::par;
 
 /// A sensible default worker count for the numeric merge: the resolved
-/// [`br_sparse::par`] configuration (`--threads` override, `BR_THREADS`,
-/// else available cores).
+/// [`br_sparse::par`] configuration (`BR_THREADS`, which `--threads` sets,
+/// else available cores). An execution merges on its simulator's count
+/// instead of calling this.
 pub fn default_threads() -> usize {
     par::effective_threads(None)
 }

@@ -13,12 +13,11 @@
 use crate::accum::{spgemm_adaptive, BinThresholds};
 use crate::context::ProblemContext;
 use crate::methods;
-use crate::numeric::default_threads;
 use crate::workspace::Workspace;
 use br_gpu_sim::device::{CpuConfig, DeviceConfig};
 use br_gpu_sim::profiler::KernelProfile;
 use br_gpu_sim::sim::GpuSimulator;
-use br_gpu_sim::trace::{KernelLaunch, MemoryLayout};
+use br_gpu_sim::trace::KernelLaunch;
 use br_sparse::{CsrMatrix, Scalar};
 
 /// The baseline method zoo (the Block Reorganizer is added by
@@ -131,29 +130,6 @@ impl<T> SpgemmRun<T> {
     }
 }
 
-/// Executes a sequence of launches (shared L2, starting cold) and
-/// assembles a run.
-pub fn assemble_run<T: Scalar>(
-    method: &str,
-    result: CsrMatrix<T>,
-    launches: &[KernelLaunch],
-    layout: &MemoryLayout,
-    device: &DeviceConfig,
-    preprocess_ms: f64,
-    flops: u64,
-) -> SpgemmRun<T> {
-    let profiles = GpuSimulator::new(device.clone()).run_sequence(launches, layout);
-    let kernel_ms: f64 = profiles.iter().map(|p| p.time_ms).sum();
-    SpgemmRun {
-        method: method.to_string(),
-        result,
-        profiles,
-        preprocess_ms,
-        total_ms: kernel_ms + preprocess_ms,
-        flops,
-    }
-}
-
 /// Runs one baseline method on one device; the host merge bins rows under
 /// [`BinThresholds::recommended`].
 pub fn run_method<T: Scalar>(
@@ -171,36 +147,35 @@ pub fn run_method<T: Scalar>(
 
 /// [`run_method`] with the host merge's row-bin thresholds given. Bins
 /// choose which merge kernel handles a row on the host; they never change
-/// the result or the simulated launches.
+/// the result or the simulated launches. One simulator runs the launches
+/// (shared L2, starting cold), and the merge runs on its thread count.
 pub fn run_method_binned<T: Scalar>(
     ctx: &ProblemContext<T>,
     method: SpgemmMethod,
     device: &DeviceConfig,
     thresholds: BinThresholds,
 ) -> br_sparse::Result<SpgemmRun<T>> {
-    let result = spgemm_adaptive(&ctx.a, &ctx.b, default_threads(), thresholds)?;
-    if method == SpgemmMethod::MklLike {
+    let sim = GpuSimulator::new(device.clone());
+    let result = spgemm_adaptive(&ctx.a, &ctx.b, sim.threads(), thresholds)?;
+    let (profiles, total_ms) = if method == SpgemmMethod::MklLike {
         // The paper's MKL bars do not vary by system, so every device
         // pairs with the System 1 Xeon of Table I.
-        return Ok(SpgemmRun {
-            method: method.name().to_string(),
-            result,
-            profiles: Vec::new(),
-            preprocess_ms: 0.0,
-            total_ms: methods::mkl_like::time_ms(ctx, &CpuConfig::xeon_e5_2640v4()),
-            flops: ctx.flops,
-        });
-    }
-    let ws = Workspace::for_context(ctx);
-    Ok(assemble_run(
-        method.name(),
+        let cpu = CpuConfig::xeon_e5_2640v4();
+        (Vec::new(), methods::mkl_like::time_ms(ctx, &cpu))
+    } else {
+        let ws = Workspace::for_context(ctx);
+        let profiles = sim.run_sequence(&method.launches(ctx, &ws), &ws.layout);
+        let kernel_ms = profiles.iter().map(|p| p.time_ms).sum();
+        (profiles, kernel_ms)
+    };
+    Ok(SpgemmRun {
+        method: method.name().to_string(),
         result,
-        &method.launches(ctx, &ws),
-        &ws.layout,
-        device,
-        0.0,
-        ctx.flops,
-    ))
+        profiles,
+        preprocess_ms: 0.0,
+        total_ms,
+        flops: ctx.flops,
+    })
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ fn steady_state_merge_allocates_nothing() {
         kway_min: 4096,
         ..BinThresholds::default()
     };
-    let bins = RowBins::of(&a, &a, thresholds).unwrap();
+    let bins = RowBins::of(&a, &a, thresholds, 1).unwrap();
     assert!(
         bins.rows.iter().all(|&r| r > 0),
         "input must exercise every bin: {:?}",

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI perf-regression gate. Every suite must write a byte-identical report
 # and metrics exposition at any host thread count and on every rerun; the
-# quick, estplan and chain reports must equal their checked-in baselines
-# byte for byte; a held br-net flood must shed by arrival order alone; and
-# a fresh quick report is compared against its baseline.
+# quick, estplan, kway, reorder and chain reports must equal their
+# checked-in baselines byte for byte; a held br-net flood must shed by
+# arrival order alone; and a fresh quick report is compared against its
+# baseline.
 #
 # Usage: scripts/bench_gate.sh [cycles-threshold-pct]
 #
@@ -11,7 +12,8 @@
 # baseline with, for example:
 #   blockreorg-cli bench run --suite quick --no-host \
 #       --out results/baselines/BENCH_quick.json
-# (the estplan suite's baseline is results/baselines/BENCH_plan.json).
+# (the estplan suite's baseline is results/baselines/BENCH_plan.json; the
+# others are BENCH_<suite>.json).
 #
 # Byte-compares use --no-host (the wall-clock host section legitimately
 # differs run to run); the final `bench compare` ignores the host section
@@ -67,12 +69,12 @@ normalize() {
         sed -z 's/,\n  "host": null//; s/,\n  "chain": null//; s/,\n  "plan": null//'
 }
 
-# suite <name> <baseline|-> <family>...
+# suite <name> <baseline> <family>...
 # Runs the suite at BR_THREADS=1, 8 and 8 again. The report, the
 # Prometheus text and the JSONL exposition must be byte-identical across
 # the three runs, every family must appear in the exposition, and the
-# report must equal the baseline (unless "-") after normalize. Outputs
-# stay in $work as <name>.{t1,t8,rerun}.{json,prom,prom.jsonl}.
+# report must equal the baseline after normalize. Outputs stay in $work
+# as <name>.{t1,t8,rerun}.{json,prom,prom.jsonl}.
 suite() {
     local name="$1" baseline="$2" run ext
     shift 2
@@ -87,14 +89,12 @@ suite() {
         same "$work/$name.t8.$ext" "$work/$name.rerun.$ext"
     done
     families "$work/$name.t8.prom" "$@"
-    if [[ "$baseline" != - ]]; then
-        [[ -f "$baseline" ]] || fail "baseline $baseline missing"
-        if ! cmp -s <(normalize "$baseline") <(normalize "$work/$name.t1.json"); then
-            diff <(normalize "$baseline") <(normalize "$work/$name.t1.json") | head -40 >&2 || true
-            fail "$name report deviates byte-for-byte from $baseline"
-        fi
-        echo "ok: $name report is byte-identical to $baseline"
+    [[ -f "$baseline" ]] || fail "baseline $baseline missing"
+    if ! cmp -s <(normalize "$baseline") <(normalize "$work/$name.t1.json"); then
+        diff <(normalize "$baseline") <(normalize "$work/$name.t1.json") | head -40 >&2 || true
+        fail "$name report deviates byte-for-byte from $baseline"
     fi
+    echo "ok: $name report is byte-identical to $baseline"
     echo "ok: $name is byte-identical across thread counts and reruns"
 }
 
@@ -170,16 +170,18 @@ cp "$work/estplan.t1.json" BENCH_plan.json
 
 # The kway suite forces the k-way tournament bin open per case; pop order
 # is fixed by (column, run-generation) keys. The bin must actually be used.
-suite kway - br_spgemm_rows_merged_total br_spgemm_kway_runs_total
+suite kway results/baselines/BENCH_kway.json \
+    br_spgemm_rows_merged_total br_spgemm_kway_runs_total
 expect "$work/kway.t8.prom" 'br_spgemm_rows_merged_total{bin="kway"}'
 if grep -qF 'br_spgemm_rows_merged_total{bin="kway"} 0' "$work/kway.t8.prom"; then
     fail "kway suite merged no rows through the kway bin"
 fi
 
 # The reorder suite plans every dataset under each strategy; permutations
-# are pure functions of A's structure and plans un-permute their output.
-# Every strategy cell is pre-registered, and the non-trivial ones used.
-suite reorder - br_reorder_plans_total
+# are pure functions of A's structure and reach only the simulated launch
+# stream. Every strategy cell is pre-registered, and the non-trivial ones
+# used.
+suite reorder results/baselines/BENCH_reorder.json br_reorder_plans_total
 for strategy in none degree rcm cluster; do
     expect "$work/reorder.t8.prom" "br_reorder_plans_total{strategy=\"$strategy\"}"
 done

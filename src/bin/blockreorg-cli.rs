@@ -305,8 +305,12 @@ impl ServiceFlags {
             "--device" => self.device = args.value(flag),
             "--workers" => self.workers = Some(args.positive(flag)),
             "--cache" => self.cache = args.parsed(flag, "a positive integer", |_| true),
-            // Overrides BR_THREADS; 1 is the exact sequential path.
-            "--threads" => blockreorg::sparse::par::set_global_threads(args.positive(flag)),
+            // Overrides BR_THREADS by setting it: flags are read before any
+            // thread starts. 1 is the exact sequential path.
+            "--threads" => std::env::set_var(
+                blockreorg::sparse::par::THREADS_ENV_VAR,
+                args.positive::<usize>(flag).to_string(),
+            ),
             "--reorder" => {
                 self.settings.reorder = ReorderStrategy::parse(&args.value(flag))
                     .unwrap_or_else(|e| usage_and_exit(&format!("bad --reorder value: {e}")))
@@ -697,7 +701,7 @@ fn run_chain(mut args: Args) -> ! {
         );
         let outcome = engine
             .run_chain(&Worker::new(0, device), &request, 0.0)
-            .unwrap_or_else(|e| runtime_error(&format!("chain failed: {}", e.message)));
+            .unwrap_or_else(|e| runtime_error(&e.message));
 
         let mut table = Table::new(vec![
             "step",

@@ -8,8 +8,9 @@
 //! wall-clock lines (`ms wall`, `mean wait`, `busy`).
 //!
 //! The exit tests pin what the job-spec grammar bounds (`rmat=` scale and
-//! edge factor), what a closed output pipe leaves the exit code at, and
-//! what malformed Matrix Market files exit with.
+//! edge factor), what a closed output pipe leaves the exit code at, what
+//! malformed Matrix Market files exit with, and how a failed chain words
+//! its error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -112,6 +113,35 @@ fn chain_reports_hold() {
     ] {
         assert_digest(args, &stdout_of(args), want);
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_failed_chain_words_its_error_once() {
+    let dir = scratch(
+        "chain-fail",
+        &[
+            (
+                "tall.mtx",
+                "%%MatrixMarket matrix coordinate real general\n3 2 2\n1 1 1.0\n3 2 2.0\n",
+            ),
+            (
+                "mask.chain",
+                "chain masked\ninput A\nstep s = A' * A | mask A\n",
+            ),
+        ],
+    );
+    let (spec, input) = (dir.join("mask.chain"), dir.join("tall.mtx"));
+    let out = cli(&[
+        "chain",
+        "--spec-file",
+        spec.to_str().unwrap(),
+        "--input",
+        input.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.matches("chain failed:").count(), 1, "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -71,7 +71,9 @@ fn grid_digest(threads: usize) -> u64 {
                 plans.push(plan);
             }
             for plan in &plans {
-                let run = plan.execute_on(&sim, &ctx, PlanMode::Cold).unwrap();
+                let run = plan
+                    .execute_with_scratch(&sim, &ctx, PlanMode::Cold, None)
+                    .unwrap();
                 h = fnv1a(h, format!("{:?}", run.profiles).as_bytes());
             }
         }
