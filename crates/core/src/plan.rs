@@ -22,20 +22,25 @@
 //! plan cache buys. A plan's Cached-mode profiles depend only on the plan
 //! and the device, so the first Cached execution memoizes them and every
 //! later one on that device replays them and runs only the numeric merge.
+//! C's pattern depends only on the operands' structure, so the first
+//! replay memoizes it too, and every later execution computes values only.
 //!
 //! [`Cold`]: PlanMode::Cold
 //! [`Cached`]: PlanMode::Cached
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use br_gpu_sim::device::DeviceConfig;
 use br_gpu_sim::profiler::KernelProfile;
 use br_gpu_sim::sim::{record_replays, GpuSimulator};
 use br_gpu_sim::trace::KernelLaunch;
+use br_obs::lock_recover;
 use br_sparse::error::SparseError;
-use br_sparse::{Result, Scalar};
-use br_spgemm::accum::{spgemm_adaptive_planned, RowBins, ScratchPool};
+use br_sparse::{CsrMatrix, Result, Scalar};
+use br_spgemm::accum::{
+    spgemm_adaptive_planned, spgemm_values_only, CsrPattern, RowBins, ScratchPool,
+};
 use br_spgemm::context::{ProblemContext, ProblemSignature};
 use br_spgemm::estimate::{
     estimate_workload, exact_plan_ops, select_method, select_thresholds, EstimatorConfig,
@@ -76,10 +81,11 @@ pub enum PlanMode {
 /// share across threads behind an `Arc`, and device-tagged because split
 /// factors depend on the SM count.
 ///
-/// The plan also memoizes its first [`PlanMode::Cached`] simulation (see
-/// [`ReorgPlan::execute_with_scratch`]). Clones start without the memo, so
-/// rewrite fields on a clone: rewriting them in place after a Cached
-/// execution would leave the memo describing the old fields.
+/// The plan also memoizes its first [`PlanMode::Cached`] simulation and,
+/// at the first replay of it, C's pattern (see
+/// [`ReorgPlan::execute_with_scratch`]). Clones start without either memo,
+/// so rewrite fields on a clone: rewriting them in place after a Cached
+/// execution would leave the memos describing the old fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReorgPlan {
     /// Configuration the plan was built under.
@@ -127,9 +133,10 @@ pub struct ReorgPlan {
     pub permutation: Option<Permutation>,
     /// How this plan's workloads were obtained (exact vs estimated).
     pub build: PlanBuild,
-    /// The first Cached execution's simulation, replayed by later ones.
+    /// What executions memoize: the first Cached simulation and C's
+    /// pattern.
     #[serde(skip)]
-    replay: ReplayMemo,
+    memo: Memo,
 }
 
 /// The simulated half of one execution: everything
@@ -141,57 +148,87 @@ struct Simulated {
     stats: ReorgStats,
 }
 
-/// Memo of a plan's [`PlanMode::Cached`] simulation, tagged with the
-/// [`DeviceConfig::fingerprint`] it ran on.
+/// Derived data a plan memoizes from its executions.
 ///
-/// Replaying it is exact: every `run_sequence` starts from a fresh L2,
-/// launch traces read the operands' structure (which the plan's signature
-/// pins) and never their values, and profiles are bit-identical at any
-/// simulator thread count. Cold executions neither read nor fill it — their
-/// precalc kernel leaves L2 state the expansion then reads.
+/// **The replay memo** is the plan's [`PlanMode::Cached`] simulation,
+/// tagged with the [`DeviceConfig::fingerprint`] it ran on. Replaying it is
+/// exact: every `run_sequence` starts from a fresh L2, launch traces read
+/// the operands' structure (which the plan's signature pins) and never
+/// their values, and profiles are bit-identical at any simulator thread
+/// count. Cold executions neither read nor fill it — their precalc kernel
+/// leaves L2 state the expansion then reads.
 ///
-/// Derived data, never part of the plan's identity: a clone starts empty,
-/// equality ignores it, and serialization skips it.
+/// **The pattern memo** is C's pattern in the operands' row order, stored
+/// by the first execution that replays the replay memo — a structure's
+/// third execution when it is served from a plan cache. C's pattern is a
+/// pure function of the operands' patterns (explicit zeros are kept), so
+/// every later execution scatters values into it instead of merging. A
+/// plan cache may drop it to bound memory; the next replay stores it
+/// again.
+///
+/// Neither is part of the plan's identity: a clone starts empty, equality
+/// ignores both, and serialization skips them.
 #[derive(Default)]
-struct ReplayMemo(OnceLock<(u64, Simulated)>);
+struct Memo {
+    replay: OnceLock<(u64, Simulated)>,
+    pattern: Mutex<Option<Arc<CsrPattern>>>,
+}
 
-impl ReplayMemo {
-    /// The Cached-mode simulation on `device`. Replayed when the memo holds
-    /// that device's; otherwise `simulate` runs, filling an empty memo
-    /// exactly once even under concurrent callers, and leaving another
-    /// device's memo in place.
-    fn get_or_simulate(&self, device: u64, simulate: impl Fn() -> Simulated) -> Simulated {
+impl Memo {
+    /// The Cached-mode simulation on `device`, and whether it was
+    /// replayed. Replayed when the memo holds that device's; otherwise
+    /// `simulate` runs, filling an empty memo exactly once even under
+    /// concurrent callers, and leaving another device's memo in place.
+    fn replay_or_simulate(
+        &self,
+        device: u64,
+        simulate: impl Fn() -> Simulated,
+    ) -> (Simulated, bool) {
         let mut filled = false;
-        let (memo_device, memo) = self.0.get_or_init(|| {
+        let (memo_device, memo) = self.replay.get_or_init(|| {
             filled = true;
             (device, simulate())
         });
         if *memo_device != device {
-            return simulate();
+            return (simulate(), false);
         }
         if !filled {
             record_replays(&memo.profiles);
         }
-        memo.clone()
+        (memo.clone(), !filled)
+    }
+
+    /// The memoized pattern, if any.
+    fn pattern(&self) -> Option<Arc<CsrPattern>> {
+        lock_recover(&self.pattern).clone()
+    }
+
+    /// Stores `c`'s pattern unless one is already held.
+    fn store_pattern<T: Scalar>(&self, c: &CsrMatrix<T>) {
+        lock_recover(&self.pattern).get_or_insert_with(|| Arc::new(CsrPattern::of(c)));
     }
 }
 
-impl Clone for ReplayMemo {
+impl Clone for Memo {
     fn clone(&self) -> Self {
-        ReplayMemo::default()
+        Memo::default()
     }
 }
 
-impl PartialEq for ReplayMemo {
+impl PartialEq for Memo {
     fn eq(&self, _: &Self) -> bool {
         true
     }
 }
 
-impl fmt::Debug for ReplayMemo {
+impl fmt::Debug for Memo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ReplayMemo")
-            .field(&self.0.get().map(|(device, _)| device))
+        f.debug_struct("Memo")
+            .field(
+                "replay_device",
+                &self.replay.get().map(|(device, _)| device),
+            )
+            .field("pattern_bytes", &self.pattern().map(|p| p.bytes()))
             .finish()
     }
 }
@@ -386,7 +423,7 @@ impl ReorgPlan {
             reorder: ReorderStrategy::None,
             permutation: None,
             build,
-            replay: ReplayMemo::default(),
+            memo: Memo::default(),
         }
     }
 
@@ -406,13 +443,19 @@ impl ReorgPlan {
     /// allocating per execution.
     ///
     /// The host numeric multiply runs first, once, on the operands as
-    /// given: the adaptive row-binned engine over the plan's cached
-    /// [`RowBins`] (no re-binning, no weights scan) on the simulator's
-    /// thread count. Then a [`PlanMode::Cold`] execution simulates; the
+    /// given and on the simulator's thread count: the values-only pass
+    /// when the plan holds C's pattern, else the adaptive row-binned
+    /// engine, both over the plan's cached [`RowBins`] (no re-binning, no
+    /// weights scan). Then a [`PlanMode::Cold`] execution simulates; the
     /// first [`PlanMode::Cached`] one simulates and memoizes its profiles
     /// and stats, and every later one on a device with the same
     /// [`DeviceConfig::fingerprint`] replays them (counted under
-    /// `br_sim_kernel_replays_total`).
+    /// `br_sim_kernel_replays_total`). The first execution that replays
+    /// and holds no pattern stores the pattern of the C it merged.
+    ///
+    /// A pattern that does not fit the operands — possible only when two
+    /// structures collide on the signature's hashes — is refused by the
+    /// values-only pass, which merges instead.
     ///
     /// Fails with [`SparseError::InvalidStructure`] when `ctx` does not
     /// structurally match the operands the plan was built for.
@@ -431,17 +474,28 @@ impl ReorgPlan {
                 ctx.signature()
             )));
         }
-        let result = spgemm_adaptive_planned(&ctx.a, &ctx.b, sim.threads(), &self.bins, pool)?;
-        let Simulated {
-            profiles,
-            host_ms,
-            stats,
-        } = match mode {
-            PlanMode::Cold => self.simulate(sim, ctx, mode),
-            PlanMode::Cached => self
-                .replay
-                .get_or_simulate(sim.device().fingerprint(), || self.simulate(sim, ctx, mode)),
+        let threads = sim.threads();
+        let pattern = self.memo.pattern();
+        let result = match &pattern {
+            Some(p) => spgemm_values_only(&ctx.a, &ctx.b, p, threads, &self.bins, pool)?,
+            None => spgemm_adaptive_planned(&ctx.a, &ctx.b, threads, &self.bins, pool)?,
         };
+        let (
+            Simulated {
+                profiles,
+                host_ms,
+                stats,
+            },
+            replayed,
+        ) = match mode {
+            PlanMode::Cold => (self.simulate(sim, ctx, mode), false),
+            PlanMode::Cached => self
+                .memo
+                .replay_or_simulate(sim.device().fingerprint(), || self.simulate(sim, ctx, mode)),
+        };
+        if replayed && pattern.is_none() {
+            self.memo.store_pattern(&result);
+        }
         let kernel_ms: f64 = profiles.iter().map(|p| p.time_ms).sum();
         Ok(ReorganizerRun {
             result,
@@ -457,7 +511,21 @@ impl ReorgPlan {
     /// simulation this plan has memoized, `None` before its first Cached
     /// execution.
     pub fn replay_device(&self) -> Option<u64> {
-        self.replay.0.get().map(|(device, _)| *device)
+        self.memo.replay.get().map(|(device, _)| *device)
+    }
+
+    /// Heap bytes of C's memoized pattern, `(nrows + 1) · 8 + nnz(C) · 4`;
+    /// 0 while the plan holds none.
+    pub fn pattern_bytes(&self) -> usize {
+        self.memo.pattern().map_or(0, |p| p.bytes())
+    }
+
+    /// Drops C's memoized pattern, returning the bytes freed. Executions
+    /// merge again until the next replay stores it again.
+    pub fn drop_pattern(&self) -> usize {
+        lock_recover(&self.memo.pattern)
+            .take()
+            .map_or(0, |p| p.bytes())
     }
 
     /// Simulates this plan's launch stream over `ctx`, with the host
@@ -727,6 +795,95 @@ mod tests {
     }
 
     #[test]
+    fn the_first_replay_stores_cs_pattern_for_values_only_executions() {
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
+        let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
+        let want = (oracle.nrows() + 1) * 8 + oracle.nnz() * 4;
+        // Cold, the Cached execution that fills the replay memo, the first
+        // replay (which stores the pattern), then two values-only ones.
+        let modes = [
+            PlanMode::Cold,
+            PlanMode::Cached,
+            PlanMode::Cached,
+            PlanMode::Cached,
+            PlanMode::Cached,
+        ];
+        let stored_after = [0, 0, want, want, want];
+        let mut runs = Vec::new();
+        for (i, (mode, bytes)) in modes.into_iter().zip(stored_after).enumerate() {
+            let run = plan.execute(&ctx, &dev, mode).unwrap();
+            assert_eq!(plan.pattern_bytes(), bytes, "after execution {}", i + 1);
+            runs.push(run);
+        }
+        for (i, run) in runs.iter().enumerate() {
+            assert_same_result(run, &runs[0], &format!("execution {}", i + 1));
+        }
+        // Replays report the same simulation with or without a pattern.
+        assert_same_run(&runs[2], &runs[4]);
+        // Derived data: a clone starts empty and equality ignores it.
+        let clone = plan.clone();
+        assert_eq!(clone.pattern_bytes(), 0);
+        assert_eq!(clone, plan);
+        // Another device simulates fresh, so it never stores a pattern.
+        clone.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        clone
+            .execute(&ctx, &DeviceConfig::tesla_v100(), PlanMode::Cached)
+            .unwrap();
+        assert_eq!(clone.pattern_bytes(), 0);
+        // A dropped pattern is stored again by the next replay.
+        assert_eq!(plan.drop_pattern(), want);
+        assert_eq!(plan.pattern_bytes(), 0);
+        let merged = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        assert_eq!(plan.pattern_bytes(), want);
+        assert_same_result(&merged, &runs[0], "after the drop");
+    }
+
+    #[test]
+    fn a_foreign_pattern_falls_back_to_the_merge() {
+        // A pattern with the right dims and nnz that does not fit: the
+        // pattern of the product with one entry moved to another column,
+        // as a structure-hash collision could hand a plan.
+        let a = skewed();
+        let dev = DeviceConfig::titan_xp();
+        let ctx = ProblemContext::new(&a, &a).unwrap();
+        let plan = ReorgPlan::build(&ctx, &dev, &PlanSettings::default());
+        let oracle = br_sparse::ops::spgemm_gustavson(&a, &a).unwrap();
+        let r = (0..oracle.nrows())
+            .find(|&r| oracle.row_nnz(r) > 0)
+            .unwrap();
+        let (cols, _) = oracle.row(r);
+        let free = (0..oracle.ncols() as u32)
+            .find(|j| !cols.contains(j))
+            .unwrap();
+        let mut idx = oracle.idx().to_vec();
+        let row = &mut idx[oracle.ptr()[r]..oracle.ptr()[r + 1]];
+        row[0] = free;
+        row.sort_unstable();
+        let foreign = CsrPattern::of(&CsrMatrix::from_parts_unchecked(
+            oracle.nrows(),
+            oracle.ncols(),
+            oracle.ptr().to_vec(),
+            idx,
+            oracle.val().to_vec(),
+        ));
+        assert_eq!(foreign.nnz(), oracle.nnz());
+        *plan.memo.pattern.lock().unwrap() = Some(Arc::new(foreign.clone()));
+        for mode in [PlanMode::Cold, PlanMode::Cached, PlanMode::Cached] {
+            let run = plan.execute(&ctx, &dev, mode).unwrap();
+            assert_eq!(run.result.ptr(), oracle.ptr());
+            assert_eq!(run.result.idx(), oracle.idx());
+            let bits =
+                |m: &CsrMatrix<f64>| -> Vec<u64> { m.val().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(&run.result), bits(&oracle), "{mode:?}");
+        }
+        // The foreign pattern is left in place, not overwritten.
+        assert_eq!(plan.memo.pattern().as_deref(), Some(&foreign));
+    }
+
+    #[test]
     fn another_device_simulates_fresh_and_keeps_the_memo() {
         let a = skewed();
         let titan = DeviceConfig::titan_xp();
@@ -786,11 +943,13 @@ mod tests {
         let empty_json = serde_json::to_string(&plan).unwrap();
         plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let replay = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
+        assert!(plan.pattern_bytes() > 0, "the replay stored C's pattern");
         let json = serde_json::to_string(&plan).unwrap();
-        assert_eq!(json, empty_json, "the memo writes nothing");
+        assert_eq!(json, empty_json, "the memos write nothing");
         let back: ReorgPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
         assert_eq!(back.replay_device(), None);
+        assert_eq!(back.pattern_bytes(), 0);
         let run = back.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let fresh = plan.clone().execute(&ctx, &dev, PlanMode::Cached).unwrap();
         assert_same_run(&run, &fresh);
@@ -986,16 +1145,23 @@ mod tests {
             for threads in [1, 2, 4] {
                 let sim = GpuSimulator::new(dev.clone()).with_threads(threads);
                 let plan = plan.clone();
-                // Cold, the Cached execution that fills the memo, and one
-                // that replays it.
-                for (i, mode) in [PlanMode::Cold, PlanMode::Cached, PlanMode::Cached]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let run = plan.execute_with_scratch(&sim, &ctx, mode, None).unwrap();
+                let pool = ScratchPool::new();
+                // Cold, the Cached execution that fills the memo, the one
+                // that replays it and stores C's pattern, and two that
+                // compute values only.
+                for i in 0..5 {
+                    let mode = if i == 0 {
+                        PlanMode::Cold
+                    } else {
+                        PlanMode::Cached
+                    };
+                    let run = plan
+                        .execute_with_scratch(&sim, &ctx, mode, Some(&pool))
+                        .unwrap();
                     assert_same_result(&run, &oracle, &format!("{strategy:?} t{threads} #{i}"));
                 }
                 assert_eq!(plan.replay_device(), Some(dev.fingerprint()));
+                assert!(plan.pattern_bytes() > 0, "{strategy:?} t{threads}");
             }
         }
     }

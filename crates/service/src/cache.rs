@@ -12,6 +12,12 @@
 //! simpler than an intrusive list. Plans are handed out as
 //! `Arc<ReorgPlan>`, so concurrent workers share one artifact without
 //! copying, and eviction never invalidates an executing plan.
+//!
+//! The capacity counts plans, whose size is O(operand size). What a plan
+//! memoizes of C grows with nnz(C) instead, so the cache bounds those
+//! patterns separately, by bytes ([`PATTERN_BUDGET_BYTES`]): it drops
+//! patterns, never plans, so hits, misses and evictions do not depend on
+//! the budget.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,6 +73,11 @@ impl PlanKey {
         )
     }
 }
+
+/// Bytes of memoized C patterns ([`ReorgPlan::pattern_bytes`]) the
+/// resident plans of one [`PlanCache`] may hold together: 64 MiB, a dozen
+/// patterns of an rmat 12,8 product (≈ 5.3 MB each) or 250 of rmat 9,8.
+pub const PATTERN_BUDGET_BYTES: usize = 64 << 20;
 
 /// Hit/miss/eviction counters of a [`PlanCache`], sampled atomically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,6 +140,29 @@ impl Inner {
         }
         false
     }
+
+    /// Drops memoized C patterns until the resident plans' patterns fit in
+    /// `budget` bytes: the least recently used holder's first, never
+    /// `keep`'s. The plans themselves stay resident.
+    fn trim_patterns(&self, keep: &PlanKey, budget: usize) {
+        let mut held: usize = self.map.values().map(|e| e.plan.pattern_bytes()).sum();
+        if held <= budget {
+            return;
+        }
+        let mut holders: Vec<&Entry> = self
+            .map
+            .iter()
+            .filter(|(key, e)| *key != keep && e.plan.pattern_bytes() > 0)
+            .map(|(_, e)| e)
+            .collect();
+        holders.sort_unstable_by_key(|e| e.last_used);
+        for entry in holders {
+            if held <= budget {
+                break;
+            }
+            held = held.saturating_sub(entry.plan.drop_pattern());
+        }
+    }
 }
 
 /// Thread-safe LRU plan cache.
@@ -145,6 +179,8 @@ impl Inner {
 /// scheduling.
 pub struct PlanCache {
     capacity: usize,
+    /// [`PATTERN_BUDGET_BYTES`]; smaller in tests.
+    pattern_budget: usize,
     inner: Mutex<Inner>,
     /// Signalled when a pending build lands (or is abandoned).
     ready: Condvar,
@@ -205,6 +241,7 @@ impl PlanCache {
         );
         PlanCache {
             capacity: capacity.max(1),
+            pattern_budget: PATTERN_BUDGET_BYTES,
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 building: HashSet::new(),
@@ -243,6 +280,13 @@ impl PlanCache {
         }
     }
 
+    /// The same cache with another pattern budget.
+    #[cfg(test)]
+    pub(crate) fn with_pattern_budget(mut self, bytes: usize) -> Self {
+        self.pattern_budget = bytes;
+        self
+    }
+
     /// The registry holding this cache's counters.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -258,6 +302,11 @@ impl PlanCache {
     ///
     /// The returned flag is `true` when the plan came from cache (a hit,
     /// including waited-for builds) and `false` when this call built it.
+    ///
+    /// Every call also enforces the pattern budget: while the resident
+    /// plans' memoized C patterns exceed [`PATTERN_BUDGET_BYTES`], it drops
+    /// the pattern of the least recently used plan holding one, other than
+    /// the plan it returns.
     ///
     /// If `build` panics, the pending marker is cleared and waiters retry
     /// the build themselves.
@@ -277,6 +326,7 @@ impl PlanCache {
                 if !counted_hit {
                     self.count_hit(&mut inner);
                 }
+                inner.trim_patterns(key, self.pattern_budget);
                 return (plan, true);
             }
             if !inner.building.contains(key) {
@@ -314,6 +364,7 @@ impl PlanCache {
                     last_used: tick,
                 },
             );
+            inner.trim_patterns(key, self.pattern_budget);
         }
         drop(guard); // clears the pending marker and wakes waiters
         (plan, false)
@@ -340,6 +391,17 @@ impl PlanCache {
     /// True when no plan is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Resident plans that hold a memoized C pattern.
+    #[cfg(test)]
+    pub(crate) fn resident_patterns(&self) -> usize {
+        let inner = lock_recover(&self.inner);
+        inner
+            .map
+            .values()
+            .filter(|e| e.plan.pattern_bytes() > 0)
+            .count()
     }
 
     /// Whether a key is resident, *without* touching counters or recency
@@ -769,6 +831,56 @@ mod tests {
         assert!(text.contains("br_cache_hits_total 3"), "{text}");
         assert!(text.contains("br_cache_misses_total 4"), "{text}");
         assert!(text.contains("br_cache_evictions_total 2"), "{text}");
+    }
+
+    /// Executes `plan` until it stores C's pattern (Cold, fill, replay).
+    fn store_pattern(plan: &ReorgPlan, ctx: &ProblemContext<f64>) {
+        let dev = DeviceConfig::titan_xp();
+        for mode in [PlanMode::Cold, PlanMode::Cached, PlanMode::Cached] {
+            plan.execute(ctx, &dev, mode).unwrap();
+        }
+        assert!(plan.pattern_bytes() > 0);
+    }
+
+    #[test]
+    fn the_pattern_budget_drops_least_recent_patterns_and_keeps_plans() {
+        let (ka, pa, ca) = plan_for(110);
+        let (kb, pb, cb) = plan_for(111);
+        let (kc, pc, cc) = plan_for(112);
+        for (plan, ctx) in [(&pa, &ca), (&pb, &cb), (&pc, &cc)] {
+            store_pattern(plan, ctx);
+        }
+        // Room for two of the three patterns.
+        let budget = pa
+            .pattern_bytes()
+            .max(pb.pattern_bytes())
+            .max(pc.pattern_bytes())
+            * 2;
+        let cache = PlanCache::new(8).with_pattern_budget(budget);
+        fetch(&cache, &ka, &pa);
+        fetch(&cache, &kb, &pb);
+        assert_eq!(cache.resident_patterns(), 2);
+        // C's insert overflows the budget: A, the least recent, drops its.
+        fetch(&cache, &kc, &pc);
+        assert_eq!(pa.pattern_bytes(), 0);
+        assert!(pb.pattern_bytes() > 0 && pc.pattern_bytes() > 0);
+        assert_eq!(cache.resident_patterns(), 2);
+        // A refreshed and stored again: B is now the least recent holder.
+        assert!(hit(&cache, &ka));
+        store_pattern(&pa, &ca);
+        assert!(hit(&cache, &ka));
+        assert_eq!(pb.pattern_bytes(), 0);
+        assert!(pa.pattern_bytes() > 0 && pc.pattern_bytes() > 0);
+        // No budget: only the returned plan keeps its pattern.
+        let none = PlanCache::new(8).with_pattern_budget(0);
+        for (key, plan) in [(&ka, &pa), (&kc, &pc)] {
+            fetch(&none, key, plan);
+        }
+        assert_eq!(pa.pattern_bytes(), 0);
+        assert!(pc.pattern_bytes() > 0);
+        // Every plan stays resident, and the counts are the usual ones.
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]

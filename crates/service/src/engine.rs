@@ -247,3 +247,82 @@ impl Engine {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use br_datasets::rmat::{rmat, RmatConfig};
+    use br_workloads::Workload;
+
+    /// An engine with room for `capacity` plans and `budget` bytes of
+    /// memoized patterns.
+    fn engine(capacity: usize, budget: usize) -> Engine {
+        let registry = Arc::new(Registry::new());
+        Engine {
+            cache: PlanCache::with_registry(capacity, registry.clone()).with_pattern_budget(budget),
+            ..Engine::new(PlanSettings::default(), capacity, registry)
+        }
+    }
+
+    fn operand(seed: u64) -> Arc<CsrMatrix<f64>> {
+        Arc::new(rmat(RmatConfig::graph500(8, 8, seed)).to_csr())
+    }
+
+    #[test]
+    fn one_structure_stores_one_pattern_at_its_third_execution() {
+        let engine = engine(4, crate::cache::PATTERN_BUDGET_BYTES);
+        let worker = Worker::new(0, DeviceConfig::titan_xp());
+        let a = operand(1);
+        let mut stored = Vec::new();
+        for _ in 0..5 {
+            engine.run(&worker, &a, &a).unwrap();
+            stored.push(engine.cache().resident_patterns());
+        }
+        assert_eq!(stored, [0, 0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_galerkin_chain_stores_no_pattern() {
+        let engine = engine(4, crate::cache::PATTERN_BUDGET_BYTES);
+        let worker = Worker::new(0, DeviceConfig::titan_xp());
+        let request = ChainRequest::workload(0, Workload::parse("galerkin").unwrap(), &operand(2));
+        let outcome = engine.run_chain(&worker, &request, 0.0).unwrap();
+        // Each of its two plans hits once and never replays.
+        assert_eq!((outcome.cache_hits(), outcome.cache_misses()), (2, 2));
+        assert_eq!(engine.cache().resident_patterns(), 0);
+    }
+
+    #[test]
+    fn a_budget_below_one_pattern_changes_no_result_and_no_count() {
+        let (x, y, z) = (operand(3), operand(4), operand(5));
+        let sequence = [&x, &x, &x, &y, &x, &x, &z, &y, &x, &x, &x];
+        let worker = Worker::new(0, DeviceConfig::titan_xp());
+        let run_all = |engine: &Engine| -> Vec<(bool, Vec<u64>, usize)> {
+            sequence
+                .iter()
+                .map(|m| {
+                    let out = engine.run(&worker, m, m).unwrap();
+                    let bits = out.run.result.val().iter().map(|v| v.to_bits()).collect();
+                    (out.cache_hit, bits, engine.cache().resident_patterns())
+                })
+                .collect()
+        };
+        let (default, tiny) = (engine(2, crate::cache::PATTERN_BUDGET_BYTES), engine(2, 1));
+        let with_default = run_all(&default);
+        let with_tiny = run_all(&tiny);
+        for (i, (d, t)) in with_default.iter().zip(&with_tiny).enumerate() {
+            assert_eq!((d.0, &d.1), (t.0, &t.1), "request {i}");
+        }
+        let stats = |e: &Engine| {
+            let s = e.cache().stats();
+            (s.hits, s.misses, s.evictions)
+        };
+        assert_eq!(stats(&default), stats(&tiny));
+        assert!(stats(&tiny).2 > 0, "the sequence evicts");
+        // x stores its pattern at its third execution under both budgets;
+        // y's lookup then drops it under the tiny one, leaving none.
+        assert_eq!((with_default[2].2, with_tiny[2].2), (1, 1));
+        assert_eq!((with_default[3].2, with_tiny[3].2), (1, 0));
+        assert!(with_tiny.iter().all(|r| r.2 <= 1));
+    }
+}

@@ -13,8 +13,10 @@ use crate::{CsrMatrix, Result};
 
 /// Computes `C = A · B` with sequential Gustavson + dense accumulator.
 ///
-/// Output is canonical CSR (sorted rows). Numerically, products for one
-/// output element are added in `B`-row order.
+/// Output is canonical CSR (sorted rows). Numerically, an output
+/// element is its first product plus the rest, added in generation order
+/// (`k` ascending, then `B`-row order), as every merger of the adaptive
+/// engine computes it — so signed zeros agree bitwise too.
 pub fn spgemm_gustavson<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<CsrMatrix<T>> {
     if a.ncols() != b.nrows() {
         return Err(SparseError::ShapeMismatch {
@@ -28,7 +30,10 @@ pub fn spgemm_gustavson<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result
     // `occupied[c]` marks whether column c holds live data for the current
     // row; `touched` lists those columns so the accumulator is cleared in
     // O(row nnz), not O(ncols). The flag (rather than a zero-value test)
-    // keeps numerically-cancelled entries in the symbolic structure.
+    // keeps numerically-cancelled entries in the symbolic structure, and
+    // marks an entry's first product, which is written rather than added
+    // to a zero: `0.0 + -0.0` is `+0.0`, so starting from zero would lose
+    // the sign of an entry whose products are all `-0.0`.
     let mut occupied = vec![false; n_out_cols];
     let mut touched: Vec<u32> = Vec::new();
 
@@ -42,18 +47,19 @@ pub fn spgemm_gustavson<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result
         for (&k, &a_ik) in a_cols.iter().zip(a_vals) {
             let (b_cols, b_vals) = b.row(k as usize);
             for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-                if !occupied[j as usize] {
+                if occupied[j as usize] {
+                    accumulator[j as usize] += a_ik * b_kj;
+                } else {
                     occupied[j as usize] = true;
                     touched.push(j);
+                    accumulator[j as usize] = a_ik * b_kj;
                 }
-                accumulator[j as usize] += a_ik * b_kj;
             }
         }
         touched.sort_unstable();
         for &j in &touched {
             idx.push(j);
             val.push(accumulator[j as usize]);
-            accumulator[j as usize] = T::ZERO;
             occupied[j as usize] = false;
         }
         touched.clear();
@@ -191,6 +197,16 @@ mod tests {
         let c = spgemm_gustavson(&a, &b).unwrap();
         assert_eq!(c.nnz(), 1);
         assert_eq!(c.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn an_entry_of_negative_zero_products_stays_negative_zero() {
+        // [-1, 2] · [0, -0]ᵀ: both products are -0.0, and so is their sum.
+        // Adding them to a +0.0 start would give +0.0.
+        let a = CsrMatrix::<f64>::try_new(1, 2, vec![0, 2], vec![0, 1], vec![-1.0, 2.0]).unwrap();
+        let b = CsrMatrix::try_new(2, 1, vec![0, 1, 2], vec![0, 0], vec![0.0, -0.0]).unwrap();
+        let c = spgemm_gustavson(&a, &b).unwrap();
+        assert_eq!(c.val()[0].to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

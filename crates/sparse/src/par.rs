@@ -14,7 +14,9 @@
 //!   the results back **in index order**, so concatenation-style reductions
 //!   (CSR stitching, report rows) see exactly the sequential layout;
 //!   [`ordered_bounds_map_with`] additionally gives each worker private,
-//!   reusable scratch state (and returns it for pooling).
+//!   reusable scratch state (and returns it for pooling), and
+//!   [`ordered_items_map_with`] hands each worker an owned work item, such
+//!   as the disjoint `&mut` slice of an output array its rows fill.
 //! * **Sequential float reductions** — none of these helpers reduce
 //!   floating-point values across threads. Callers that need a float sum
 //!   map each element to its value in parallel and fold the resulting
@@ -203,41 +205,52 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, Range<usize>) -> R + Sync,
 {
-    let windows = bounds.len().saturating_sub(1);
-    if windows == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    if windows == 1 {
-        let mut state = init();
-        let out = f(&mut state, bounds[0]..bounds[1]);
-        return (vec![out], vec![state]);
-    }
-    let mut out: Vec<Option<(R, S)>> = Vec::new();
-    out.resize_with(windows, || None);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(windows);
-        for w in 0..windows {
-            let range = bounds[w]..bounds[w + 1];
-            let init = &init;
-            let f = &f;
-            handles.push(scope.spawn(move || {
+    let windows = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+    ordered_items_map_with(windows, init, f)
+}
+
+/// [`ordered_bounds_map_with`] over owned work items instead of bare
+/// windows, one scoped worker per item — e.g. a row range paired with the
+/// disjoint `&mut` slice of an output array that those rows fill, so
+/// workers write their results in place and nothing is stitched. Results
+/// and states come back **in item order**; a single item runs on the
+/// calling thread.
+pub fn ordered_items_map_with<W, S, R, I, F>(items: Vec<W>, init: I, f: F) -> (Vec<R>, Vec<S>)
+where
+    W: Send,
+    S: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, W) -> R + Sync,
+{
+    if items.len() <= 1 {
+        return items
+            .into_iter()
+            .map(|item| {
                 let mut state = init();
-                let r = f(&mut state, range);
-                (r, state)
-            }));
-        }
-        for (slot, handle) in out.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("parallel worker must not panic"));
-        }
-    });
-    let mut results = Vec::with_capacity(windows);
-    let mut states = Vec::with_capacity(windows);
-    for slot in out {
-        let (r, s) = slot.expect("every window produced a result");
-        results.push(r);
-        states.push(s);
+                let out = f(&mut state, item);
+                (out, state)
+            })
+            .unzip();
     }
-    (results, states)
+    let results: Vec<(R, S)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| {
+                let (init, f) = (&init, &f);
+                scope.spawn(move || {
+                    let mut state = init();
+                    let out = f(&mut state, item);
+                    (out, state)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("parallel worker must not panic"))
+            .collect()
+    });
+    results.into_iter().unzip()
 }
 
 #[cfg(test)]

@@ -38,6 +38,16 @@
 //! [`ScratchPool`] across jobs, and [`RowBins`] — a pure function of the
 //! operands' structure — is cached alongside the `ReorgPlan` under the same
 //! `ProblemSignature` key.
+//!
+//! **Values only, once C's pattern is known.** C's pattern is a pure
+//! function of the operands' patterns (explicit zeros are kept, nothing is
+//! filtered), so a plan that has merged its structure once can keep it as a
+//! [`CsrPattern`]. [`spgemm_values_only`] then maps each row's columns to
+//! their output slots and scatters every product into its slot in
+//! generation order — the first product written, the rest added, as in
+//! every merger — with no sort, insertion, probe or stitch. A pattern that
+//! does not fit the operands is refused, and the adaptive merge runs
+//! instead.
 
 use std::fmt;
 use std::ops::Range;
@@ -326,6 +336,15 @@ pub fn classification_runs() -> u64 {
     CLASSIFY_RUNS.load(Ordering::SeqCst)
 }
 
+/// Counts every [`spgemm_values_only`] pass that produced its result —
+/// the tripwire showing which executions skipped the merge.
+static VALUES_ONLY_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of values-only passes so far in this process.
+pub fn values_only_runs() -> u64 {
+    VALUES_ONLY_RUNS.load(Ordering::SeqCst)
+}
+
 /// The row-binning artifact: per-row intermediate-product upper bounds
 /// plus the thresholds they were binned under.
 ///
@@ -411,6 +430,100 @@ impl RowBins {
     }
 }
 
+/// C's sparsity pattern without its values: row pointer and column
+/// indices, as a merge emitted them (rows sorted by column).
+///
+/// Built only from a merged result ([`CsrPattern::of`]), so it is always a
+/// valid CSR pattern. [`spgemm_values_only`] fills it with the values of
+/// any operand pair with the same structure.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CsrPattern {
+    ncols: usize,
+    ptr: Vec<usize>,
+    idx: Vec<u32>,
+}
+
+impl CsrPattern {
+    /// The pattern of `c`.
+    pub fn of<T: Scalar>(c: &CsrMatrix<T>) -> CsrPattern {
+        CsrPattern {
+            ncols: c.ncols(),
+            ptr: c.ptr().to_vec(),
+            idx: c.idx().to_vec(),
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn nrows(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// Number of columns.
+    pub(crate) fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Heap bytes of the two arrays: `(nrows + 1) · 8 + nnz · 4`.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.ptr.len() * size_of::<usize>() + self.idx.len() * size_of::<u32>()
+    }
+}
+
+/// What one call merged: rows per bin and runs through the k-way tree, the
+/// units of `br_spgemm_rows_merged_total` and `br_spgemm_kway_runs_total`.
+/// A pure function of the merged rows, whichever pass merged them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MergeTally {
+    /// Rows merged per bin: `[tiny, medium, heavy, kway]`.
+    pub rows: [u64; NUM_BINS],
+    /// Sorted runs a k-way merge of the kway rows feeds its tree.
+    pub kway_runs: u64,
+}
+
+impl MergeTally {
+    /// Counts a row of `A` with columns `a_cols` as merged in `bin`.
+    fn count(&mut self, bin: RowBin, a_cols: &[u32], b: &CsrMatrix<impl Scalar>) {
+        self.rows[bin as usize] += 1;
+        if bin == RowBin::Kway {
+            // One run per A-row entry whose B-row is not empty.
+            self.kway_runs += a_cols
+                .iter()
+                .filter(|&&k| b.row_nnz(k as usize) > 0)
+                .count() as u64;
+        }
+    }
+
+    /// The two tallies summed.
+    fn plus(mut self, other: MergeTally) -> MergeTally {
+        for (mine, theirs) in self.rows.iter_mut().zip(other.rows) {
+            *mine += theirs;
+        }
+        self.kway_runs += other.kway_runs;
+        self
+    }
+
+    /// Adds this tally to the merge counters: one atomic add per bin, not
+    /// per row. Additions commute, so the totals are a pure function of
+    /// the merged work at any thread count.
+    fn record(&self) {
+        let instruments = merge_instruments();
+        for (counter, &n) in instruments.rows.iter().zip(&self.rows) {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        if self.kway_runs > 0 {
+            instruments.kway_runs.add(self.kway_runs);
+        }
+    }
+}
+
 /// Reusable per-thread merge state for all three bin kernels.
 ///
 /// Grow-only: buffers are sized to the largest row seen and kept across
@@ -448,6 +561,11 @@ pub struct MergeScratch<T> {
     kway_len: Vec<u32>,
     kway_aval: Vec<T>,
     kway_order: Vec<u32>,
+    // Values-only pass: per column, (stamp, position in the row). Column
+    // j is in the current row's pattern when its stamp is the row's `open`
+    // stamp (no product yet) or `filled` stamp (first product written).
+    slots: Vec<(u32, u32)>,
+    slot_stamp: u32,
 }
 
 impl<T: Scalar> Default for MergeScratch<T> {
@@ -475,6 +593,8 @@ impl<T: Scalar> MergeScratch<T> {
             kway_len: Vec::new(),
             kway_aval: Vec::new(),
             kway_order: Vec::new(),
+            slots: Vec::new(),
+            slot_stamp: 0,
         }
     }
 
@@ -489,6 +609,7 @@ impl<T: Scalar> MergeScratch<T> {
             + self.hash_vals.capacity() * size_of::<T>()
             + self.hash_used.capacity() * size_of::<usize>()
             + self.row_buf.capacity() * size_of::<(u32, T)>()
+            + self.slots.capacity() * size_of::<(u32, u32)>()
             + self.kway_footprint_bytes()
     }
 
@@ -733,8 +854,6 @@ impl<T: Scalar> MergeScratch<T> {
     /// * runs are laid out on the leaves Huffman-style — longest first —
     ///   which clusters the hottest replay paths but never reorders the
     ///   pops (the key carries the original index, not the leaf slot).
-    ///
-    /// Returns the number of runs merged (the kway-run counter's unit).
     fn merge_row_kway(
         &mut self,
         a_cols: &[u32],
@@ -742,7 +861,7 @@ impl<T: Scalar> MergeScratch<T> {
         b: &CsrMatrix<T>,
         idx: &mut Vec<u32>,
         val: &mut Vec<T>,
-    ) -> u64 {
+    ) {
         // Gather the non-empty runs, remembering each one's position in
         // the A-row (its generation order).
         self.ensure_kway(a_cols.len());
@@ -754,7 +873,7 @@ impl<T: Scalar> MergeScratch<T> {
             }
         }
         if runs == 0 {
-            return 0;
+            return;
         }
         if runs == 1 {
             // Single run: the output is the scaled run itself.
@@ -765,7 +884,7 @@ impl<T: Scalar> MergeScratch<T> {
                 idx.push(j);
                 val.push(a_rk * b_kj);
             }
-            return 1;
+            return;
         }
 
         // Huffman-style leaf layout: longest runs first (ties in
@@ -844,7 +963,64 @@ impl<T: Scalar> MergeScratch<T> {
             idx.push(cur_col);
             val.push(cur_sum);
         }
-        runs as u64
+    }
+
+    /// Grows the values-only slot map to cover `ncols` columns (stamp 0 =
+    /// never in a pattern; live stamps start at 1).
+    fn ensure_slots(&mut self, ncols: usize) {
+        if self.slots.len() < ncols {
+            self.slots.resize(ncols, (0, 0));
+        }
+    }
+
+    /// The `(open, filled)` stamp pair of the next values-only row,
+    /// recycling the stamp space when it runs out.
+    fn next_slot_stamps(&mut self) -> (u32, u32) {
+        if self.slot_stamp >= u32::MAX - 1 {
+            self.slots.fill((0, 0));
+            self.slot_stamp = 0;
+        }
+        self.slot_stamp += 2;
+        (self.slot_stamp - 1, self.slot_stamp)
+    }
+
+    /// Values-only row: scatters the row's products into `out`, the values
+    /// of the output row whose columns are `cols`. Products arrive in
+    /// generation order; each entry's first product is written and the
+    /// rest are added, which is every merger's arithmetic, so `out` is
+    /// bitwise what a merge would emit. Returns `false` when the pattern
+    /// does not fit: a product's column is not in `cols`, or an entry of
+    /// `cols` gets no product.
+    fn scatter_row(
+        &mut self,
+        a_cols: &[u32],
+        a_vals: &[T],
+        b: &CsrMatrix<T>,
+        cols: &[u32],
+        out: &mut [T],
+    ) -> bool {
+        let (open, filled) = self.next_slot_stamps();
+        for (pos, &j) in cols.iter().enumerate() {
+            self.slots[j as usize] = (open, pos as u32);
+        }
+        let mut written = 0usize;
+        for (&k, &a_rk) in a_cols.iter().zip(a_vals) {
+            let (b_cols, b_vals) = b.row(k as usize);
+            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
+                let slot = &mut self.slots[j as usize];
+                let pos = slot.1 as usize;
+                if slot.0 == filled {
+                    out[pos] += a_rk * b_kj;
+                } else if slot.0 == open {
+                    slot.0 = filled;
+                    out[pos] = a_rk * b_kj;
+                    written += 1;
+                } else {
+                    return false;
+                }
+            }
+        }
+        written == cols.len()
     }
 }
 
@@ -917,9 +1093,7 @@ pub fn merge_rows_into<T: Scalar>(
     val.clear();
     ptr.push(0);
     scratch.ensure_dense(b.ncols());
-    // Batched per-bin tallies: one atomic add per bin per call, not per row.
-    let mut merged = [0u64; NUM_BINS];
-    let mut kway_runs = 0u64;
+    let mut tally = MergeTally::default();
     for r in rows {
         let (a_cols, a_vals) = a.row(r);
         let products = bins.row_products[r];
@@ -931,24 +1105,63 @@ pub fn merge_rows_into<T: Scalar>(
                 scratch.merge_row_hash(a_cols, a_vals, b, cap, idx, val);
             }
             RowBin::Heavy => scratch.merge_row_dense(a_cols, a_vals, b, idx, val),
-            RowBin::Kway => kway_runs += scratch.merge_row_kway(a_cols, a_vals, b, idx, val),
+            RowBin::Kway => scratch.merge_row_kway(a_cols, a_vals, b, idx, val),
         }
-        merged[bin as usize] += 1;
+        tally.count(bin, a_cols, b);
         ptr.push(idx.len());
     }
-    let instruments = merge_instruments();
-    for (counter, &n) in instruments.rows.iter().zip(merged.iter()) {
-        if n > 0 {
-            counter.add(n);
-        }
-    }
-    if kway_runs > 0 {
-        instruments.kway_runs.add(kway_runs);
-    }
+    tally.record();
     scratch_footprint_gauge().set_max(scratch.footprint_bytes() as f64);
-    if merged[RowBin::Kway as usize] > 0 {
+    if tally.rows[RowBin::Kway as usize] > 0 {
         kway_scratch_gauge().set_max(scratch.kway_footprint_bytes() as f64);
     }
+}
+
+/// Values-only merge of output rows `rows` of `C = A · B`, whose pattern is
+/// `pattern`: fills `val` — C's values from entry `pattern.ptr[rows.start]`
+/// to entry `pattern.ptr[rows.end]` — through the per-row scatter, and
+/// returns what it merged per bin, which [`spgemm_values_only`] records
+/// once every range has succeeded. `None` means the pattern does not fit
+/// these rows of the operands; `val` then holds garbage.
+///
+/// A warm `scratch` makes the call allocation-free.
+///
+/// # Panics
+///
+/// When `pattern` does not have `A`'s rows and `B`'s columns, or `val`
+/// does not have the rows' entry count.
+pub fn scatter_rows_into<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    rows: Range<usize>,
+    pattern: &CsrPattern,
+    bins: &RowBins,
+    scratch: &mut MergeScratch<T>,
+    val: &mut [T],
+) -> Option<MergeTally> {
+    assert!(
+        pattern.nrows() == a.nrows() && pattern.ncols() == b.ncols(),
+        "pattern must have A's rows and B's columns"
+    );
+    let base = pattern.ptr[rows.start];
+    assert_eq!(
+        val.len(),
+        pattern.ptr[rows.end] - base,
+        "one value per entry"
+    );
+    scratch.ensure_slots(b.ncols());
+    let mut tally = MergeTally::default();
+    for r in rows {
+        let (a_cols, a_vals) = a.row(r);
+        let (start, end) = (pattern.ptr[r], pattern.ptr[r + 1]);
+        let out = &mut val[start - base..end - base];
+        if !scratch.scatter_row(a_cols, a_vals, b, &pattern.idx[start..end], out) {
+            return None;
+        }
+        tally.count(bins.bin(r), a_cols, b);
+    }
+    scratch_footprint_gauge().set_max(scratch.footprint_bytes() as f64);
+    Some(tally)
 }
 
 /// Adaptive row-binned spGEMM: classifies rows, then merges each through
@@ -965,17 +1178,13 @@ pub fn spgemm_adaptive<T: Scalar>(
     spgemm_adaptive_planned(a, b, threads, &bins, None)
 }
 
-/// [`spgemm_adaptive`] with a precomputed (typically plan-cached)
-/// [`RowBins`] and an optional scratch pool. The bins must describe the
-/// same `A` (row count check); the cached `row_products` also serve as the
-/// partition weights, so no symbolic scan runs here.
-pub fn spgemm_adaptive_planned<T: Scalar>(
+/// Rejects operands that cannot be multiplied, and bins that describe
+/// another row count.
+fn check_planned_shapes<T: Scalar>(
     a: &CsrMatrix<T>,
     b: &CsrMatrix<T>,
-    threads: usize,
     bins: &RowBins,
-    pool: Option<&ScratchPool<T>>,
-) -> Result<CsrMatrix<T>> {
+) -> Result<()> {
     if a.ncols() != b.nrows() {
         return Err(SparseError::ShapeMismatch {
             op: "spgemm",
@@ -990,70 +1199,152 @@ pub fn spgemm_adaptive_planned<T: Scalar>(
             a.nrows()
         )));
     }
-    // The numeric merge phase. Opened on the calling thread (one span per
-    // multiply); the fan-out below never opens spans inside short-lived
-    // worker threads.
-    let _span = br_obs::global().span("spgemm_merge");
-    let threads = threads.max(1).min(a.nrows().max(1));
-    let acquire = || match pool {
-        Some(p) => p.acquire(),
-        None => MergeScratch::new(),
-    };
+    Ok(())
+}
 
-    if threads == 1 || a.nrows() < 256 {
-        let mut scratch = acquire();
-        let (mut ptr, mut idx, mut val) = (Vec::new(), Vec::new(), Vec::new());
-        merge_rows_into(
-            a,
-            b,
-            0..a.nrows(),
-            bins,
-            &mut scratch,
-            &mut ptr,
-            &mut idx,
-            &mut val,
-        );
-        if let Some(p) = pool {
-            p.release(scratch);
-        }
-        return Ok(CsrMatrix::from_parts_unchecked(
-            a.nrows(),
-            b.ncols(),
-            ptr,
-            idx,
-            val,
-        ));
-    }
+/// A scratch from `pool`, or a fresh one without a pool.
+fn acquire_scratch<T: Scalar>(pool: Option<&ScratchPool<T>>) -> MergeScratch<T> {
+    pool.map_or_else(MergeScratch::new, ScratchPool::acquire)
+}
 
-    // Static row partition balanced by the cached per-row upper bounds.
-    let bounds = par::weighted_bounds(&bins.row_products, threads);
-    let (parts, scratches) = par::ordered_bounds_map_with(&bounds, acquire, |scratch, range| {
-        let (mut ptr, mut idx, mut val) = (Vec::new(), Vec::new(), Vec::new());
-        merge_rows_into(a, b, range, bins, scratch, &mut ptr, &mut idx, &mut val);
-        (ptr, idx, val)
-    });
+/// Returns `scratches` to `pool`, if there is one.
+fn release_scratches<T: Scalar>(pool: Option<&ScratchPool<T>>, scratches: Vec<MergeScratch<T>>) {
     if let Some(p) = pool {
         for scratch in scratches {
             p.release(scratch);
         }
     }
+}
 
-    // Stitch the per-range outputs back together in row order.
-    let mut ptr = Vec::with_capacity(a.nrows() + 1);
-    let mut idx = Vec::new();
-    let mut val = Vec::new();
-    ptr.push(0usize);
+/// The row partition both passes run on, as range bounds: every row in
+/// one range on one thread or under 256 rows, else contiguous ranges
+/// balanced by the bins' cached per-row products (no symbolic scan).
+fn row_bounds(bins: &RowBins, threads: usize) -> Vec<usize> {
+    if threads <= 1 || bins.nrows() < 256 {
+        vec![0, bins.nrows()]
+    } else {
+        par::weighted_bounds(&bins.row_products, threads)
+    }
+}
+
+/// [`spgemm_adaptive`] with a precomputed (typically plan-cached)
+/// [`RowBins`] and an optional scratch pool. The bins must describe the
+/// same `A` (row count check); the cached `row_products` also serve as the
+/// partition weights, so no symbolic scan runs here.
+pub fn spgemm_adaptive_planned<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    threads: usize,
+    bins: &RowBins,
+    pool: Option<&ScratchPool<T>>,
+) -> Result<CsrMatrix<T>> {
+    check_planned_shapes(a, b, bins)?;
+    // The numeric merge phase. Opened on the calling thread (one span per
+    // multiply); the fan-out below never opens spans inside short-lived
+    // worker threads.
+    let _span = br_obs::global().span("spgemm_merge");
+    Ok(merge_planned(a, b, threads, bins, pool))
+}
+
+/// The adaptive merge, checked and spanned by its callers: each range of
+/// the partition merges into its own CSR triple, and the triples are
+/// stitched onto the first one in row order.
+fn merge_planned<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    threads: usize,
+    bins: &RowBins,
+    pool: Option<&ScratchPool<T>>,
+) -> CsrMatrix<T> {
+    let (parts, scratches) = par::ordered_bounds_map_with(
+        &row_bounds(bins, threads),
+        || acquire_scratch(pool),
+        |scratch, range| {
+            let (mut ptr, mut idx, mut val) = (Vec::new(), Vec::new(), Vec::new());
+            merge_rows_into(a, b, range, bins, scratch, &mut ptr, &mut idx, &mut val);
+            (ptr, idx, val)
+        },
+    );
+    release_scratches(pool, scratches);
+    let mut parts = parts.into_iter();
+    let (mut ptr, mut idx, mut val) = parts.next().expect("the partition has a range");
     for (p_ptr, p_idx, p_val) in parts {
         let base = idx.len();
         ptr.extend(p_ptr.iter().skip(1).map(|&x| base + x));
         idx.extend(p_idx);
         val.extend(p_val);
     }
-    Ok(CsrMatrix::from_parts_unchecked(
+    CsrMatrix::from_parts_unchecked(a.nrows(), b.ncols(), ptr, idx, val)
+}
+
+/// The values-only pass: `C = A · B` when C's pattern is known, bitwise
+/// [`spgemm_adaptive_planned`]'s result on the same bins and thread count.
+///
+/// Each worker owns a contiguous row range of the same balanced partition
+/// the adaptive merge uses and writes its rows' values in place, into one
+/// value array allocated once; the result takes a copy of the pattern's
+/// two arrays. Rows count under `br_spgemm_rows_merged_total` in their
+/// plan bins and kway rows under `br_spgemm_kway_runs_total`, exactly as
+/// the adaptive merge would count them, inside one `spgemm_merge` span.
+///
+/// A `pattern` that does not fit the operands (other dimensions, a product
+/// outside a row's pattern, or a pattern entry with no product) is
+/// refused: the refused pass records nothing, and the adaptive merge
+/// computes C inside the same span. Either way one span and the merge's
+/// tallies are recorded; [`values_only_runs`] counts only the passes that
+/// were not refused.
+pub fn spgemm_values_only<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    pattern: &CsrPattern,
+    threads: usize,
+    bins: &RowBins,
+    pool: Option<&ScratchPool<T>>,
+) -> Result<CsrMatrix<T>> {
+    check_planned_shapes(a, b, bins)?;
+    let _span = br_obs::global().span("spgemm_merge");
+    Ok(scatter_planned(a, b, pattern, threads, bins, pool)
+        .unwrap_or_else(|| merge_planned(a, b, threads, bins, pool)))
+}
+
+/// The values-only pass, checked and spanned by [`spgemm_values_only`]:
+/// `None`, recording nothing, when `pattern` does not fit.
+fn scatter_planned<T: Scalar>(
+    a: &CsrMatrix<T>,
+    b: &CsrMatrix<T>,
+    pattern: &CsrPattern,
+    threads: usize,
+    bins: &RowBins,
+    pool: Option<&ScratchPool<T>>,
+) -> Option<CsrMatrix<T>> {
+    if pattern.nrows() != a.nrows() || pattern.ncols() != b.ncols() {
+        return None;
+    }
+    let bounds = row_bounds(bins, threads);
+    let mut val = vec![T::ZERO; pattern.nnz()];
+    let mut windows = Vec::with_capacity(bounds.len() - 1);
+    let mut rest = val.as_mut_slice();
+    for w in bounds.windows(2) {
+        let (chunk, tail) = rest.split_at_mut(pattern.ptr[w[1]] - pattern.ptr[w[0]]);
+        windows.push((w[0]..w[1], chunk));
+        rest = tail;
+    }
+    let (tallies, scratches) = par::ordered_items_map_with(
+        windows,
+        || acquire_scratch(pool),
+        |scratch, (rows, chunk)| scatter_rows_into(a, b, rows, pattern, bins, scratch, chunk),
+    );
+    release_scratches(pool, scratches);
+    let tally = tallies
+        .into_iter()
+        .try_fold(MergeTally::default(), |sum, t| Some(sum.plus(t?)))?;
+    tally.record();
+    VALUES_ONLY_RUNS.fetch_add(1, Ordering::SeqCst);
+    Some(CsrMatrix::from_parts_unchecked(
         a.nrows(),
         b.ncols(),
-        ptr,
-        idx,
+        pattern.ptr.clone(),
+        pattern.idx.clone(),
         val,
     ))
 }
@@ -1062,7 +1353,92 @@ pub fn spgemm_adaptive_planned<T: Scalar>(
 mod tests {
     use super::*;
     use br_datasets::rmat::{rmat, RmatConfig};
+    use br_sparse::hash::splitmix64;
     use br_sparse::ops::spgemm_gustavson;
+    use br_sparse::CooMatrix;
+
+    /// A result's arrays, values as bits: `CsrMatrix`'s `==` compares
+    /// values as floats, so `-0.0 == 0.0` there.
+    fn bits(c: &CsrMatrix<f64>) -> (Vec<usize>, Vec<u32>, Vec<u64>) {
+        (
+            c.ptr().to_vec(),
+            c.idx().to_vec(),
+            c.val().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// `m` under the two value sets every bitwise test runs on, each drawn
+    /// per entry by a seeded hash:
+    /// * each weight `w` becomes `w`, `-w`, `0.0` or `-0.0` (3:3:1:1). The
+    ///   weights lie in [0.5, 1.5), so sums round differently when their
+    ///   products are added in another order, and an order bug shows;
+    /// * values from signed zeros, cancelling pairs and a few exact
+    ///   magnitudes, so entries sum to `+0.0`, to `-0.0` (all products
+    ///   `-0.0`) and to cancelled zeros. These sums are exact in any
+    ///   order: they check only that an entry starts at its first product.
+    fn value_sets(m: &CsrMatrix<f64>, seed: u64) -> [CsrMatrix<f64>; 2] {
+        const EXACT: [f64; 8] = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.0, -2.25];
+        let signed = |w: f64, h: u64| match h % 8 {
+            0..=2 => w,
+            3..=5 => -w,
+            6 => 0.0,
+            _ => -0.0,
+        };
+        let exact = |_: f64, h: u64| EXACT[(h % 8) as usize];
+        [revalue(m, seed, signed), revalue(m, seed, exact)]
+    }
+
+    /// `m`'s structure with each value `w` replaced by `f(w, hash)`.
+    fn revalue(m: &CsrMatrix<f64>, seed: u64, f: impl Fn(f64, u64) -> f64) -> CsrMatrix<f64> {
+        let mut state = seed;
+        let val = m
+            .val()
+            .iter()
+            .map(|&w| f(w, splitmix64(&mut state)))
+            .collect();
+        CsrMatrix::from_parts_unchecked(
+            m.nrows(),
+            m.ncols(),
+            m.ptr().to_vec(),
+            m.idx().to_vec(),
+            val,
+        )
+    }
+
+    /// A seeded `nrows × ncols` operand with every third row empty and up
+    /// to `max_row` entries in each other row, weighted in [0.5, 1.5) like
+    /// RMAT's.
+    fn rectangular(nrows: usize, ncols: usize, max_row: u64, seed: u64) -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::new(nrows, ncols);
+        let mut state = seed;
+        for r in (0..nrows).filter(|r| r % 3 != 0) {
+            for _ in 0..splitmix64(&mut state) % max_row {
+                let c = splitmix64(&mut state) % ncols as u64;
+                let w = 0.5 + (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                coo.push(r as u32, c as u32, w).unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// The values-only pass over `a · b` on the adaptive merge's bins,
+    /// checked bitwise against both that merge and the oracle.
+    fn check_values_only(a: &CsrMatrix<f64>, b: &CsrMatrix<f64>, threads: &[usize], what: &str) {
+        let oracle = bits(&spgemm_gustavson(a, b).unwrap());
+        let pattern = CsrPattern::of(&spgemm_gustavson(a, b).unwrap());
+        let pool = ScratchPool::new();
+        for thresholds in threshold_grid() {
+            for &t in threads {
+                let bins = RowBins::of(a, b, thresholds, t).unwrap();
+                let merged = spgemm_adaptive_planned(a, b, t, &bins, None).unwrap();
+                let c = scatter_planned(a, b, &pattern, t, &bins, Some(&pool))
+                    .expect("the product's own pattern fits");
+                let at = format!("{what}: threads={t} thresholds={thresholds:?}");
+                assert_eq!(bits(&merged), oracle, "{at}");
+                assert_eq!(bits(&c), oracle, "{at}");
+            }
+        }
+    }
 
     /// The acceptance-criterion threshold settings plus the degenerate
     /// single-bin collapses — with and without the k-way bin.
@@ -1227,6 +1603,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn values_only_is_bitwise_the_merge_and_the_oracle() {
+        let hub = hub_row();
+        let sparse = interspersed_empty_rows();
+        let identity = CsrMatrix::<f64>::identity(10);
+        let (cliff_a, cliff_b) = weight_cliffs();
+        let (col_a, col_b) = one_column_b();
+        let empty = CsrMatrix::<f64>::zeros(4, 4);
+        let cases = [
+            ("hub row", &hub, &hub, &[1, 8][..]),
+            ("empty rows", &sparse, &sparse, &[2, 5][..]),
+            ("weight cliffs", &cliff_a, &cliff_b, &[3, 8][..]),
+            ("one column", &col_a, &col_b, &[2, 8][..]),
+            ("small identity", &identity, &identity, &[16][..]),
+            ("all empty", &empty, &empty, &[1, 2][..]),
+        ];
+        for (name, a, b, thread_counts) in cases {
+            check_values_only(a, b, thread_counts, name);
+        }
+        let power_law = value_sets(&rmat(RmatConfig::graph500(9, 8, 77)).to_csr(), 5);
+        let rect_a = value_sets(&rectangular(300, 170, 12, 1), 2);
+        let rect_b = value_sets(&rectangular(170, 290, 12, 3), 4);
+        for set in 0..2 {
+            let at = |what: &str| format!("{what}, value set {set}");
+            let (p, threads) = (&power_law[set], &[1, 2, 3, 8]);
+            check_values_only(p, p, threads, &at("power-law"));
+            check_values_only(&rect_a[set], &rect_b[set], threads, &at("rectangular"));
+        }
+    }
+
+    #[test]
+    fn a_pattern_that_does_not_fit_is_refused() {
+        let a = rmat(RmatConfig::graph500(9, 8, 3)).to_csr();
+        let bins = RowBins::of(&a, &a, BinThresholds::default(), 2).unwrap();
+        let c = spgemm_gustavson(&a, &a).unwrap();
+        let refit = |ptr: Vec<usize>, idx: Vec<u32>| {
+            let nnz = idx.len();
+            CsrPattern::of(&CsrMatrix::<f64>::from_parts_unchecked(
+                c.nrows(),
+                c.ncols(),
+                ptr,
+                idx,
+                vec![0.0; nnz],
+            ))
+        };
+        // One entry moved to a column its row never produces: same dims
+        // and nnz, so only the scatter can tell.
+        let r = (0..c.nrows()).find(|&r| c.row_nnz(r) > 0).unwrap();
+        let (cols, _) = c.row(r);
+        let free = (0..c.ncols() as u32).find(|j| !cols.contains(j)).unwrap();
+        let mut moved: Vec<u32> = cols.iter().copied().skip(1).chain([free]).collect();
+        moved.sort_unstable();
+        let mut idx = c.idx().to_vec();
+        idx[c.ptr()[r]..c.ptr()[r + 1]].copy_from_slice(&moved);
+        let foreign_column = refit(c.ptr().to_vec(), idx);
+        // A row's last entry moved to the front of the next row, where it
+        // keeps that row sorted: row lengths differ.
+        let r = (0..c.nrows() - 1)
+            .find(|&r| {
+                let (cols, next) = (c.row(r).0, c.row(r + 1).0);
+                !cols.is_empty() && next.first().is_none_or(|&j| cols[cols.len() - 1] < j)
+            })
+            .unwrap();
+        let mut ptr = c.ptr().to_vec();
+        ptr[r + 1] -= 1;
+        let foreign_rows = refit(ptr, c.idx().to_vec());
+        // Another shape.
+        let small = CsrPattern::of(&CsrMatrix::<f64>::identity(3));
+        for (what, pattern) in [
+            ("column", &foreign_column),
+            ("rows", &foreign_rows),
+            ("shape", &small),
+        ] {
+            for threads in [1, 4] {
+                let at = format!("{what} threads={threads}");
+                let refused = scatter_planned(&a, &a, pattern, threads, &bins, None);
+                assert!(refused.is_none(), "{at}");
+                // The public pass merges instead: the oracle's bits.
+                let merged = spgemm_values_only(&a, &a, pattern, threads, &bins, None).unwrap();
+                assert_eq!(bits(&merged), bits(&c), "{at}");
+            }
+        }
+        assert_eq!(foreign_column.nnz(), c.nnz());
+        assert_eq!(foreign_rows.nnz(), c.nnz());
+        // The fitting pattern still fits, and its byte size is the rule's.
+        let own = CsrPattern::of(&c);
+        assert_eq!(own.bytes(), (c.nrows() + 1) * 8 + c.nnz() * 4);
+        let fitted = scatter_planned(&a, &a, &own, 4, &bins, None);
+        assert_eq!(bits(&fitted.expect("C's own pattern fits")), bits(&c));
     }
 
     #[test]
@@ -1531,39 +1998,72 @@ mod tests {
         /// Property: the adaptive engine is bit-for-bit the oracle for
         /// arbitrary power-law inputs, thread counts, and thresholds —
         /// including degenerate thresholds collapsing everything into one
-        /// bin.
+        /// bin. Each input runs under both [`value_sets`], and results
+        /// compare as bits, so an order bug or a `-0.0` turned into
+        /// `+0.0` fails here. `heavy_min` is drawn below 320, around the
+        /// inputs' largest row (about 260 products).
         #[test]
         fn prop_adaptive_bit_identical(
             seed in 0u64..500,
+            value_seed in 0u64..1000,
             threads in 1usize..10,
             tiny_max in 0u64..64,
-            heavy_min in 0u64..4096,
+            heavy_min in 0u64..320,
         ) {
-            let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_gustavson(&a, &a).unwrap();
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min: u64::MAX };
-            let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
-            proptest::prop_assert_eq!(c, oracle);
+            for a in value_sets(&rmat(RmatConfig::snap_like(8, 6, seed)).to_csr(), value_seed) {
+                let oracle = spgemm_gustavson(&a, &a).unwrap();
+                let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
+                proptest::prop_assert_eq!(bits(&c), bits(&oracle));
+            }
         }
 
         /// Property: the k-way tournament merge is bit-for-bit the oracle
         /// across RMAT seeds, thread counts, and threshold mixes —
         /// `kway_sel` sweeps the kway band from swallowing everything
-        /// past tiny (0) through disabled (>= 4096 maps to `u64::MAX`).
+        /// past tiny (0) through disabled (>= 288 maps to `u64::MAX`) —
+        /// under both [`value_sets`]. The inputs' rows have at most about
+        /// 260 products, so the heavy and kway thresholds are drawn below
+        /// 320, where most cases route some rows to those bins.
         #[test]
         fn prop_kway_bit_identical(
             seed in 0u64..500,
             threads in 1usize..10,
             tiny_max in 0u64..64,
-            heavy_min in 0u64..4096,
-            kway_sel in 0u64..4608,
+            heavy_min in 0u64..320,
+            kway_sel in 0u64..320,
         ) {
-            let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
-            let oracle = spgemm_gustavson(&a, &a).unwrap();
-            let kway_min = if kway_sel >= 4096 { u64::MAX } else { kway_sel };
+            let kway_min = if kway_sel >= 288 { u64::MAX } else { kway_sel };
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min };
-            let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
-            proptest::prop_assert_eq!(c, oracle);
+            for a in value_sets(&rmat(RmatConfig::snap_like(8, 6, seed)).to_csr(), seed) {
+                let oracle = spgemm_gustavson(&a, &a).unwrap();
+                let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
+                proptest::prop_assert_eq!(bits(&c), bits(&oracle));
+            }
+        }
+
+        /// Property: the values-only pass is bitwise the oracle and the
+        /// adaptive merge, on square RMAT or rectangular operands with
+        /// empty rows, under both [`value_sets`] (rounding-sensitive
+        /// signed weights; signed zeros and cancelling products), at
+        /// thread counts 1, 2, 3 and 8 and every threshold setting of the
+        /// grid.
+        #[test]
+        fn prop_values_only_bit_identical(
+            seed in 0u64..500,
+            value_seed in 0u64..1000,
+            shape in 0u8..2,
+        ) {
+            let (a, b) = if shape == 1 {
+                (rectangular(300, 170, 12, seed), rectangular(170, 290, 12, seed ^ 1))
+            } else {
+                let a = rmat(RmatConfig::snap_like(8, 6, seed)).to_csr();
+                (a.clone(), a)
+            };
+            let sets = value_sets(&a, value_seed).into_iter().zip(value_sets(&b, value_seed + 1));
+            for (a, b) in sets {
+                check_values_only(&a, &b, &[1, 2, 3, 8], "prop");
+            }
         }
     }
 }

@@ -2,16 +2,20 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
 //! warm-up pass (scratch and output buffers grow to capacity), repeated
-//! adaptive merges of the same problem must not allocate at all. This file
-//! holds exactly one `#[test]` so no parallel test can touch the global
-//! counter mid-measurement.
+//! adaptive merges of the same problem must not allocate at all, and
+//! neither must repeated values-only passes into a caller's value buffer
+//! through a pooled scratch. This file holds exactly one `#[test]` so no
+//! parallel test can touch the global counter mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use br_datasets::rmat::{rmat, RmatConfig};
 use br_sparse::ops::spgemm_gustavson;
-use br_spgemm::accum::{merge_rows_into, BinThresholds, MergeScratch, RowBins};
+use br_spgemm::accum::{
+    merge_rows_into, scatter_rows_into, BinThresholds, CsrPattern, MergeScratch, RowBins,
+    ScratchPool,
+};
 
 struct CountingAlloc;
 
@@ -99,5 +103,31 @@ fn steady_state_merge_allocates_nothing() {
     assert_eq!(warm.1, oracle.idx());
     let bits: Vec<u64> = warm.2.iter().map(|v| v.to_bits()).collect();
     let oracle_bits: Vec<u64> = oracle.val().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, oracle_bits);
+
+    // The values-only pass over C's pattern, into the caller's value
+    // buffer through a pooled scratch: one warm-up grows the scratch's
+    // slot map, then repeated passes allocate nothing.
+    let pattern = CsrPattern::of(&oracle);
+    let pool = ScratchPool::<f64>::new();
+    let mut values = vec![0.0f64; pattern.nnz()];
+    let scatter = |values: &mut [f64]| {
+        let mut scratch = pool.acquire();
+        let tally = scatter_rows_into(&a, &a, 0..a.nrows(), &pattern, &bins, &mut scratch, values);
+        pool.release(scratch);
+        tally.expect("C's own pattern fits")
+    };
+    let warm_tally = scatter(&mut values);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    for _ in 0..3 {
+        assert_eq!(scatter(&mut values), warm_tally);
+    }
+    let allocated = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    assert_eq!(
+        allocated, 0,
+        "a warm values-only pass must not allocate (got {allocated} allocations over 3 passes)"
+    );
+    assert_eq!(warm_tally.rows, bins.rows);
+    let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, oracle_bits);
 }

@@ -125,9 +125,11 @@ bench compare gates per-case plan ops with --plan-pct (default 10%).
 'degree' sorts by descending row nnz, 'rcm' reduces bandwidth via reverse
 Cuthill-McKee, 'cluster' groups rows with similar column structure, 'auto'
 picks per problem, 'none' (default) keeps the input order. The permutation
-is stored in the cached plan and undone on output, so results are
-bit-identical at any setting — only the simulated launch schedule (LBI,
-L2 hit rate) changes. bench run's reorder suite sweeps every strategy.
+is stored in the cached plan and reaches only the simulated launch stream:
+the numeric multiply runs on the operands as given, so results are never
+permuted and stay bit-identical at any setting — only the simulated launch
+schedule (LBI, L2 hit rate) changes. bench run's reorder suite sweeps every
+strategy.
 
 batch mode runs every job in <file> through the br-service worker pool
 (one simulated device per worker) with an LRU reorganization-plan cache,

@@ -3,9 +3,13 @@
 //! The digests pin the exact stdout of one run per mode, so a change to
 //! how the CLI parses its flags or loads its operands that moves a single
 //! byte of a report fails here. They were taken before the operand flags
-//! moved onto the job-spec grammar; only the `--help` digest moved since,
-//! when the batch paragraph gained `chain=`. Batch output drops its three
-//! wall-clock lines (`ms wall`, `mean wait`, `busy`).
+//! moved onto the job-spec grammar; only the `--help` digest moved since:
+//! when the batch paragraph gained `chain=`, and when the `--reorder`
+//! paragraph stopped saying results are un-permuted. Batch output drops
+//! its three wall-clock lines (`ms wall`, `mean wait`, `busy`); the second
+//! batch file repeats one structure five times on one worker, so its
+//! fourth and fifth executions compute values only, and its digest was
+//! taken before that pass existed.
 //!
 //! The exit tests pin what the job-spec grammar bounds (`rmat=` scale and
 //! edge factor), what a closed output pipe leaves the exit code at, what
@@ -149,31 +153,39 @@ fn a_failed_chain_words_its_error_once() {
 fn batch_report_holds_without_its_wall_clock_lines() {
     let dir = scratch(
         "batch",
-        &[(
-            "jobs.txt",
-            "# two lines, one repeated\nrmat=8,4 seed=3 repeat=2\ndataset=harbor scale=64\n",
-        )],
+        &[
+            (
+                "jobs.txt",
+                "# two lines, one repeated\nrmat=8,4 seed=3 repeat=2\ndataset=harbor scale=64\n",
+            ),
+            ("repeat.txt", "rmat=8,4 seed=3 repeat=5\n"),
+        ],
     );
-    let jobs = dir.join("jobs.txt");
-    let args = ["batch", "--jobs", jobs.to_str().unwrap(), "--workers", "1"];
-    let stdout: String = stdout_of(&args)
-        .lines()
-        .filter(|l| {
-            !["ms wall", "mean wait", "busy"]
-                .iter()
-                .any(|w| l.contains(w))
-        })
-        .map(|l| format!("{l}\n"))
-        .collect();
-    // The job-file path is part of the header line; pin it out.
-    let stdout = stdout.replace(jobs.to_str().unwrap(), "<jobs>");
-    assert_digest(&args, &stdout, 0xbb41_f7bc_e622_7ed7);
+    for (file, want) in [
+        ("jobs.txt", 0xbb41_f7bc_e622_7ed7),
+        ("repeat.txt", 0x4e51_8ebe_4489_4f01),
+    ] {
+        let jobs = dir.join(file);
+        let args = ["batch", "--jobs", jobs.to_str().unwrap(), "--workers", "1"];
+        let stdout: String = stdout_of(&args)
+            .lines()
+            .filter(|l| {
+                !["ms wall", "mean wait", "busy"]
+                    .iter()
+                    .any(|w| l.contains(w))
+            })
+            .map(|l| format!("{l}\n"))
+            .collect();
+        // The job-file path is part of the header line; pin it out.
+        let stdout = stdout.replace(jobs.to_str().unwrap(), "<jobs>");
+        assert_digest(&args, &stdout, want);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn help_text_holds() {
-    assert_digest(&["--help"], &stdout_of(&["--help"]), 0xa3b8_d558_0655_53b0);
+    assert_digest(&["--help"], &stdout_of(&["--help"]), 0xb437_ec3a_51f0_2c35);
 }
 
 #[test]
