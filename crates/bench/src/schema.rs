@@ -307,13 +307,14 @@ pub struct BinHostStats {
     pub heavy_products: u64,
     /// `kway_min` threshold the census used (`u64::MAX` = bin disabled).
     pub kway_min: Option<u64>,
-    /// Rows handled by the k-way tournament merge.
+    /// Rows in the kway bin: the simulated k-way tournament merges them,
+    /// the host's dense accumulator computes them.
     pub kway_rows: Option<u64>,
     /// Intermediate products expanded by kway rows.
     pub kway_products: Option<u64>,
     /// Histogram of runs (A-row nonzeros) per *kway* row in log2 buckets:
     /// `runs_per_row[i]` counts kway rows with `runs in [2^i, 2^(i+1))`.
-    /// Sizes the tournament trees the kway bin actually builds.
+    /// Sizes the tournament trees the simulated k-way kernel builds.
     pub runs_per_row: Option<Vec<u64>>,
 }
 

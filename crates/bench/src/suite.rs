@@ -37,7 +37,7 @@ use br_service::prelude::*;
 use br_sparse::par;
 use br_spgemm::accum::{BinThresholds, RowBins};
 use br_spgemm::estimate::EstimatorConfig;
-use br_spgemm::pipeline::{run_method_binned, SpgemmMethod, SpgemmRun};
+use br_spgemm::pipeline::{run_method, SpgemmMethod, SpgemmRun};
 use br_workloads::Workload;
 use std::sync::Arc;
 use std::time::Instant;
@@ -291,12 +291,12 @@ impl MethodSel {
 pub const KWAY_SUITE_MIN: u64 = 128;
 
 /// The thresholds a [`MethodSel::KwayMerge`] case (and the `kway` suite's
-/// census) applies: what `settings` give the width, with the k-way bin
-/// opened at [`KWAY_SUITE_MIN`] intermediate products.
-fn kway_suite_thresholds(settings: &PlanSettings, ncols: usize) -> BinThresholds {
+/// census) applies: the width's recommendation, with the k-way bin opened
+/// at [`KWAY_SUITE_MIN`] intermediate products.
+fn kway_suite_thresholds(ncols: usize) -> BinThresholds {
     BinThresholds {
         kway_min: KWAY_SUITE_MIN,
-        ..settings.thresholds_for(ncols)
+        ..BinThresholds::recommended(ncols)
     }
 }
 
@@ -446,7 +446,7 @@ pub fn run_suite_threaded(
         wall_ms,
         cases_per_sec: per_sec(cases.len() as u64),
         jobs_per_sec: per_sec(service.jobs),
-        bins: Some(bin_census(suite, settings, threads)),
+        bins: Some(bin_census(suite, threads)),
         obs: Some(ObsHostStats {
             families: obs_totals.families,
             samples: obs_totals.samples,
@@ -550,10 +550,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
     let exact = exact(settings);
     let mut plan_case = None;
     let run: SpgemmRun<f64> = match case.method {
-        MethodSel::Baseline(m) => {
-            run_method_binned(&ctx, m, &device, settings.thresholds_for(ctx.b.ncols()))
-                .expect("square shapes always agree")
-        }
+        MethodSel::Baseline(m) => run_method(&ctx, m, &device).expect("square shapes always agree"),
         MethodSel::Reorganizer => ReorgPlan::build(&ctx, &device, &exact)
             .execute(&ctx, &device, PlanMode::Cold)
             .expect("square shapes always agree")
@@ -565,7 +562,7 @@ fn run_case(case: &BenchCase, settings: &PlanSettings) -> (CaseReport, Option<Pl
             let mut plan = ReorgPlan::build(&ctx, &device, &exact);
             plan.bins = RowBins::classify(
                 &plan.bins.row_products.clone(),
-                kway_suite_thresholds(settings, a.ncols()),
+                kway_suite_thresholds(a.ncols()),
             );
             plan.execute(&ctx, &device, PlanMode::Cached)
                 .expect("square shapes always agree")
@@ -664,12 +661,11 @@ fn worst_lbi(profiles: &[KernelProfile]) -> f64 {
 /// The thresholds [`bin_census`] applies to a problem of width `ncols` in
 /// `suite`: the `kway` suite censuses under its forced k-way thresholds —
 /// the same ones its merge cases execute with — every other suite under
-/// what an exact plan applies (the forced `--bins` when set, else the
-/// width-aware recommendation).
-fn suite_thresholds(suite: Suite, settings: &PlanSettings, ncols: usize) -> BinThresholds {
+/// what an exact plan applies, the width-aware recommendation.
+fn suite_thresholds(suite: Suite, ncols: usize) -> BinThresholds {
     match suite {
-        Suite::Kway => kway_suite_thresholds(settings, ncols),
-        _ => settings.thresholds_for(ncols),
+        Suite::Kway => kway_suite_thresholds(ncols),
+        _ => BinThresholds::recommended(ncols),
     }
 }
 
@@ -678,11 +674,11 @@ fn suite_thresholds(suite: Suite, settings: &PlanSettings, ncols: usize) -> BinT
 /// [`suite_thresholds`]. The recorded thresholds are the first problem's,
 /// in deterministic suite order — at one suite scale the recommendation is
 /// uniform in practice. Kway rows additionally record a log2 histogram of
-/// their run counts (A-row nonzeros): the tournament-tree widths the k-way
-/// bin actually builds. Structure-only and deterministic; recorded in the
-/// report's informational `host` section, never compared. Row products
-/// are counted over `threads` workers.
-fn bin_census(suite: Suite, settings: &PlanSettings, threads: usize) -> BinHostStats {
+/// their run counts (A-row nonzeros): the tournament-tree widths the
+/// simulated k-way kernel builds. Structure-only and deterministic;
+/// recorded in the report's informational `host` section, never compared.
+/// Row products are counted over `threads` workers.
+fn bin_census(suite: Suite, threads: usize) -> BinHostStats {
     let mut seen: Vec<(&'static str, String)> = Vec::new();
     let mut recorded: Option<BinThresholds> = None;
     let mut runs_hist: Vec<u64> = Vec::new();
@@ -709,7 +705,7 @@ fn bin_census(suite: Suite, settings: &PlanSettings, threads: usize) -> BinHostS
         let a = RealWorldRegistry::get(case.dataset)
             .expect("suite datasets are registered")
             .generate(case.scale);
-        let thresholds = suite_thresholds(suite, settings, a.ncols());
+        let thresholds = suite_thresholds(suite, a.ncols());
         if recorded.is_none() {
             recorded = Some(thresholds);
             stats.tiny_max = thresholds.tiny_max;
@@ -862,8 +858,8 @@ mod tests {
 
     #[test]
     fn bin_census_is_deterministic_and_counts_every_row() {
-        let census = bin_census(Suite::Quick, &default_settings(), 2);
-        assert_eq!(census, bin_census(Suite::Quick, &default_settings(), 2));
+        let census = bin_census(Suite::Quick, 2);
+        assert_eq!(census, bin_census(Suite::Quick, 2));
         // The recorded pair is what the engine applies to the suite's
         // first problem (harbor, tiny scale).
         let harbor = RealWorldRegistry::get("harbor")
@@ -900,8 +896,8 @@ mod tests {
         // Under the kway suite's forced thresholds the census must move
         // rows into the k-way bin and the runs histogram must cover
         // exactly those rows.
-        let census = bin_census(Suite::Kway, &default_settings(), 2);
-        assert_eq!(census, bin_census(Suite::Kway, &default_settings(), 2));
+        let census = bin_census(Suite::Kway, 2);
+        assert_eq!(census, bin_census(Suite::Kway, 2));
         assert_eq!(census.kway_min, Some(KWAY_SUITE_MIN));
         let kway_rows = census.kway_rows.expect("kway census records the bin");
         assert!(kway_rows > 0, "{census:?}");

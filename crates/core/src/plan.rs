@@ -39,7 +39,7 @@ use br_obs::lock_recover;
 use br_sparse::error::SparseError;
 use br_sparse::{CsrMatrix, Result, Scalar};
 use br_spgemm::accum::{
-    spgemm_adaptive_planned, spgemm_values_only, CsrPattern, RowBins, ScratchPool,
+    spgemm_adaptive_planned, spgemm_values_only, BinThresholds, CsrPattern, RowBins, ScratchPool,
 };
 use br_spgemm::context::{ProblemContext, ProblemSignature};
 use br_spgemm::estimate::{
@@ -308,12 +308,13 @@ impl ReorgPlan {
     ///
     /// The sampled path extrapolates per-row workloads from a seeded
     /// column/row sample, chooses the expansion method per problem, and
-    /// sizes the merge bins from the estimated distribution (unless
-    /// `settings.bins` forces them). When the estimate's confidence band is
-    /// wider than the estimator's tolerance, the planner falls back to the
-    /// exact workloads, charging both passes. Either way the plan is a
-    /// value-independent artifact: the sample is derived from the operands'
-    /// structure hashes and the sample count.
+    /// sizes the merge bins from the estimated distribution; the exact path
+    /// bins under [`BinThresholds::recommended`] for the problem's width.
+    /// When the estimate's confidence band is wider than the estimator's
+    /// tolerance, the planner falls back to the exact workloads, charging
+    /// both passes. Either way the plan is a value-independent artifact:
+    /// the sample is derived from the operands' structure hashes and the
+    /// sample count.
     pub fn build<T: Scalar>(
         ctx: &ProblemContext<T>,
         device: &DeviceConfig,
@@ -386,12 +387,7 @@ impl ReorgPlan {
             // demand, and bin choice can never change the numeric result.
             Some((estimator, est)) if est.within(estimator) => (
                 LimitPlan::from_products(&est.row_products, ctx.intermediate_total, config),
-                RowBins::classify(
-                    &est.row_products,
-                    settings
-                        .bins
-                        .unwrap_or_else(|| select_thresholds(est, ctx.ncols())),
-                ),
+                RowBins::classify(&est.row_products, select_thresholds(est, ctx.ncols())),
                 select_method(ctx, est),
                 PlanBuild::sampled(estimator, est, false, est.ops),
             ),
@@ -399,7 +395,7 @@ impl ReorgPlan {
             // top of the sample, when there was one).
             _ => (
                 LimitPlan::of(ctx, config),
-                RowBins::classify(&ctx.row_products, settings.thresholds_for(ctx.ncols())),
+                RowBins::classify(&ctx.row_products, BinThresholds::recommended(ctx.ncols())),
                 MethodChoice::Reorganized,
                 match &estimate {
                     Some((estimator, est)) => {
@@ -914,9 +910,9 @@ mod tests {
         let original = plan.execute(&ctx, &dev, PlanMode::Cached).unwrap();
         let kway_bins = RowBins::classify(
             &plan.bins.row_products,
-            br_spgemm::accum::BinThresholds {
+            BinThresholds {
                 kway_min: 128,
-                ..PlanSettings::default().thresholds_for(ctx.ncols())
+                ..BinThresholds::recommended(ctx.ncols())
             },
         );
         let mut kway = plan.clone();

@@ -4,13 +4,14 @@
 //! The paper's preprocessing is one per-structure plan; how that plan is
 //! built is a per-plan decision too: the reorganizer's knobs, whether the
 //! workloads are sampled (Ocean, arXiv:2604.19004) or exactly
-//! precalculated, which merge-bin thresholds the numeric engine uses, and
-//! whether `A`'s rows are reordered first (arXiv:2507.21253). Bundling
-//! them in one value means the plan build and the plan-cache key read the
-//! same thing, and nothing reads process-wide state.
+//! precalculated, and whether `A`'s rows are reordered first
+//! (arXiv:2507.21253). The merge-bin thresholds follow from these: the
+//! width recommendation on the exact path, the estimator's choice on the
+//! sampled one. Bundling them in one value means the plan build and the
+//! plan-cache key read the same thing, and nothing reads process-wide
+//! state.
 
 use br_sparse::hash::{fnv_mix, FNV_OFFSET};
-use br_spgemm::accum::BinThresholds;
 use br_spgemm::estimate::EstimatorConfig;
 
 use crate::config::ReorganizerConfig;
@@ -26,18 +27,13 @@ pub struct PlanSettings {
     /// exact precalculation when the confidence band is wider than the
     /// tolerance; `None` (the default) always precalculates exactly.
     pub estimator: Option<EstimatorConfig>,
-    /// Forced merge-bin thresholds. `None` (the default) uses
-    /// [`BinThresholds::recommended`] for the problem's width on the exact
-    /// path, and the estimator's own choice on the sampled path.
-    pub bins: Option<BinThresholds>,
     /// Row reordering applied before the analysis. The default
     /// [`ReorderStrategy::None`] keeps the input order.
     pub reorder: ReorderStrategy,
 }
 
 impl From<ReorganizerConfig> for PlanSettings {
-    /// Exact planning under `config`, with the default bins and no
-    /// reordering.
+    /// Exact planning under `config`, with no reordering.
     fn from(config: ReorganizerConfig) -> Self {
         PlanSettings {
             config,
@@ -47,27 +43,13 @@ impl From<ReorganizerConfig> for PlanSettings {
 }
 
 impl PlanSettings {
-    /// The merge-bin thresholds an exactly planned problem with `ncols`
-    /// output columns uses: the forced ones, else the recommendation for
-    /// that width. Bins never change a numeric result.
-    pub fn thresholds_for(&self, ncols: usize) -> BinThresholds {
-        self.bins
-            .unwrap_or_else(|| BinThresholds::recommended(ncols))
-    }
-
     /// FNV fingerprint over every setting — the plan-cache key's settings
     /// part. Two settings values share a fingerprint only when they build
     /// the same plans.
     pub fn fingerprint(&self) -> u64 {
-        let bins = self.bins.map_or(0, |t| {
-            [t.tiny_max, t.heavy_min, t.kway_min]
-                .iter()
-                .fold(FNV_OFFSET, |h, &v| fnv_mix(h, v))
-        });
         [
             self.config.fingerprint(),
             self.estimator.map_or(0, |e| e.fingerprint()),
-            bins,
             self.reorder.fingerprint(),
         ]
         .iter()
@@ -102,17 +84,6 @@ mod tests {
                 ..base
             },
             PlanSettings {
-                bins: Some(BinThresholds::default()),
-                ..base
-            },
-            PlanSettings {
-                bins: Some(BinThresholds {
-                    kway_min: 4096,
-                    ..BinThresholds::default()
-                }),
-                ..base
-            },
-            PlanSettings {
                 reorder: ReorderStrategy::Degree,
                 ..base
             },
@@ -128,23 +99,5 @@ mod tests {
             prints.push(print);
         }
         assert_eq!(base.fingerprint(), PlanSettings::default().fingerprint());
-    }
-
-    #[test]
-    fn forced_bins_override_the_width_recommendation() {
-        let forced = BinThresholds {
-            tiny_max: 4,
-            heavy_min: 512,
-            kway_min: u64::MAX,
-        };
-        let settings = PlanSettings {
-            bins: Some(forced),
-            ..PlanSettings::default()
-        };
-        assert_eq!(settings.thresholds_for(1 << 20), forced);
-        assert_eq!(
-            PlanSettings::default().thresholds_for(100),
-            BinThresholds::recommended(100)
-        );
     }
 }

@@ -38,7 +38,7 @@ pub struct PlanKey {
     pub device: String,
     /// [`PlanSettings::fingerprint`] of the settings the plan is built
     /// under: plans built under different settings (estimated vs exact,
-    /// forced bins, a reorder strategy) are different artifacts.
+    /// a reorder strategy) are different artifacts.
     pub settings: u64,
 }
 
@@ -52,8 +52,7 @@ impl PlanKey {
         }
     }
 
-    /// [`PlanKey::for_settings`] with the settings spelled out, bins left
-    /// to the planner.
+    /// [`PlanKey::for_settings`] with the settings spelled out.
     pub fn with_options(
         problem: ProblemSignature,
         device: &str,
@@ -67,7 +66,6 @@ impl PlanKey {
             &PlanSettings {
                 config: *config,
                 estimator: estimator.copied(),
-                bins: None,
                 reorder,
             },
         )
@@ -426,7 +424,6 @@ mod tests {
     use block_reorganizer::plan::PlanMode;
     use br_datasets::rmat::{rmat, RmatConfig};
     use br_gpu_sim::device::DeviceConfig;
-    use br_spgemm::accum::BinThresholds;
     use br_spgemm::context::ProblemContext;
 
     fn plan_for(seed: u64) -> (PlanKey, Arc<ReorgPlan>, ProblemContext<f64>) {
@@ -558,32 +555,6 @@ mod tests {
             );
             prints.push(reordered.settings);
         }
-    }
-
-    #[test]
-    fn forced_bins_separate_keys() {
-        // A key built under kway-enabling bins must not alias the same
-        // problem's key under the planner's own bins, nor under the
-        // default thresholds forced explicitly.
-        let (key, _, ctx) = plan_for(6);
-        let forced = |bins: BinThresholds| {
-            PlanKey::for_settings(
-                ctx.signature(),
-                "NVIDIA TITAN Xp",
-                &PlanSettings {
-                    bins: Some(bins),
-                    ..PlanSettings::default()
-                },
-            )
-        };
-        let default_bins = forced(BinThresholds::default());
-        let kway = forced(BinThresholds {
-            kway_min: 4096,
-            ..Default::default()
-        });
-        assert_ne!(key, default_bins);
-        assert_ne!(key, kway);
-        assert_ne!(default_bins, kway);
     }
 
     #[test]

@@ -15,19 +15,15 @@
 //! * **heavy** rows → a generation-stamped dense accumulator (SPA): clears
 //!   cost O(row nnz), not O(ncols), because a stamp comparison replaces
 //!   zeroing the whole array.
-//! * **kway** rows (the heaviest, past `kway_min`) → a SpArch-style k-way
-//!   run merge: one sorted run per A-row nonzero (the scaled B-row),
-//!   Huffman-ordered by run length and merged through a tournament (loser)
-//!   tree — no dense sweep, no final sort, output streams out in column
-//!   order.
+//! * **kway** rows (the heaviest, past `kway_min`) → the dense SPA too.
+//!   The kway bin selects the simulated SpArch-style tournament launch
+//!   ([`crate::merge::kway`]); on the host its rows are heavy rows.
 //!
-//! **Bin choice cannot change the numeric result.** All four mergers
+//! **Bin choice cannot change the numeric result.** All three mergers
 //! accumulate the products of one output column in *generation order* —
 //! `k` ascending within the A-row, `j` ascending within each B-row — which
 //! is exactly the order [`spgemm_gustavson`](br_sparse::ops::spgemm_gustavson)
-//! adds them in, and all four emit the row sorted by column (the k-way
-//! tree breaks equal-column ties by run index, so same-column products
-//! still pop in `k` order). Floating-point
+//! adds them in, and all three emit the row sorted by column. Floating-point
 //! addition is deterministic for a fixed order, so the output is bit-for-bit
 //! the dense-SPA reference at every thread count and threshold setting; the
 //! thresholds are purely a performance knob.
@@ -49,7 +45,6 @@
 //! does not fit the operands is refused, and the adaptive merge runs
 //! instead.
 
-use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -65,8 +60,9 @@ use serde::{Deserialize, Serialize};
 struct MergeInstruments {
     /// Per-bin row counters, one per [`RowBin`] (indexed by `bin as usize`).
     rows: [Counter; 4],
-    /// Total sorted runs fed through the k-way tournament tree — a pure
-    /// function of the merged work (bins + operand structure).
+    /// Total sorted runs the simulated k-way tournament merges for the
+    /// kway rows — a pure function of the merged work (bins + operand
+    /// structure).
     kway_runs: Counter,
 }
 
@@ -109,29 +105,14 @@ fn scratch_footprint_gauge() -> &'static br_obs::Gauge {
     })
 }
 
-/// High-water footprint of the k-way tournament buffers alone. Like the
-/// total-footprint gauge, growth depends on the thread partition and pool
-/// assignment, so it is timing-flagged.
-fn kway_scratch_gauge() -> &'static br_obs::Gauge {
-    static GAUGE: OnceLock<br_obs::Gauge> = OnceLock::new();
-    GAUGE.get_or_init(|| {
-        br_obs::global().timing_gauge(
-            "br_spgemm_kway_scratch_bytes",
-            "High-water k-way tournament-tree scratch footprint (scheduling/pool-dependent).",
-            &[],
-        )
-    })
-}
-
 /// Pre-registers every merge-phase instrument cell (per-bin row counters,
-/// the kway run counter, and both scratch high-water gauges) without
+/// the kway run counter, and the scratch high-water gauge) without
 /// recording anything. Metric exports taken before any merge — or from a
 /// run whose kway bin stayed empty — then carry the same cell set as a
 /// busy run, keeping the rendered output byte-deterministic.
 pub fn register_merge_instruments() {
     let _ = merge_instruments();
     let _ = scratch_footprint_gauge();
-    let _ = kway_scratch_gauge();
 }
 
 /// Row-bin boundaries on the intermediate-product upper bound.
@@ -142,25 +123,23 @@ pub fn register_merge_instruments() {
 /// **medium**. `kway_min = u64::MAX` (the default) disables the kway bin
 /// entirely. Degenerate settings are legal and simply collapse bins
 /// (e.g. `tiny_max = u64::MAX` sends every row through the small buffer) —
-/// the numeric result is identical either way. [`BinThresholds::parse`]
-/// is stricter: the CLI rejects inverted or overlapping spellings with a
-/// typed error instead of silently collapsing.
+/// the numeric result is identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BinThresholds {
     /// Largest upper bound still handled by the tiny-bin small buffer.
     pub tiny_max: u64,
     /// Smallest upper bound handled by the heavy-bin dense accumulator.
     pub heavy_min: u64,
-    /// Smallest upper bound handled by the k-way tournament merge —
-    /// the kway/dense-SPA crossover. `u64::MAX` disables the bin.
+    /// Smallest upper bound in the kway bin, whose rows the simulated
+    /// k-way tournament merges (the host merges them in the dense SPA).
+    /// `u64::MAX` disables the bin.
     pub kway_min: u64,
 }
 
 impl Default for BinThresholds {
     /// Tiny rows fit a cache line of products; heavy rows are those whose
     /// hash table would rival the dense accumulator anyway. The k-way
-    /// tournament is off by default — the estimator (or a `--bins`
-    /// override) opts in per problem.
+    /// bin is off by default — the estimator opts in per problem.
     fn default() -> Self {
         BinThresholds {
             tiny_max: 16,
@@ -170,103 +149,7 @@ impl Default for BinThresholds {
     }
 }
 
-/// Typed rejection from [`BinThresholds::parse`]: the CLI spelling was
-/// malformed, or the thresholds it named were inverted/overlapping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ThresholdParseError {
-    /// Not `<tiny>,<heavy>` or `<tiny>,<heavy>,<kway>` with unsigned
-    /// integer fields.
-    Malformed(String),
-    /// `heavy_min <= tiny_max`: the tiny band would swallow the low end
-    /// of the dense band, which almost certainly is not what was meant.
-    Inverted {
-        /// The tiny-band upper bound as spelled.
-        tiny_max: u64,
-        /// The dense-band lower bound as spelled.
-        heavy_min: u64,
-    },
-    /// `kway_min < heavy_min`: the k-way band must sit at or above the
-    /// dense-SPA band it splits off from.
-    KwayBelowHeavy {
-        /// The dense-band lower bound as spelled.
-        heavy_min: u64,
-        /// The k-way-band lower bound as spelled.
-        kway_min: u64,
-    },
-}
-
-impl fmt::Display for ThresholdParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThresholdParseError::Malformed(text) => write!(
-                f,
-                "malformed bin thresholds {text:?}; expected <tiny_max>,<heavy_min>[,<kway_min>] \
-                 (unsigned integers)"
-            ),
-            ThresholdParseError::Inverted {
-                tiny_max,
-                heavy_min,
-            } => write!(
-                f,
-                "inverted bin thresholds: heavy_min ({heavy_min}) must exceed tiny_max ({tiny_max})"
-            ),
-            ThresholdParseError::KwayBelowHeavy {
-                heavy_min,
-                kway_min,
-            } => write!(
-                f,
-                "overlapping bin thresholds: kway_min ({kway_min}) must be at least heavy_min \
-                 ({heavy_min})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ThresholdParseError {}
-
 impl BinThresholds {
-    /// Parses the CLI spelling `<tiny_max>,<heavy_min>` or
-    /// `<tiny_max>,<heavy_min>,<kway_min>` (unsigned integers). The
-    /// two-field form leaves the k-way bin disabled. Inverted or
-    /// overlapping thresholds are rejected with a typed error rather
-    /// than silently collapsing bins.
-    pub fn parse(text: &str) -> std::result::Result<BinThresholds, ThresholdParseError> {
-        let malformed = || ThresholdParseError::Malformed(text.to_string());
-        let mut fields = text.split(',');
-        let next = |fields: &mut std::str::Split<'_, char>| {
-            fields
-                .next()
-                .and_then(|f| f.trim().parse::<u64>().ok())
-                .ok_or_else(&malformed)
-        };
-        let tiny_max = next(&mut fields)?;
-        let heavy_min = next(&mut fields)?;
-        let kway_min = match fields.next() {
-            Some(field) => field.trim().parse::<u64>().map_err(|_| malformed())?,
-            None => u64::MAX,
-        };
-        if fields.next().is_some() {
-            return Err(malformed());
-        }
-        if heavy_min <= tiny_max {
-            return Err(ThresholdParseError::Inverted {
-                tiny_max,
-                heavy_min,
-            });
-        }
-        if kway_min < heavy_min {
-            return Err(ThresholdParseError::KwayBelowHeavy {
-                heavy_min,
-                kway_min,
-            });
-        }
-        Ok(BinThresholds {
-            tiny_max,
-            heavy_min,
-            kway_min,
-        })
-    }
-
     /// Measurement-backed thresholds for a problem with `ncols` output
     /// columns. The hash bin only pays off once the dense accumulator
     /// (stamps + values, ~9 bytes per column) stops being cache-resident:
@@ -319,7 +202,8 @@ pub enum RowBin {
     Medium,
     /// Generation-stamped dense accumulator.
     Heavy,
-    /// K-way tournament merge over sorted partial-row runs.
+    /// The simulated k-way tournament merge over sorted partial-row runs;
+    /// the host merges these rows in the dense accumulator.
     Kway,
 }
 
@@ -475,9 +359,10 @@ impl CsrPattern {
     }
 }
 
-/// What one call merged: rows per bin and runs through the k-way tree, the
-/// units of `br_spgemm_rows_merged_total` and `br_spgemm_kway_runs_total`.
-/// A pure function of the merged rows, whichever pass merged them.
+/// What one call merged: rows per bin and the runs the simulated k-way
+/// tree merges for the kway rows, the units of
+/// `br_spgemm_rows_merged_total` and `br_spgemm_kway_runs_total`. A pure
+/// function of the merged rows, whichever pass merged them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeTally {
     /// Rows merged per bin: `[tiny, medium, heavy, kway]`.
@@ -549,18 +434,6 @@ pub struct MergeScratch<T> {
     // Gather buffer shared by the hash path, and the tiny-bin
     // insertion-sorted buffer.
     row_buf: Vec<(u32, T)>,
-    // K-way tournament (kway rows): one leaf per non-empty run. `key`
-    // packs (column << 32 | run sequence) so the tree pops strictly in
-    // (column, generation-order) order; u64::MAX marks an exhausted
-    // leaf. `tree[1..m]` hold the losers of the implicit internal
-    // nodes, `tree[0]` the current winner.
-    kway_key: Vec<u64>,
-    kway_tree: Vec<u32>,
-    kway_row: Vec<u32>,
-    kway_pos: Vec<u32>,
-    kway_len: Vec<u32>,
-    kway_aval: Vec<T>,
-    kway_order: Vec<u32>,
     // Values-only pass: per column, (stamp, position in the row). Column
     // j is in the current row's pattern when its stamp is the row's `open`
     // stamp (no product yet) or `filled` stamp (first product written).
@@ -586,13 +459,6 @@ impl<T: Scalar> MergeScratch<T> {
             hash_vals: Vec::new(),
             hash_used: Vec::new(),
             row_buf: Vec::new(),
-            kway_key: Vec::new(),
-            kway_tree: Vec::new(),
-            kway_row: Vec::new(),
-            kway_pos: Vec::new(),
-            kway_len: Vec::new(),
-            kway_aval: Vec::new(),
-            kway_order: Vec::new(),
             slots: Vec::new(),
             slot_stamp: 0,
         }
@@ -610,19 +476,6 @@ impl<T: Scalar> MergeScratch<T> {
             + self.hash_used.capacity() * size_of::<usize>()
             + self.row_buf.capacity() * size_of::<(u32, T)>()
             + self.slots.capacity() * size_of::<(u32, u32)>()
-            + self.kway_footprint_bytes()
-    }
-
-    /// Heap footprint of the k-way tournament buffers alone.
-    pub fn kway_footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.kway_key.capacity() * size_of::<u64>()
-            + self.kway_tree.capacity() * size_of::<u32>()
-            + self.kway_row.capacity() * size_of::<u32>()
-            + self.kway_pos.capacity() * size_of::<u32>()
-            + self.kway_len.capacity() * size_of::<u32>()
-            + self.kway_aval.capacity() * size_of::<T>()
-            + self.kway_order.capacity() * size_of::<u32>()
     }
 
     /// Grows the dense accumulator to cover `ncols` columns (stamp 0 =
@@ -686,8 +539,8 @@ impl<T: Scalar> MergeScratch<T> {
         self.generation
     }
 
-    /// Heavy bin: generation-stamped dense SPA. Accumulation order and the
-    /// sorted gather match `spgemm_gustavson` exactly.
+    /// Heavy and kway bins: generation-stamped dense SPA. Accumulation
+    /// order and the sorted gather match `spgemm_gustavson` exactly.
     fn merge_row_dense(
         &mut self,
         a_cols: &[u32],
@@ -804,164 +657,6 @@ impl<T: Scalar> MergeScratch<T> {
         for &(j, v) in &self.row_buf {
             idx.push(j);
             val.push(v);
-        }
-    }
-
-    /// Grows the k-way tournament buffers to at least `slots` leaves.
-    /// Grow-only, like every other scratch buffer: a warm scratch merges
-    /// rows with up to `slots` runs without touching the heap.
-    fn ensure_kway(&mut self, slots: usize) {
-        if self.kway_key.len() < slots {
-            self.kway_key.resize(slots, u64::MAX);
-            self.kway_tree.resize(slots, 0);
-            self.kway_row.resize(slots, 0);
-            self.kway_pos.resize(slots, 0);
-            self.kway_len.resize(slots, 0);
-            self.kway_aval.resize(slots, T::ZERO);
-            self.kway_order.resize(slots, 0);
-        }
-    }
-
-    /// Builds the loser tree over the `m` leaves (a power of two):
-    /// returns the winner of the subtree rooted at `node`, storing each
-    /// internal node's loser in `kway_tree[node]`. Recursion depth is
-    /// `log2 m`.
-    fn build_kway_tree(&mut self, node: usize, m: usize) -> u32 {
-        if node >= m {
-            return (node - m) as u32;
-        }
-        let left = self.build_kway_tree(2 * node, m);
-        let right = self.build_kway_tree(2 * node + 1, m);
-        let (winner, loser) = if self.kway_key[left as usize] <= self.kway_key[right as usize] {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        self.kway_tree[node] = loser;
-        winner
-    }
-
-    /// Kway bin: SpArch-style k-way merge of the row's partial-product
-    /// runs. Each nonzero `a[r,k]` contributes one run — the k-th B-row
-    /// scaled by `a_rk`, already sorted by column — and a tournament
-    /// (loser) tree streams the runs out in `(column, run)` order, so the
-    /// output needs no dense sweep and no final sort.
-    ///
-    /// Bit-identity invariants:
-    /// * the tree key packs the run's *generation-order* index `k` below
-    ///   the column, so equal-column entries pop in `k`-ascending order
-    ///   and per-column accumulation matches the dense SPA exactly;
-    /// * runs are laid out on the leaves Huffman-style — longest first —
-    ///   which clusters the hottest replay paths but never reorders the
-    ///   pops (the key carries the original index, not the leaf slot).
-    fn merge_row_kway(
-        &mut self,
-        a_cols: &[u32],
-        a_vals: &[T],
-        b: &CsrMatrix<T>,
-        idx: &mut Vec<u32>,
-        val: &mut Vec<T>,
-    ) {
-        // Gather the non-empty runs, remembering each one's position in
-        // the A-row (its generation order).
-        self.ensure_kway(a_cols.len());
-        let mut runs = 0usize;
-        for (i, &k) in a_cols.iter().enumerate() {
-            if b.row_nnz(k as usize) > 0 {
-                self.kway_order[runs] = i as u32;
-                runs += 1;
-            }
-        }
-        if runs == 0 {
-            return;
-        }
-        if runs == 1 {
-            // Single run: the output is the scaled run itself.
-            let i = self.kway_order[0] as usize;
-            let a_rk = a_vals[i];
-            let (b_cols, b_vals) = b.row(a_cols[i] as usize);
-            for (&j, &b_kj) in b_cols.iter().zip(b_vals) {
-                idx.push(j);
-                val.push(a_rk * b_kj);
-            }
-            return;
-        }
-
-        // Huffman-style leaf layout: longest runs first (ties in
-        // generation order). Pure layout — the merge order is fixed by
-        // the keys, not the slots.
-        self.kway_order[..runs].sort_unstable_by(|&x, &y| {
-            let lx = b.row_nnz(a_cols[x as usize] as usize);
-            let ly = b.row_nnz(a_cols[y as usize] as usize);
-            ly.cmp(&lx).then(x.cmp(&y))
-        });
-
-        let m = runs.next_power_of_two();
-        self.ensure_kway(m);
-        for slot in 0..runs {
-            let i = self.kway_order[slot] as usize;
-            let k = a_cols[i] as usize;
-            let (b_cols, _) = b.row(k);
-            self.kway_row[slot] = k as u32;
-            self.kway_pos[slot] = 0;
-            self.kway_len[slot] = b_cols.len() as u32;
-            self.kway_aval[slot] = a_vals[i];
-            self.kway_key[slot] = ((b_cols[0] as u64) << 32) | i as u64;
-        }
-        for slot in runs..m {
-            self.kway_key[slot] = u64::MAX;
-        }
-        // runs >= 2 here, so m >= 2 and node 1 is a real internal node.
-        let winner = self.build_kway_tree(1, m);
-        self.kway_tree[0] = winner;
-
-        let mut have_col = false;
-        let mut cur_col = 0u32;
-        let mut cur_sum = T::ZERO;
-        loop {
-            let w = self.kway_tree[0] as usize;
-            let key = self.kway_key[w];
-            if key == u64::MAX {
-                break;
-            }
-            let col = (key >> 32) as u32;
-            let pos = self.kway_pos[w] as usize;
-            let (b_cols, b_vals) = b.row(self.kway_row[w] as usize);
-            let prod = self.kway_aval[w] * b_vals[pos];
-            if have_col && col == cur_col {
-                cur_sum += prod;
-            } else {
-                if have_col {
-                    idx.push(cur_col);
-                    val.push(cur_sum);
-                }
-                have_col = true;
-                cur_col = col;
-                cur_sum = prod;
-            }
-            // Advance the winning run and replay its path to the root.
-            let next_pos = pos + 1;
-            self.kway_pos[w] = next_pos as u32;
-            self.kway_key[w] = if next_pos == self.kway_len[w] as usize {
-                u64::MAX
-            } else {
-                ((b_cols[next_pos] as u64) << 32) | (key & 0xFFFF_FFFF)
-            };
-            let mut winner = w as u32;
-            let mut node = (w + m) / 2;
-            while node >= 1 {
-                let contender = self.kway_tree[node];
-                if self.kway_key[contender as usize] < self.kway_key[winner as usize] {
-                    self.kway_tree[node] = winner;
-                    winner = contender;
-                }
-                node /= 2;
-            }
-            self.kway_tree[0] = winner;
-        }
-        if have_col {
-            idx.push(cur_col);
-            val.push(cur_sum);
         }
     }
 
@@ -1104,17 +799,13 @@ pub fn merge_rows_into<T: Scalar>(
                 let cap = ((products.max(1) as usize) * 2).next_power_of_two();
                 scratch.merge_row_hash(a_cols, a_vals, b, cap, idx, val);
             }
-            RowBin::Heavy => scratch.merge_row_dense(a_cols, a_vals, b, idx, val),
-            RowBin::Kway => scratch.merge_row_kway(a_cols, a_vals, b, idx, val),
+            RowBin::Heavy | RowBin::Kway => scratch.merge_row_dense(a_cols, a_vals, b, idx, val),
         }
         tally.count(bin, a_cols, b);
         ptr.push(idx.len());
     }
     tally.record();
     scratch_footprint_gauge().set_max(scratch.footprint_bytes() as f64);
-    if tally.rows[RowBin::Kway as usize] > 0 {
-        kway_scratch_gauge().set_max(scratch.kway_footprint_bytes() as f64);
-    }
 }
 
 /// Values-only merge of output rows `rows` of `C = A · B`, whose pattern is
@@ -1577,14 +1268,15 @@ mod tests {
 
     #[test]
     fn adaptive_is_bit_identical_across_thresholds_and_threads() {
-        let power_law = rmat(RmatConfig::graph500(9, 8, 77)).to_csr();
+        let [signed, exact] = value_sets(&rmat(RmatConfig::graph500(9, 8, 77)).to_csr(), 7);
         let hub = hub_row();
         let sparse = interspersed_empty_rows();
         let identity = CsrMatrix::<f64>::identity(10);
         let (cliff_a, cliff_b) = weight_cliffs();
         let (col_a, col_b) = one_column_b();
         let cases = [
-            ("power-law", &power_law, &power_law, &[1, 2, 3, 8, 20][..]),
+            ("power-law signed", &signed, &signed, &[1, 2, 3, 8, 20][..]),
+            ("power-law exact", &exact, &exact, &[1, 2, 3, 8, 20][..]),
             ("hub row", &hub, &hub, &[8][..]),
             ("empty rows", &sparse, &sparse, &[2, 5, 16][..]),
             ("weight cliffs", &cliff_a, &cliff_b, &[2, 3, 7, 8, 64][..]),
@@ -1592,12 +1284,13 @@ mod tests {
             ("small identity", &identity, &identity, &[16][..]),
         ];
         for (name, a, b, thread_counts) in cases {
-            let oracle = spgemm_gustavson(a, b).unwrap();
+            let oracle = bits(&spgemm_gustavson(a, b).unwrap());
             for thresholds in threshold_grid() {
                 for &threads in thread_counts {
                     let c = spgemm_adaptive(a, b, threads, thresholds).unwrap();
                     assert_eq!(
-                        c, oracle,
+                        bits(&c),
+                        oracle,
                         "{name}: threads={threads} thresholds={thresholds:?}"
                     );
                 }
@@ -1702,8 +1395,8 @@ mod tests {
         let b = rmat(RmatConfig::uniform(6, 4, 2).with_dim(50).with_edges(120)).to_csr();
         let oracle = spgemm_gustavson(&a, &b).unwrap();
         assert_eq!(
-            spgemm_adaptive(&a, &b, 4, BinThresholds::default()).unwrap(),
-            oracle
+            bits(&spgemm_adaptive(&a, &b, 4, BinThresholds::default()).unwrap()),
+            bits(&oracle)
         );
 
         let z = CsrMatrix::<f64>::zeros(4, 4);
@@ -1715,8 +1408,8 @@ mod tests {
         );
         let i = CsrMatrix::<f64>::identity(5);
         assert_eq!(
-            spgemm_adaptive(&i, &i, 2, BinThresholds::default()).unwrap(),
-            spgemm_gustavson(&i, &i).unwrap()
+            bits(&spgemm_adaptive(&i, &i, 2, BinThresholds::default()).unwrap()),
+            bits(&spgemm_gustavson(&i, &i).unwrap())
         );
 
         let bad = CsrMatrix::<f64>::zeros(2, 3);
@@ -1762,8 +1455,6 @@ mod tests {
         );
         let footprint = scratch_footprint_gauge().get();
         assert!(footprint > 0.0, "scratch high-water must be recorded");
-        let kway_footprint = kway_scratch_gauge().get();
-        assert!(kway_footprint > 0.0, "kway high-water must be recorded");
     }
 
     #[test]
@@ -1773,8 +1464,6 @@ mod tests {
         let text = br_obs::global().render_prometheus(false);
         assert!(text.contains("br_spgemm_rows_merged_total{bin=\"kway\"}"));
         assert!(text.contains("br_spgemm_kway_runs_total"));
-        let timing = br_obs::global().render_prometheus(true);
-        assert!(timing.contains("br_spgemm_kway_scratch_bytes"));
     }
 
     #[test]
@@ -1784,7 +1473,7 @@ mod tests {
         // the medium-bin hash. The initial 4-slot tables must grow mid-row
         // (instead of looping forever) and the output must stay bit-exact.
         let a = rmat(RmatConfig::graph500(8, 8, 41)).to_csr();
-        let oracle = spgemm_gustavson(&a, &a).unwrap();
+        let oracle = bits(&spgemm_gustavson(&a, &a).unwrap());
         let all_medium = BinThresholds {
             tiny_max: 0,
             heavy_min: u64::MAX,
@@ -1794,7 +1483,7 @@ mod tests {
         let bins = RowBins::classify(&fake_products, all_medium);
         for threads in [1usize, 4] {
             let c = spgemm_adaptive_planned(&a, &a, threads, &bins, None).unwrap();
-            assert_eq!(c, oracle, "threads={threads}");
+            assert_eq!(bits(&c), oracle, "threads={threads}");
         }
     }
 
@@ -1810,11 +1499,11 @@ mod tests {
     fn planned_execution_with_pool_matches_and_recycles_scratch() {
         let a = rmat(RmatConfig::graph500(9, 8, 3)).to_csr();
         let bins = RowBins::of(&a, &a, BinThresholds::default(), 2).unwrap();
-        let oracle = spgemm_gustavson(&a, &a).unwrap();
+        let oracle = bits(&spgemm_gustavson(&a, &a).unwrap());
         let pool = ScratchPool::<f64>::new();
         for _ in 0..3 {
             let c = spgemm_adaptive_planned(&a, &a, 4, &bins, Some(&pool)).unwrap();
-            assert_eq!(c, oracle);
+            assert_eq!(bits(&c), oracle);
         }
         assert!(pool.idle() > 0, "scratches must return to the pool");
     }
@@ -1870,138 +1559,17 @@ mod tests {
         assert_eq!(back, bins);
     }
 
-    #[test]
-    fn thresholds_parse_cli_spelling() {
-        assert_eq!(
-            BinThresholds::parse("4,512"),
-            Ok(BinThresholds {
-                tiny_max: 4,
-                heavy_min: 512,
-                kway_min: u64::MAX,
-            })
-        );
-        assert_eq!(
-            BinThresholds::parse(" 16 , 2048 "),
-            Ok(BinThresholds {
-                tiny_max: 16,
-                heavy_min: 2048,
-                kway_min: u64::MAX,
-            })
-        );
-        assert_eq!(
-            BinThresholds::parse("4,512,4096"),
-            Ok(BinThresholds {
-                tiny_max: 4,
-                heavy_min: 512,
-                kway_min: 4096,
-            })
-        );
-        // kway_min == heavy_min is legal: kway swallows the dense band.
-        assert_eq!(
-            BinThresholds::parse("4,512,512"),
-            Ok(BinThresholds {
-                tiny_max: 4,
-                heavy_min: 512,
-                kway_min: 512,
-            })
-        );
-        assert!(matches!(
-            BinThresholds::parse("16"),
-            Err(ThresholdParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            BinThresholds::parse("a,b"),
-            Err(ThresholdParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            BinThresholds::parse("-1,2"),
-            Err(ThresholdParseError::Malformed(_))
-        ));
-        assert!(matches!(
-            BinThresholds::parse("1,2,3,4"),
-            Err(ThresholdParseError::Malformed(_))
-        ));
-        // Reversed spelling: the dense band would sit below the tiny band.
-        assert_eq!(
-            BinThresholds::parse("512,4"),
-            Err(ThresholdParseError::Inverted {
-                tiny_max: 512,
-                heavy_min: 4,
-            })
-        );
-        assert_eq!(
-            BinThresholds::parse("16,16"),
-            Err(ThresholdParseError::Inverted {
-                tiny_max: 16,
-                heavy_min: 16,
-            })
-        );
-        // Kway below the dense band it splits off from.
-        assert_eq!(
-            BinThresholds::parse("4,512,256"),
-            Err(ThresholdParseError::KwayBelowHeavy {
-                heavy_min: 512,
-                kway_min: 256,
-            })
-        );
-        // The typed errors render an actionable message.
-        let message = BinThresholds::parse("512,4").unwrap_err().to_string();
-        assert!(
-            message.contains("512") && message.contains("4"),
-            "{message}"
-        );
-    }
-
-    #[test]
-    fn kway_handles_single_run_rows() {
-        // Diagonal A: every row contributes exactly one run, exercising
-        // the single-run fast path for every nonzero output row.
-        let b = rmat(RmatConfig::graph500(8, 8, 19)).to_csr();
-        let a = CsrMatrix::<f64>::identity(b.nrows()).map_values(|v| v * 2.5);
-        let oracle = spgemm_gustavson(&a, &b).unwrap();
-        let all_kway = BinThresholds {
-            tiny_max: 0,
-            heavy_min: 0,
-            kway_min: 0,
-        };
-        for threads in [1usize, 4, 8] {
-            let c = spgemm_adaptive(&a, &b, threads, all_kway).unwrap();
-            assert_eq!(c, oracle, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn kway_handles_all_duplicate_columns() {
-        // Every B-row is the single column 0, so every product of a kway
-        // row collides on one output column — the per-column accumulation
-        // order (run index ascending) is all that keeps this bit-exact.
-        let n = 64;
-        let ptr: Vec<usize> = (0..=n).collect();
-        let idx = vec![0u32; n];
-        let val: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.125).collect();
-        let b = CsrMatrix::from_parts_unchecked(n, n, ptr, idx, val);
-        let a = rmat(RmatConfig::uniform(6, 4, 9).with_dim(n).with_edges(400)).to_csr();
-        let oracle = spgemm_gustavson(&a, &b).unwrap();
-        let all_kway = BinThresholds {
-            tiny_max: 0,
-            heavy_min: 0,
-            kway_min: 0,
-        };
-        for threads in [1usize, 4, 8] {
-            let c = spgemm_adaptive(&a, &b, threads, all_kway).unwrap();
-            assert_eq!(c, oracle, "threads={threads}");
-        }
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
         /// Property: the adaptive engine is bit-for-bit the oracle for
         /// arbitrary power-law inputs, thread counts, and thresholds —
         /// including degenerate thresholds collapsing everything into one
-        /// bin. Each input runs under both [`value_sets`], and results
-        /// compare as bits, so an order bug or a `-0.0` turned into
-        /// `+0.0` fails here. `heavy_min` is drawn below 320, around the
-        /// inputs' largest row (about 260 products).
+        /// bin. `kway_sel` sweeps the kway band from swallowing everything
+        /// past tiny (0) through disabled (>= 288 maps to `u64::MAX`).
+        /// Each input runs under both [`value_sets`], and results compare
+        /// as bits, so an order bug or a `-0.0` turned into `+0.0` fails
+        /// here. The heavy and kway thresholds are drawn below 320, around
+        /// the inputs' largest row (about 260 products).
         #[test]
         fn prop_adaptive_bit_identical(
             seed in 0u64..500,
@@ -2009,33 +1577,11 @@ mod tests {
             threads in 1usize..10,
             tiny_max in 0u64..64,
             heavy_min in 0u64..320,
-        ) {
-            let thresholds = BinThresholds { tiny_max, heavy_min, kway_min: u64::MAX };
-            for a in value_sets(&rmat(RmatConfig::snap_like(8, 6, seed)).to_csr(), value_seed) {
-                let oracle = spgemm_gustavson(&a, &a).unwrap();
-                let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
-                proptest::prop_assert_eq!(bits(&c), bits(&oracle));
-            }
-        }
-
-        /// Property: the k-way tournament merge is bit-for-bit the oracle
-        /// across RMAT seeds, thread counts, and threshold mixes —
-        /// `kway_sel` sweeps the kway band from swallowing everything
-        /// past tiny (0) through disabled (>= 288 maps to `u64::MAX`) —
-        /// under both [`value_sets`]. The inputs' rows have at most about
-        /// 260 products, so the heavy and kway thresholds are drawn below
-        /// 320, where most cases route some rows to those bins.
-        #[test]
-        fn prop_kway_bit_identical(
-            seed in 0u64..500,
-            threads in 1usize..10,
-            tiny_max in 0u64..64,
-            heavy_min in 0u64..320,
             kway_sel in 0u64..320,
         ) {
             let kway_min = if kway_sel >= 288 { u64::MAX } else { kway_sel };
             let thresholds = BinThresholds { tiny_max, heavy_min, kway_min };
-            for a in value_sets(&rmat(RmatConfig::snap_like(8, 6, seed)).to_csr(), seed) {
+            for a in value_sets(&rmat(RmatConfig::snap_like(8, 6, seed)).to_csr(), value_seed) {
                 let oracle = spgemm_gustavson(&a, &a).unwrap();
                 let c = spgemm_adaptive(&a, &a, threads, thresholds).unwrap();
                 proptest::prop_assert_eq!(bits(&c), bits(&oracle));

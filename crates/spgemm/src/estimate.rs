@@ -402,15 +402,18 @@ pub fn select_method<T: Scalar>(ctx: &ProblemContext<T>, est: &WorkloadEstimate)
 /// hash table and only true outliers pay the dense sweep. Thresholds are
 /// a pure performance knob — any setting yields bit-identical output.
 ///
-/// The kway/dense-SPA crossover (`kway_min`) is placed from the estimated
-/// *compression* (intermediate products per output nonzero). The k-way
-/// tournament spends ~`log2(runs)` comparisons per product but never
-/// sweeps the accumulator or sorts the output, while the dense SPA pays
-/// its `unique·log2(unique)` sort once per row — a cost that duplication
-/// amortizes. Low compression (≲2×: nearly every product is a distinct
-/// column) puts the crossover right above the dense cutoff; moderate
-/// compression pushes it out so only extreme rows switch; past ~8× the
-/// sort is cheap per product and the bin stays off for the problem.
+/// The kway/dense-SPA crossover (`kway_min`) chooses which rows the
+/// simulated k-way tournament launch merges (the host merges kway rows in
+/// the dense SPA), and is placed from the estimated *compression*
+/// (intermediate products per output nonzero). The simulated tournament
+/// spends ~`log2(runs)` comparator levels per product but needs neither
+/// atomics nor a gather, while the simulated dense-SPA merge pays an
+/// atomic per product and then gathers the row's unique entries — a
+/// gather that duplication amortizes. Low compression (≲2×: nearly every
+/// product is a distinct column) puts the crossover right above the dense
+/// cutoff; moderate compression pushes it out so only extreme rows switch;
+/// past ~8× the gather is cheap per product and the bin stays off for the
+/// problem.
 pub fn select_thresholds(est: &WorkloadEstimate, ncols: usize) -> BinThresholds {
     let base = BinThresholds::recommended(ncols);
     if base.heavy_min <= base.tiny_max + 1 {

@@ -50,7 +50,7 @@ pub mod numeric;
 pub mod pipeline;
 pub mod workspace;
 
-pub use accum::{BinThresholds, MergeScratch, RowBin, RowBins, ScratchPool, ThresholdParseError};
+pub use accum::{BinThresholds, MergeScratch, RowBin, RowBins, ScratchPool};
 pub use context::ProblemContext;
 pub use estimate::{EstimatorConfig, MethodChoice, WorkloadEstimate};
 pub use pipeline::{run_method, SpgemmMethod, SpgemmRun};

@@ -15,9 +15,10 @@
 //! resident in shared memory (which, like B-Limiting, lowers how many such
 //! blocks co-reside on an SM). The crossover against the dense SPA
 //! therefore sits where duplication is low and runs are few relative to
-//! the row's product count — exactly what `select_thresholds` models on
-//! the host side, and what the `kway` bench suite sweeps across the
-//! dataset grid.
+//! the row's product count — exactly what `select_thresholds` models,
+//! and what the `kway` bench suite sweeps across the dataset grid. This
+//! launch is the kway bin's only kernel: the host computes kway rows in
+//! the dense accumulator, since the result is the same bits either way.
 
 use crate::accum::{RowBin, RowBins};
 use crate::context::ProblemContext;
@@ -27,8 +28,8 @@ use br_gpu_sim::trace::{KernelLaunch, TraceBuilder};
 use br_sparse::Scalar;
 
 /// Shared-memory bytes for a tournament tree over `runs` runs: one 8-byte
-/// key plus one 4-byte loser index per leaf slot (padded to a power of
-/// two), like the host-side `MergeScratch` layout.
+/// key (the run's next column and its generation index) plus one 4-byte
+/// loser index per leaf slot, padded to a power of two.
 fn tree_smem_bytes(runs: u64) -> u32 {
     let slots = runs.max(1).next_power_of_two();
     (slots.saturating_mul(12)).min(u32::MAX as u64) as u32

@@ -71,7 +71,7 @@ impl SpgemmMethod {
 
     /// The method's simulated kernel launches against a prepared
     /// workspace — the one method-to-launches table, shared by
-    /// [`run_method_binned`] and the planner's method dispatch. The
+    /// [`run_method`] and the planner's method dispatch. The
     /// MKL-like baseline runs on the host CPU and launches nothing.
     pub fn launches<T: Scalar>(self, ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<KernelLaunch> {
         match self {
@@ -130,32 +130,17 @@ impl<T> SpgemmRun<T> {
     }
 }
 
-/// Runs one baseline method on one device; the host merge bins rows under
-/// [`BinThresholds::recommended`].
+/// Runs one baseline method on one device. One simulator runs the
+/// method's launches (shared L2, starting cold), and the host merge runs on
+/// its thread count, binning rows under [`BinThresholds::recommended`];
+/// bins never change the result or the simulated launches.
 pub fn run_method<T: Scalar>(
     ctx: &ProblemContext<T>,
     method: SpgemmMethod,
     device: &DeviceConfig,
 ) -> br_sparse::Result<SpgemmRun<T>> {
-    run_method_binned(
-        ctx,
-        method,
-        device,
-        BinThresholds::recommended(ctx.b.ncols()),
-    )
-}
-
-/// [`run_method`] with the host merge's row-bin thresholds given. Bins
-/// choose which merge kernel handles a row on the host; they never change
-/// the result or the simulated launches. One simulator runs the launches
-/// (shared L2, starting cold), and the merge runs on its thread count.
-pub fn run_method_binned<T: Scalar>(
-    ctx: &ProblemContext<T>,
-    method: SpgemmMethod,
-    device: &DeviceConfig,
-    thresholds: BinThresholds,
-) -> br_sparse::Result<SpgemmRun<T>> {
     let sim = GpuSimulator::new(device.clone());
+    let thresholds = BinThresholds::recommended(ctx.b.ncols());
     let result = spgemm_adaptive(&ctx.a, &ctx.b, sim.threads(), thresholds)?;
     let (profiles, total_ms) = if method == SpgemmMethod::MklLike {
         // The paper's MKL bars do not vary by system, so every device

@@ -43,9 +43,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_merge_allocates_nothing() {
     // A power-law input large enough to populate all four bins: the
-    // default tiny/heavy split with the k-way tournament bin opened just
-    // above the heavy threshold, so the grow-only tree scratch is
-    // exercised alongside the small buffer, hash table, and dense SPA.
+    // default tiny/heavy split with the kway bin opened just above the
+    // heavy threshold, so the small buffer, hash table, and dense SPA all
+    // run, the dense SPA for heavy and kway rows alike.
     let a = rmat(RmatConfig::graph500(10, 8, 7)).to_csr();
     let thresholds = BinThresholds {
         kway_min: 4096,

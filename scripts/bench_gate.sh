@@ -107,11 +107,6 @@ suite quick results/baselines/BENCH_quick.json \
 # replays it — so the quick suite must replay at least one launch.
 awk '/^br_sim_kernel_replays_total\{/ { n += $NF } END { exit (n == 0) }' \
     "$work/quick.t8.prom" || fail "the quick suite replayed no kernel launches"
-# Row-bin thresholds change which merge kernel runs, never the report.
-BR_THREADS=8 $cli bench run --suite quick --no-host --bins 4,512 \
-    --out "$work/quick.bins.json" >/dev/null
-same "$work/quick.t1.json" "$work/quick.bins.json"
-echo "ok: row-bin thresholds never change the report"
 
 echo "== net flood: admission accounting is a pure function of load =="
 # Flood a held br-net server (worker gate closed, shed threshold 6, ample
@@ -168,8 +163,8 @@ suite estplan results/baselines/BENCH_plan.json \
     br_plan_sampled_cols_total br_plan_ops_total
 cp "$work/estplan.t1.json" BENCH_plan.json
 
-# The kway suite forces the k-way tournament bin open per case; pop order
-# is fixed by (column, run-generation) keys. The bin must actually be used.
+# The kway suite forces the k-way bin open per case, so its reorganizer
+# cases simulate the tournament launch. The bin must actually be used.
 suite kway results/baselines/BENCH_kway.json \
     br_spgemm_rows_merged_total br_spgemm_kway_runs_total
 expect "$work/kway.t8.prom" 'br_spgemm_rows_merged_total{bin="kway"}'

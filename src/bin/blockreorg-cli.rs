@@ -84,7 +84,7 @@ usage: blockreorg-cli (--input <mtx> | --dataset <name> | --rmat <scale,ef>)
                       [--metrics <path>] [--metrics-timing]
        blockreorg-cli bench run [--suite quick|full|scaling|estplan|kway|reorder|chain]
                       [--out <path>]
-                      [--threads <n>] [--no-host] [--bins <tiny>,<heavy>[,<kway>]]
+                      [--threads <n>] [--no-host]
                       [--est-samples <n>] [--est-tolerance <f>] [--no-estimate]
                       [--metrics <path>] [--metrics-timing]
        blockreorg-cli bench compare <baseline.json> <current.json>
@@ -106,12 +106,6 @@ the suite grid, the per-block simulator passes, and the numeric merge;
 1 = exact sequential path. Every simulated metric is bit-identical at any
 thread count; only wall clock changes. --no-host omits the wall-clock
 'host' section from the report so files byte-compare across runs.
---bins <tiny_max>,<heavy_min>[,<kway_min>] overrides the adaptive numeric
-engine's row-bin thresholds (default 16,2048, kway off); the optional third
-field routes rows with at least that many intermediate products through the
-k-way tournament merge. Inverted/overlapping spellings are rejected (exit 2).
-Results are bit-identical at any setting — bins change only which merge
-kernel runs, never the numbers.
 
 --est-samples <n> / --est-tolerance <f> configure the sampling estimator
 that replaces exact cold-plan precalculation (defaults 64 / 1.0); in batch
@@ -766,7 +760,6 @@ fn run_bench(mut args: Args) -> ! {
 
 fn run_bench_suite(mut args: Args) -> ! {
     use blockreorg::bench::suite::{default_settings, run_suite, Suite};
-    use blockreorg::spgemm::accum::BinThresholds;
 
     let mut group = ServiceFlags::new(default_settings());
     let (mut suite, mut out, mut no_host) = (Suite::Quick, None, false);
@@ -782,11 +775,6 @@ fn run_bench_suite(mut args: Args) -> ! {
             }
             "--out" => out = Some(args.value(&flag)),
             "--no-host" => no_host = true,
-            "--bins" => {
-                let thresholds = BinThresholds::parse(&args.value(&flag))
-                    .unwrap_or_else(|e| usage_and_exit(&format!("bad --bins value: {e}")));
-                group.settings.bins = Some(thresholds);
-            }
             "--device" | "--workers" | "--cache" | "--reorder" => args.unknown(&flag),
             f => group.read(f, &mut args),
         }

@@ -4,8 +4,9 @@
 //! how the CLI parses its flags or loads its operands that moves a single
 //! byte of a report fails here. They were taken before the operand flags
 //! moved onto the job-spec grammar; only the `--help` digest moved since:
-//! when the batch paragraph gained `chain=`, and when the `--reorder`
-//! paragraph stopped saying results are un-permuted. Batch output drops
+//! when the batch paragraph gained `chain=`, when the `--reorder`
+//! paragraph stopped saying results are un-permuted, and when `bench run`
+//! lost its `--bins` flag and paragraph. Batch output drops
 //! its three wall-clock lines (`ms wall`, `mean wait`, `busy`); the second
 //! batch file repeats one structure five times on one worker, so its
 //! fourth and fifth executions compute values only, and its digest was
@@ -185,7 +186,7 @@ fn batch_report_holds_without_its_wall_clock_lines() {
 
 #[test]
 fn help_text_holds() {
-    assert_digest(&["--help"], &stdout_of(&["--help"]), 0xb437_ec3a_51f0_2c35);
+    assert_digest(&["--help"], &stdout_of(&["--help"]), 0xc89c_db1f_2430_a64e);
 }
 
 #[test]
