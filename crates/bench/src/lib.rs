@@ -31,18 +31,15 @@
 //!
 //! * [`suite`] — the `quick`/`full`/`scaling` benchmark grids and runner,
 //! * [`schema`] — the versioned, byte-deterministic `BENCH_<suite>.json`
-//!   report format,
-//! * [`mod@compare`] — the tolerance-thresholded report diff CI gates on.
+//!   report format, which CI byte-compares with its checked-in baseline.
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod harness;
 pub mod report;
 pub mod schema;
 pub mod suite;
 
-pub use compare::{compare, Comparison, Thresholds};
 pub use harness::{parse_args, BenchArgs};
 pub use report::Table;
 pub use schema::BenchReport;

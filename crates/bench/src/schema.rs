@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Current schema version. Bump on any breaking change to the report
-/// layout; `compare` refuses to diff reports with mismatched versions.
+/// layout.
 pub const SCHEMA_VERSION: u32 = 1;
 
 /// One complete benchmark report — the unit written to `BENCH_<suite>.json`.
@@ -30,7 +30,7 @@ pub struct BenchReport {
     pub git_sha: String,
     /// [`br_gpu_sim::MODEL_VERSION`] of the simulator that produced the
     /// numbers. A mismatch between baseline and current means cycle
-    /// deltas are expected; `compare` reports it as an error.
+    /// deltas are expected.
     pub model_version: u32,
     /// Fingerprint of the `ReorganizerConfig` used for reorganizer cases
     /// (`br_service::cache::config_fingerprint`).
@@ -55,8 +55,7 @@ pub struct BenchReport {
     /// Host-side wall-clock measurements of the run itself (worker count,
     /// elapsed time, throughput). `None` in reports written before the
     /// section existed and in runs invoked with `--no-host` (byte-compare
-    /// workflows). **Not a tracked metric**: wall clock varies run to run,
-    /// so [`mod@crate::compare`] ignores this section entirely.
+    /// workflows). **Not a tracked metric**: wall clock varies run to run.
     pub host: Option<HostSection>,
 }
 
@@ -145,8 +144,7 @@ pub struct ServiceSection {
 /// sampling estimator — and records what the planner decided plus its
 /// modeled host cost. Every field is a pure function of the operands'
 /// structure and the estimator configuration, so the section byte-compares
-/// across runs and thread counts; `compare` gates the `ops` column with
-/// [`crate::compare::Thresholds::plan_ops_pct`].
+/// across runs and thread counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlanSection {
     /// [`EstimatorConfig::fingerprint`](br_spgemm::estimate::EstimatorConfig)
@@ -182,9 +180,7 @@ pub struct PlanCaseReport {
 /// [`br_workloads::Workload`] program over each grid dataset and records
 /// the per-step plan-cache behaviour plus the simulated per-step makespan.
 /// Every field is a pure function of the operands and the program, so the
-/// section byte-compares across runs and thread counts; `compare` gates
-/// the per-step timings like case metrics and treats any change in the
-/// hit/miss/structure pattern as an identity error.
+/// section byte-compares across runs and thread counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChainSection {
     /// Per-chain records, in suite definition order.
@@ -227,8 +223,7 @@ pub struct ChainStepReport {
     pub fresh_structure: bool,
     /// Execution method the plan selected (`reorganized`, `hash`, …).
     pub method: String,
-    /// Simulated end-to-end latency of the step, ms — the per-step
-    /// makespan metric `compare` gates.
+    /// Simulated end-to-end latency of the step, ms.
     pub total_ms: f64,
     /// `nnz` of the raw product, before post-ops.
     pub product_nnz: u64,
@@ -240,9 +235,8 @@ pub struct ChainStepReport {
 
 /// Wall-clock diagnostics of the benchmark run itself — the only section
 /// of the report that is *not* deterministic. It exists so perf work on the
-/// harness is visible (`bench run` prints it), while every comparison and
-/// byte-identity check excludes it: `compare` never reads it, and
-/// `bench run --no-host` omits it from the file.
+/// harness is visible (`bench run` prints it), while every byte-identity
+/// check excludes it: `bench run --no-host` omits it from the file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HostSection {
     /// Host worker threads the run was configured with.
@@ -286,7 +280,7 @@ pub struct ObsHostStats {
 ///
 /// The kway fields and the runs-per-row histogram are `None` in reports
 /// written before the k-way tournament bin existed; legacy reports parse
-/// with them absent, and `compare` never reads this section either way.
+/// with them absent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BinHostStats {
     /// `tiny_max` threshold the census used.

@@ -935,7 +935,7 @@ mod tests {
     /// ISSUE acceptance criterion: on the quick grid's datasets the
     /// estimated plan build costs ≤ half the exact precalc (modeled ops),
     /// never falls back, produces identical output, and its cold execution
-    /// stays within the compare gate's makespan tolerance.
+    /// stays within 5% of the exact plan's makespan.
     #[test]
     fn estplan_estimate_flavor_halves_cold_plan_cost_at_matched_makespan() {
         let report = run_suite(Suite::Estplan, &default_settings(), |_| {});
@@ -974,8 +974,8 @@ mod tests {
             // Identical work and identical results whichever way it planned.
             assert_eq!(exact_case.metrics.flops, est_case.metrics.flops);
             assert_eq!(exact_case.metrics.result_nnz, est_case.metrics.result_nnz);
-            // Estimation may only change simulated scheduling within the
-            // compare gate's tolerance, never degrade it beyond the gate.
+            // Estimation may change simulated scheduling, but may not
+            // slow the makespan by more than 5%.
             let delta = (est_case.metrics.makespan_cycles - exact_case.metrics.makespan_cycles)
                 / exact_case.metrics.makespan_cycles;
             assert!(

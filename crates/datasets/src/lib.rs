@@ -8,8 +8,6 @@
 //!   the same model the paper uses for Table III.
 //! * [`mod@chung_lu`] — a power-law (Chung–Lu) generator used for SNAP-graph
 //!   surrogates, where hub degree must be controlled independently of size.
-//! * [`configuration`] — a configuration-model generator reproducing an
-//!   *exact* target row-degree sequence (clone a real matrix's profile).
 //! * [`mod@mesh`] — quasi-regular generators (3-D stencils, banded matrices)
 //!   used for Florida FEM-style surrogates.
 //! * [`registry`] — the Table II registry: every dataset's *published*
@@ -26,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod chung_lu;
-pub mod configuration;
 pub mod mesh;
 pub mod registry;
 pub mod rmat;

@@ -617,10 +617,10 @@ const NO_FILE_SOURCES: &str =
     "file sources (input=, pair=) are not accepted over the wire; use dataset= or rmat=";
 
 /// Parses a one-line job spec and loads its operands into the request
-/// (a one-step multiplication for `Submit`, a chain for `SubmitChain`).
-/// The spec's `chain=` key must agree with the frame type that carried it,
-/// and it may not name a file: the server opens nothing on a client's
-/// behalf.
+/// `JobSpec::request` builds (a one-step multiplication for `Submit`, a
+/// chain for `SubmitChain`). The spec's `chain=` key must agree with the
+/// frame type that carried it, and it may not name a file: the server
+/// opens nothing on a client's behalf.
 fn materialize_spec(
     spec: &str,
     kind: RequestKind,
@@ -644,19 +644,7 @@ fn materialize_spec(
         (RequestKind::Chain, None) => Err(
             "a SubmitChain spec needs a chain= key (use Submit for one multiplication)".to_string(),
         ),
-        (RequestKind::Job, None) => {
-            let a = Arc::new(one.source.load()?);
-            let b = match &one.pair {
-                Some(src) => Arc::new(src.load()?),
-                None => a.clone(),
-            };
-            Ok(ChainRequest::multiply(request_id, a, b).with_label(one.source.label()))
-        }
-        (RequestKind::Chain, Some(workload)) => {
-            let base = one.source.load()?;
-            let label = format!("{}:{}", one.source.label(), workload.spec());
-            Ok(ChainRequest::workload(request_id, workload, &base).with_label(label))
-        }
+        _ => one.request(request_id),
     }
 }
 

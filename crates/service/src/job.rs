@@ -4,7 +4,8 @@
 //! `Arc` operands (so a batch of repeats holds one copy of the data); the
 //! plan settings belong to the service. A [`JobSpec`] is the *declarative*
 //! form read from a job file — a matrix source plus a repeat count — which
-//! [`expand_submissions`] realizes into requests.
+//! [`JobSpec::request`] realizes into one request and
+//! [`expand_submissions`] into its repeats.
 //!
 //! Job-file format: one job per line, `key=value` tokens separated by
 //! whitespace, `#` starts a comment. Exactly one source key per line:
@@ -124,6 +125,30 @@ pub struct JobSpec {
     /// Canonical workload to run over the source instead of a single
     /// multiplication (`chain=` key; incompatible with `pair=`).
     pub chain: Option<Workload>,
+}
+
+impl JobSpec {
+    /// Loads the operands into request `id`: a one-step multiplication
+    /// labelled with the source's label, or, under `chain=`, the workload
+    /// over the source labelled `<label>:<workload spec>`. One request
+    /// regardless of `repeat`.
+    pub fn request(&self, id: u64) -> Result<ChainRequest, String> {
+        let a = self.source.load()?;
+        Ok(match self.chain {
+            Some(workload) => {
+                let label = format!("{}:{}", self.source.label(), workload.spec());
+                ChainRequest::workload(id, workload, &a).with_label(label)
+            }
+            None => {
+                let a = Arc::new(a);
+                let b = match &self.pair {
+                    Some(src) => Arc::new(src.load()?),
+                    None => a.clone(),
+                };
+                ChainRequest::multiply(id, a, b).with_label(self.source.label())
+            }
+        })
+    }
 }
 
 /// Largest `rmat=` scale: a `2^31` dimension is the last that fits `u32`
@@ -264,19 +289,7 @@ fn parse_rmat(value: &str) -> Result<(u32, usize), String> {
 pub fn expand_submissions(specs: &[JobSpec]) -> Result<Vec<ChainRequest>, String> {
     let mut out = Vec::new();
     for spec in specs {
-        let a = Arc::new(spec.source.load()?);
-        let base = spec.source.label();
-        let template = match spec.chain {
-            Some(workload) => ChainRequest::workload(0, workload, &a)
-                .with_label(format!("{base}:{}", workload.spec())),
-            None => {
-                let b = match &spec.pair {
-                    Some(src) => Arc::new(src.load()?),
-                    None => a.clone(),
-                };
-                ChainRequest::multiply(0, a, b).with_label(base)
-            }
-        };
+        let template = spec.request(0)?;
         for k in 0..spec.repeat {
             out.push(ChainRequest {
                 id: out.len() as u64,

@@ -50,8 +50,8 @@ pub struct ServiceConfig {
     /// exposition.
     pub registry: Option<Arc<Registry>>,
     /// The settings every plan is built under: reorganizer knobs, sampled
-    /// or exact workloads, merge bins, row reordering. They are part of
-    /// every plan-cache key; results are bit-identical under any settings.
+    /// or exact workloads, row reordering. They are part of every
+    /// plan-cache key; results are bit-identical under any settings.
     pub settings: PlanSettings,
 }
 

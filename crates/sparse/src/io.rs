@@ -229,15 +229,6 @@ pub fn write_matrix_market<T: Scalar, W: Write>(m: &CsrMatrix<T>, writer: W) -> 
     Ok(())
 }
 
-/// Writes a CSR matrix to a `.mtx` file on disk.
-pub fn write_matrix_market_file<T: Scalar, P: AsRef<Path>>(
-    m: &CsrMatrix<T>,
-    path: P,
-) -> Result<()> {
-    let file = File::create(path.as_ref())?;
-    write_matrix_market(m, file)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -93,15 +93,6 @@ impl DegreeStats {
         Self::from_degrees(&m.row_degrees())
     }
 
-    /// Column-degree statistics of a CSR matrix (single counting pass).
-    pub fn of_cols<T: Scalar>(m: &CsrMatrix<T>) -> DegreeStats {
-        let mut deg = vec![0usize; m.ncols()];
-        for &c in m.idx() {
-            deg[c as usize] += 1;
-        }
-        Self::from_degrees(&deg)
-    }
-
     /// Heuristic classification used by the dataset registry: a matrix is
     /// "skewed" when its degree Gini exceeds 0.5 or max/mean exceeds 50 —
     /// thresholds that cleanly separate the paper's SNAP sets (youtube,
@@ -146,14 +137,6 @@ mod tests {
         let a = DegreeStats::from_degrees(&[1, 2, 3, 4]);
         let b = DegreeStats::from_degrees(&[10, 20, 30, 40]);
         assert!((a.gini - b.gini).abs() < 1e-12);
-    }
-
-    #[test]
-    fn row_and_col_stats_of_symmetric_matrix_agree() {
-        let m =
-            CsrMatrix::<f64>::try_new(3, 3, vec![0, 2, 4, 6], vec![1, 2, 0, 2, 0, 1], vec![1.0; 6])
-                .unwrap();
-        assert_eq!(DegreeStats::of_rows(&m), DegreeStats::of_cols(&m));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! `blockreorg-cli` — run any spGEMM method on a Matrix Market file, a
 //! registry surrogate, or a generated matrix, on any modelled device; run a
 //! batch of jobs through the `br-service` worker pool; serve that pool over
-//! TCP or submit to it; run a chained workload; or run and compare the
-//! benchmark suites. `blockreorg-cli --help` prints every mode's flags.
+//! TCP or submit to it; run a chained workload; or run the benchmark
+//! suites. `blockreorg-cli --help` prints every mode's flags.
 //!
 //! The operand flags (`--input`, `--dataset`, `--rmat`, `--scale`,
 //! `--seed`, `--pair-with`, and chain mode's `--workload`) are the keys of
@@ -87,8 +87,6 @@ usage: blockreorg-cli (--input <mtx> | --dataset <name> | --rmat <scale,ef>)
                       [--threads <n>] [--no-host]
                       [--est-samples <n>] [--est-tolerance <f>] [--no-estimate]
                       [--metrics <path>] [--metrics-timing]
-       blockreorg-cli bench compare <baseline.json> <current.json>
-                      [--cycles-pct <pct>] [--plan-pct <pct>]
 
 --metrics <path> dumps the process-wide observability registry on exit:
 Prometheus text to <path>, JSONL to <path>.jsonl. The default dump contains
@@ -97,9 +95,8 @@ files byte-compare across repeated runs and any --threads / BR_THREADS
 setting. --metrics-timing adds wall-clock families (queue waits, span
 durations, LBI/L2 gauges) — informational, not byte-stable.
 
-bench mode runs a fixed (dataset x method x device) grid on the simulator,
-writes a deterministic BENCH_<suite>.json report, and compares reports with
-per-metric tolerances (nonzero exit on regression) — the CI perf gate.
+bench mode runs a fixed (dataset x method x device) grid on the simulator
+and writes a deterministic BENCH_<suite>.json report.
 
 --threads <n> (or the BR_THREADS env var) sets the host worker count for
 the suite grid, the per-block simulator passes, and the numeric merge;
@@ -113,7 +110,6 @@ and serve mode any --est-* flag opts the worker pool into estimation,
 while bench run's estplan suite estimates by default. --no-estimate forces
 exact precalculation everywhere. Results are bit-identical either way —
 estimation changes only plan-time cost and performance-knob choices.
-bench compare gates per-case plan ops with --plan-pct (default 10%).
 
 --reorder <strategy> (batch / serve) permutes A's rows before planning:
 'degree' sorts by descending row nnz, 'rcm' reduces bandwidth via reverse
@@ -526,7 +522,9 @@ fn run_client(mut args: Args) -> ! {
 
     let (mut connect, mut spec) = (None, None);
     let mut client_id = "cli".to_string();
-    let mut lane = "interactive".to_string();
+    // Request `id`'s lane: one lane for every request, or alternating from
+    // interactive.
+    let mut lane_of: fn(u64) -> Lane = |_| Lane::Interactive;
     let (mut count, mut deadline_ms) = (1u64, 0u32);
     let (mut chain, mut release, mut shutdown, mut quiet) = (false, false, false, false);
     while let Some(flag) = args.flag() {
@@ -535,7 +533,16 @@ fn run_client(mut args: Args) -> ! {
             "--connect" => connect = Some(args.value(&flag)),
             "--client-id" => client_id = args.value(&flag),
             "--spec" => spec = Some(args.value(&flag)),
-            "--lane" => lane = args.value(&flag),
+            "--lane" => {
+                lane_of = match args.value(&flag).as_str() {
+                    "interactive" => |_| Lane::Interactive,
+                    "batch" => |_| Lane::Batch,
+                    "alternate" => |id| Lane::ALL[(id % 2) as usize],
+                    other => usage_and_exit(&format!(
+                        "unknown lane {other:?}; valid lanes: interactive, batch, alternate"
+                    )),
+                }
+            }
             "--chain" => chain = true,
             "--release" => release = true,
             "--shutdown" => shutdown = true,
@@ -547,20 +554,6 @@ fn run_client(mut args: Args) -> ! {
     }
     let addr = connect.unwrap_or_else(|| usage_and_exit("client mode requires --connect <addr>"));
     let spec = spec.unwrap_or_else(|| usage_and_exit("client mode requires --spec '<jobline>'"));
-    let lane_of = |id: u64| match lane.as_str() {
-        "interactive" => Lane::Interactive,
-        "batch" => Lane::Batch,
-        "alternate" => {
-            if id.is_multiple_of(2) {
-                Lane::Interactive
-            } else {
-                Lane::Batch
-            }
-        }
-        other => usage_and_exit(&format!(
-            "unknown lane {other:?}; valid lanes: interactive, batch, alternate"
-        )),
-    };
     let mut client = NetClient::connect(&addr, &client_id)
         .unwrap_or_else(|e| runtime_error(&format!("cannot connect to {addr}: {e}")));
     let info = client.server_info();
@@ -738,23 +731,16 @@ fn run_chain(mut args: Args) -> ! {
     exit(0)
 }
 
-/// `bench run` / `bench compare` — the regression-tracking front end over
-/// `br-bench::{suite, compare}` (see EXPERIMENTS.md "Benchmarking &
-/// regression tracking").
+/// `bench run` — the front end over `br_bench::suite` (see EXPERIMENTS.md
+/// "Benchmarking & regression tracking").
 fn run_bench(mut args: Args) -> ! {
     match args.flag().as_deref() {
         Some("run") => {
             args.mode = "bench run";
             run_bench_suite(args)
         }
-        Some("compare") => {
-            args.mode = "bench compare";
-            run_bench_compare(args)
-        }
-        Some(other) => usage_and_exit(&format!(
-            "unknown bench subcommand {other:?}; expected run or compare"
-        )),
-        None => usage_and_exit("bench needs a subcommand: run or compare"),
+        Some(other) => usage_and_exit(&format!("unknown bench subcommand {other:?}; expected run")),
+        None => usage_and_exit("bench needs a subcommand: run"),
     }
 }
 
@@ -809,46 +795,6 @@ fn run_bench_suite(mut args: Args) -> ! {
         report.model_version,
         report.git_sha
     );
-    exit(0)
-}
-
-fn run_bench_compare(mut args: Args) -> ! {
-    use blockreorg::bench::compare::{compare, Thresholds};
-    use blockreorg::bench::schema::BenchReport;
-
-    let mut paths = Vec::new();
-    let mut thresholds = Thresholds::default();
-    while let Some(arg) = args.flag() {
-        match arg.as_str() {
-            "--cycles-pct" => thresholds.cycles_pct = args.parsed(&arg, "a number", |_| true),
-            "--plan-pct" => thresholds.plan_ops_pct = args.parsed(&arg, "a number", |_| true),
-            flag if flag.starts_with("--") => args.unknown(flag),
-            _ => paths.push(arg),
-        }
-    }
-    let [baseline_path, current_path] = paths.as_slice() else {
-        usage_and_exit("bench compare needs exactly <baseline.json> <current.json>");
-    };
-    let read_report = |path: &str| -> BenchReport {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| runtime_error(&format!("cannot read {path}: {e}")));
-        BenchReport::from_json(&text).unwrap_or_else(|e| runtime_error(&format!("{path}: {e}")))
-    };
-    let baseline = read_report(baseline_path);
-    let current = read_report(current_path);
-    let cmp = compare(&baseline, &current, &thresholds);
-    out!("{}", cmp.render());
-    if cmp.has_regressions() {
-        errln!(
-            "regression gate FAILED: suite {:?}, baseline {baseline_path} \
-             (cycle threshold {:.1}%, plan threshold {:.1}%)",
-            baseline.suite,
-            thresholds.cycles_pct,
-            thresholds.plan_ops_pct
-        );
-        exit(1)
-    }
-    outln!("regression gate passed");
     exit(0)
 }
 

@@ -1,6 +1,7 @@
 //! CLI contract for the plan-shaping `bench run` flags: what `--no-estimate`
 //! and `--est-samples` change in the report. Merge-bin thresholds are the
-//! planner's alone, so `--bins` is not a flag.
+//! planner's alone, so `--bins` is not a flag. Reports are gated by byte
+//! identity with their baselines, so `bench` has no `compare` subcommand.
 
 use std::process::Command;
 
@@ -74,6 +75,20 @@ fn bins_is_not_a_bench_run_flag() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(
         stderr.contains(r#"unknown flag "--bins" in bench run mode"#),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn compare_is_not_a_bench_subcommand() {
+    let run = Command::new(env!("CARGO_BIN_EXE_blockreorg-cli"))
+        .args(["bench", "compare", "a.json", "b.json"])
+        .output()
+        .expect("CLI binary runs");
+    assert_eq!(run.status.code(), Some(2), "usage errors exit 2");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains(r#"unknown bench subcommand "compare""#),
         "{stderr}"
     );
 }

@@ -5,17 +5,18 @@
 //! byte of a report fails here. They were taken before the operand flags
 //! moved onto the job-spec grammar; only the `--help` digest moved since:
 //! when the batch paragraph gained `chain=`, when the `--reorder`
-//! paragraph stopped saying results are un-permuted, and when `bench run`
-//! lost its `--bins` flag and paragraph. Batch output drops
-//! its three wall-clock lines (`ms wall`, `mean wait`, `busy`); the second
-//! batch file repeats one structure five times on one worker, so its
-//! fourth and fifth executions compute values only, and its digest was
-//! taken before that pass existed.
+//! paragraph stopped saying results are un-permuted, when `bench run`
+//! lost its `--bins` flag and paragraph, and when `bench compare` went
+//! with its synopsis and the sentences about its tolerances. Batch output
+//! drops its three wall-clock lines (`ms wall`, `mean wait`, `busy`); the
+//! second batch file repeats one structure five times on one worker, so
+//! its fourth and fifth executions compute values only, and its digest
+//! was taken before that pass existed.
 //!
 //! The exit tests pin what the job-spec grammar bounds (`rmat=` scale and
-//! edge factor), what a closed output pipe leaves the exit code at, what
-//! malformed Matrix Market files exit with, and how a failed chain words
-//! its error.
+//! edge factor), that a bad `--lane` is refused before connecting, what a
+//! closed output pipe leaves the exit code at, what malformed Matrix
+//! Market files exit with, and how a failed chain words its error.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -186,7 +187,7 @@ fn batch_report_holds_without_its_wall_clock_lines() {
 
 #[test]
 fn help_text_holds() {
-    assert_digest(&["--help"], &stdout_of(&["--help"]), 0xc89c_db1f_2430_a64e);
+    assert_digest(&["--help"], &stdout_of(&["--help"]), 0x9c0a_9b91_d382_83f5);
 }
 
 #[test]
@@ -206,6 +207,24 @@ fn rmat_bounds_exit_2_naming_the_bound() {
             assert!(stderr.contains(bound), "{args:?}: {stderr}");
         }
     }
+}
+
+/// A bad `--lane` is a usage error read with the other flags, so the
+/// client exits before it connects: nothing listens on port 1.
+#[test]
+fn an_unknown_lane_exits_2_before_connecting() {
+    let out = cli(&[
+        "client",
+        "--connect",
+        "127.0.0.1:1",
+        "--spec",
+        "rmat=6,4",
+        "--lane",
+        "bogus",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(r#"unknown lane "bogus""#), "{stderr}");
 }
 
 #[test]

@@ -133,19 +133,6 @@ proptest! {
     }
 
     #[test]
-    fn configuration_model_reproduces_any_degree_sequence(
-        degrees in proptest::collection::vec(0usize..40, 1..60),
-        ncols in 40usize..200,
-        seed in 0u64..1000,
-    ) {
-        use blockreorg::datasets::configuration::{configuration_model, ColumnModel};
-        let m = configuration_model(&degrees, ncols, ColumnModel::Uniform, seed).to_csr();
-        let expect: Vec<usize> = degrees.iter().map(|&d| d.min(ncols)).collect();
-        prop_assert_eq!(m.row_degrees(), expect);
-        m.check_invariants().expect("canonical output");
-    }
-
-    #[test]
     fn scheduler_conserves_work(durations in proptest::collection::vec(0.0f64..1000.0, 0..200),
                                 sms in 1u32..128) {
         use blockreorg::gpu_sim::scheduler::schedule;
