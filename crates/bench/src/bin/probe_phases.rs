@@ -19,7 +19,7 @@ fn main() {
             a.nrows(),
             a.nnz(),
             ctx.intermediate_total,
-            ctx.output_total
+            ctx.output_total()
         );
         for m in [
             SpgemmMethod::RowProduct,

@@ -52,7 +52,7 @@ fn main() {
             paper_nnz_c: spec.paper_nnz_c,
             surrogate_dim: a.nrows(),
             surrogate_nnz_a: a.nnz(),
-            surrogate_nnz_c: ctx.output_total,
+            surrogate_nnz_c: ctx.output_total(),
             gini: stats.gini,
         };
         t.row(vec![

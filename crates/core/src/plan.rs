@@ -41,7 +41,7 @@ use br_sparse::{CsrMatrix, Result, Scalar};
 use br_spgemm::accum::{
     spgemm_adaptive_planned, spgemm_values_only, BinThresholds, CsrPattern, RowBins, ScratchPool,
 };
-use br_spgemm::context::{ProblemContext, ProblemSignature};
+use br_spgemm::context::{Problem, ProblemContext, ProblemSignature};
 use br_spgemm::estimate::{
     estimate_workload, exact_plan_ops, select_method, select_thresholds, EstimatorConfig,
     MethodChoice, WorkloadEstimate,
@@ -133,6 +133,9 @@ pub struct ReorgPlan {
     pub permutation: Option<Permutation>,
     /// How this plan's workloads were obtained (exact vs estimated).
     pub build: PlanBuild,
+    /// FLOP count of every execution, `2·nnz(Ĉ)`: exact on both the exact
+    /// and the sampled path, which share the block-products pass.
+    pub flops: u64,
     /// What executions memoize: the first Cached simulation and C's
     /// pattern.
     #[serde(skip)]
@@ -419,6 +422,7 @@ impl ReorgPlan {
             reorder: ReorderStrategy::None,
             permutation: None,
             build,
+            flops: ctx.flops,
             memo: Memo::default(),
         }
     }
@@ -433,10 +437,23 @@ impl ReorgPlan {
         self.execute_with_scratch(&GpuSimulator::new(device.clone()), ctx, mode, None)
     }
 
-    /// Executes the plan against a caller-owned simulator (the `br-service`
-    /// worker pool keeps one per worker), with an optional merge-scratch
-    /// pool so steady-state jobs reuse warmed accumulators instead of
-    /// allocating per execution.
+    /// Executes the plan over an analyzed problem against a caller-owned
+    /// simulator, with an optional merge-scratch pool so steady-state
+    /// executions reuse warmed accumulators: an entry into
+    /// [`ReorgPlan::execute_problem`], the one execution body. An execution
+    /// that simulates seeds `ctx`'s output row lengths from the C it merged.
+    pub fn execute_with_scratch<T: Scalar>(
+        &self,
+        sim: &GpuSimulator,
+        ctx: &ProblemContext<T>,
+        mode: PlanMode,
+        pool: Option<&ScratchPool<T>>,
+    ) -> Result<ReorganizerRun<T>> {
+        self.execute_problem(sim, &Problem::from(ctx), mode, pool)
+    }
+
+    /// The one execution body (the `br-service` worker pool calls it with
+    /// its per-worker simulator and scratch pool).
     ///
     /// The host numeric multiply runs first, once, on the operands as
     /// given and on the simulator's thread count: the values-only pass
@@ -449,32 +466,45 @@ impl ReorgPlan {
     /// `br_sim_kernel_replays_total`). The first execution that replays
     /// and holds no pattern stores the pattern of the C it merged.
     ///
+    /// Only a simulation reads the problem's [`ProblemContext`]
+    /// ([`Problem::context`] builds it then if the problem has none), and
+    /// it takes C's row lengths from the C just merged, so no execution
+    /// runs the symbolic pass. A replay reads the operands, the plan's
+    /// bins, C's pattern if stored, and the memo; the reported FLOP count
+    /// is the plan's.
+    ///
     /// A pattern that does not fit the operands — possible only when two
     /// structures collide on the signature's hashes — is refused by the
     /// values-only pass, which merges instead.
     ///
-    /// Fails with [`SparseError::InvalidStructure`] when `ctx` does not
-    /// structurally match the operands the plan was built for.
-    pub fn execute_with_scratch<T: Scalar>(
+    /// Fails with [`SparseError::InvalidStructure`] when the problem's
+    /// signature is not the one the plan was built for.
+    pub fn execute_problem<T: Scalar>(
         &self,
         sim: &GpuSimulator,
-        ctx: &ProblemContext<T>,
+        problem: &Problem<'_, T>,
         mode: PlanMode,
         pool: Option<&ScratchPool<T>>,
     ) -> Result<ReorganizerRun<T>> {
-        if self.signature != ctx.signature() {
+        if self.signature != problem.signature() {
             return Err(SparseError::InvalidStructure(format!(
                 "reorganization plan was built for a different sparsity structure \
                  (plan {:?}, operands {:?})",
                 self.signature,
-                ctx.signature()
+                problem.signature()
             )));
         }
+        let (a, b) = (problem.a(), problem.b());
         let threads = sim.threads();
         let pattern = self.memo.pattern();
         let result = match &pattern {
-            Some(p) => spgemm_values_only(&ctx.a, &ctx.b, p, threads, &self.bins, pool)?,
-            None => spgemm_adaptive_planned(&ctx.a, &ctx.b, threads, &self.bins, pool)?,
+            Some(p) => spgemm_values_only(a, b, p, threads, &self.bins, pool)?,
+            None => spgemm_adaptive_planned(a, b, threads, &self.bins, pool)?,
+        };
+        let simulate = || {
+            let ctx = problem.context();
+            ctx.seed_output(&result);
+            self.simulate(sim, ctx, mode)
         };
         let (
             Simulated {
@@ -484,10 +514,10 @@ impl ReorgPlan {
             },
             replayed,
         ) = match mode {
-            PlanMode::Cold => (self.simulate(sim, ctx, mode), false),
+            PlanMode::Cold => (simulate(), false),
             PlanMode::Cached => self
                 .memo
-                .replay_or_simulate(sim.device().fingerprint(), || self.simulate(sim, ctx, mode)),
+                .replay_or_simulate(sim.device().fingerprint(), simulate),
         };
         if replayed && pattern.is_none() {
             self.memo.store_pattern(&result);
@@ -498,7 +528,7 @@ impl ReorgPlan {
             profiles,
             preprocess_ms: host_ms,
             total_ms: kernel_ms + host_ms,
-            flops: ctx.flops,
+            flops: self.flops,
             stats,
         })
     }

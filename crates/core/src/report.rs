@@ -85,7 +85,7 @@ impl WorkloadReport {
             gathered_blocks: gathers.combined.len() + gathers.compacted.len(),
             limited_rows: limits.limited_count(),
             intermediate_nnz: ctx.intermediate_total,
-            output_nnz: ctx.output_total,
+            output_nnz: ctx.output_total(),
         }
     }
 }

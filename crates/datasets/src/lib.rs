@@ -30,4 +30,4 @@ pub mod rmat;
 pub mod synthetic;
 
 pub use registry::{DatasetClass, DatasetSpec, RealWorldRegistry, ScaleFactor};
-pub use rmat::{rmat, RmatConfig};
+pub use rmat::{rmat, try_rmat, RmatConfig, RmatError};

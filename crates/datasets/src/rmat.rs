@@ -91,12 +91,58 @@ impl RmatConfig {
     }
 }
 
+/// [`try_rmat`] drew its whole candidate budget without finding `edges`
+/// distinct cells: the spec asks for nearly every cell of its grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RmatError {
+    /// Edges asked for.
+    pub edges: usize,
+    /// Distinct edges drawn when the budget ran out.
+    pub drawn: usize,
+    /// Candidates drawn: the budget.
+    pub candidates: u64,
+}
+
+impl std::fmt::Display for RmatError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "rmat draw budget exhausted: {} of {} distinct edges after {} candidates; \
+             the grid is too dense to fill",
+            self.drawn, self.edges, self.candidates
+        )
+    }
+}
+
+impl std::error::Error for RmatError {}
+
+/// Candidates [`try_rmat`] may draw for `edges` distinct edges:
+/// `max(2^20, 64 · edges)`. Graph500 specs draw 1.06–1.35 candidates per
+/// edge from rmat 9,8 to 16,8 and at most a few thousand in all below
+/// scale 9, so only a spec asking for nearly every cell of its grid runs
+/// out.
+fn candidate_budget(edges: usize) -> u64 {
+    (1u64 << 20).max(64u64.saturating_mul(edges as u64))
+}
+
+/// Generates one R-MAT matrix, panicking where [`try_rmat`] fails.
+pub fn rmat(config: RmatConfig) -> CooMatrix<f64> {
+    try_rmat(config).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Generates one R-MAT matrix. Edge weights are uniform in `[0.5, 1.5)`
 /// (bounded away from zero so products never cancel in tests).
 ///
 /// Duplicate samples are rejected until `edges` *distinct* coordinates
-/// exist; generation panics if the grid cannot hold that many (caller bug).
-pub fn rmat(config: RmatConfig) -> CooMatrix<f64> {
+/// exist. Fails if `max(2^20, 64 · edges)` candidates do not find them;
+/// within that budget the generator draws exactly the stream it always
+/// has, so a spec that generates at all generates the same matrix.
+///
+/// # Panics
+///
+/// If the grid cannot hold `edges` cells or the quadrant probabilities do
+/// not sum to 1 (caller bugs: job specs are bounded before they get here).
+pub fn try_rmat(config: RmatConfig) -> Result<CooMatrix<f64>, RmatError> {
     let dim = config.dimension();
     assert!(
         config.edges <= dim.saturating_mul(dim),
@@ -115,7 +161,17 @@ pub fn rmat(config: RmatConfig) -> CooMatrix<f64> {
 
     // Cumulative quadrant thresholds, re-perturbed per level when noisy.
     let base = [p[0], p[0] + p[1], p[0] + p[1] + p[2]];
+    let budget = candidate_budget(config.edges);
+    let mut candidates = 0u64;
     while coo.nnz() < config.edges {
+        if candidates == budget {
+            return Err(RmatError {
+                edges: config.edges,
+                drawn: coo.nnz(),
+                candidates,
+            });
+        }
+        candidates += 1;
         let (mut row, mut col) = (0usize, 0usize);
         for _ in 0..config.scale {
             let u: f64 = rng.gen();
@@ -148,7 +204,7 @@ pub fn rmat(config: RmatConfig) -> CooMatrix<f64> {
                 .expect("rmat coordinates in bounds by construction");
         }
     }
-    coo
+    Ok(coo)
 }
 
 #[cfg(test)]
@@ -223,5 +279,29 @@ mod tests {
     #[should_panic(expected = "edge count exceeds grid capacity")]
     fn impossible_edge_count_rejected() {
         let _ = rmat(RmatConfig::uniform(2, 2, 0).with_edges(17));
+    }
+
+    #[test]
+    fn a_grid_too_dense_to_fill_runs_out_of_candidates() {
+        // Every cell of a 64 × 64 grid under Graph500 skew: the last
+        // corner cells are drawn with probability ~1e-8 each.
+        let err = try_rmat(RmatConfig::graph500(6, 64, 1)).unwrap_err();
+        assert_eq!((err.edges, err.candidates), (4096, 1 << 20));
+        assert!(err.drawn < err.edges);
+        assert!(err.to_string().contains("budget exhausted"), "{err}");
+    }
+
+    #[test]
+    fn dense_grids_still_fill_inside_the_budget() {
+        // rmat 3,8 and uniform 4,16 ask for every cell of their grids
+        // (≈ 6,800 and ≈ 1,600 draws), rmat 6,32 for half of its cells.
+        for config in [
+            RmatConfig::graph500(3, 8, 1),
+            RmatConfig::uniform(4, 16, 2),
+            RmatConfig::graph500(6, 32, 1),
+        ] {
+            let edges = config.edges;
+            assert_eq!(try_rmat(config).unwrap().nnz(), edges);
+        }
     }
 }

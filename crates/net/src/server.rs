@@ -22,18 +22,23 @@
 //!
 //! 1. no `Hello` yet → `Reject(NotReady)`
 //! 2. draining → `Reject(Draining)`
-//! 3. spec unparseable, naming a file (`input=` / `pair=`), unloadable, or
+//! 3. spec unparseable, naming a file (`input=` / `pair=`), or
 //!    `repeat != 1` → `Reject(BadSpec)`
 //! 4. client already has `quota` in-flight jobs → `Reject(QuotaExceeded)`
 //! 5. the service queue's combined depth at its bound (the shed
 //!    threshold) → `Shed`
-//! 6. otherwise → submit to the service; exactly one `Result` (or
-//!    `Reject(Failed)` / `Reject(DeadlineExpired)`) follows later.
+//! 6. load the operands through the server's [`OperandCache`]; a spec
+//!    that cannot be loaded → `Reject(BadSpec)`
+//! 7. otherwise → submit to the service; exactly one `Result` (or
+//!    `Reject(Failed)` / `Reject(DeadlineExpired)`) follows later. The
+//!    push's own refusal at the bound is still a `Shed`.
 //!
-//! With the worker gate held (`ServerConfig::hold`), steps 1–6 are a pure
-//! function of the offered load: nothing leaves the queue, so the
-//! shed/quota/saturation counters are byte-identical across reruns and
-//! any `BR_THREADS` setting — the property `scripts/bench_gate.sh` checks.
+//! So a refused request loads nothing, and only an admitted one pays for
+//! its operands. With the worker gate held (`ServerConfig::hold`), steps
+//! 1–7 are a pure function of the offered load: nothing leaves the queue,
+//! so the shed/quota/saturation and operand-cache counters are
+//! byte-identical across reruns and any `BR_THREADS` setting — the
+//! property `scripts/bench_gate.sh` checks.
 //!
 //! ## Drain protocol
 //!
@@ -53,8 +58,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use br_obs::{lock_recover, Counter, Registry};
-use br_service::chain::{ChainRequest, RequestKind};
-use br_service::job::{parse_job_file, MatrixSource};
+use br_service::chain::RequestKind;
+use br_service::job::{parse_job_file, JobSpec, MatrixSource};
+use br_service::operands::OperandCache;
 use br_service::service::{Completion, Reply, ServiceConfig, SpgemmService, SubmitError};
 
 use crate::frame::{
@@ -248,6 +254,7 @@ struct ConnHandle {
 
 struct Shared {
     service: SpgemmService,
+    operands: OperandCache,
     admission: Admission,
     instruments: NetInstruments,
     draining: AtomicBool,
@@ -306,6 +313,7 @@ impl NetServer {
         };
         let shared = Arc::new(Shared {
             instruments: NetInstruments::new(service.registry()),
+            operands: OperandCache::new(service.registry()),
             service,
             admission: Admission::new(config.quota),
             draining: AtomicBool::new(false),
@@ -562,8 +570,8 @@ fn handle_submit(
         draining();
         return;
     }
-    let request = match materialize_spec(spec, kind, request_id) {
-        Ok(request) => request,
+    let spec = match parse_spec(spec, kind) {
+        Ok(spec) => spec,
         Err(message) => {
             reject(&i.reject_bad_spec, RejectCode::BadSpec, message);
             return;
@@ -580,6 +588,32 @@ fn handle_submit(
         );
         return;
     }
+    let shed = || {
+        shared.admission.release(&client.id);
+        i.shed[lane.index()].inc();
+        // A refusal leaves the queue at its bound: depth == threshold.
+        let threshold = shared.shed_threshold.min(u32::MAX as usize) as u32;
+        let _ = tx.send(Frame::Shed {
+            request_id,
+            lane,
+            depth: threshold,
+            threshold,
+        });
+    };
+    // Shed before loading, so a shed request costs no generation; the
+    // push below still refuses at the bound if the queue filled since.
+    if shared.service.queue_depth() >= shared.shed_threshold {
+        shed();
+        return;
+    }
+    let request = match spec.request(request_id, Some(&shared.operands)) {
+        Ok(request) => request,
+        Err(message) => {
+            shared.admission.release(&client.id);
+            reject(&i.reject_bad_spec, RejectCode::BadSpec, message);
+            return;
+        }
+    };
     let deadline =
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms as u64));
     match shared
@@ -592,18 +626,7 @@ fn handle_submit(
                 i.saturation[lane.index()].inc();
             }
         }
-        Err(SubmitError::QueueFull(_)) => {
-            shared.admission.release(&client.id);
-            i.shed[lane.index()].inc();
-            // A refusal leaves the queue at its bound: depth == threshold.
-            let threshold = shared.shed_threshold.min(u32::MAX as usize) as u32;
-            let _ = tx.send(Frame::Shed {
-                request_id,
-                lane,
-                depth: threshold,
-                threshold,
-            });
-        }
+        Err(SubmitError::QueueFull(_)) => shed(),
         Err(SubmitError::Draining(_)) => {
             shared.admission.release(&client.id);
             draining();
@@ -616,16 +639,11 @@ fn handle_submit(
 const NO_FILE_SOURCES: &str =
     "file sources (input=, pair=) are not accepted over the wire; use dataset= or rmat=";
 
-/// Parses a one-line job spec and loads its operands into the request
-/// `JobSpec::request` builds (a one-step multiplication for `Submit`, a
-/// chain for `SubmitChain`). The spec's `chain=` key must agree with the
-/// frame type that carried it, and it may not name a file: the server
-/// opens nothing on a client's behalf.
-fn materialize_spec(
-    spec: &str,
-    kind: RequestKind,
-    request_id: u64,
-) -> Result<ChainRequest, String> {
+/// Parses a one-line job spec for a frame of `kind`, refusing what the
+/// wire does not carry: more than one job, `repeat`, a `chain=` key that
+/// disagrees with the frame type, and any file (the server opens nothing
+/// on a client's behalf). Loads nothing.
+fn parse_spec(spec: &str, kind: RequestKind) -> Result<JobSpec, String> {
     let specs = parse_job_file(spec)?;
     let [one] = specs.as_slice() else {
         return Err("a Submit frame carries exactly one job line".to_string());
@@ -644,7 +662,7 @@ fn materialize_spec(
         (RequestKind::Chain, None) => Err(
             "a SubmitChain spec needs a chain= key (use Submit for one multiplication)".to_string(),
         ),
-        _ => one.request(request_id),
+        _ => Ok(one.clone()),
     }
 }
 

@@ -512,16 +512,30 @@ fn submit_and_read(
         .unwrap_or_else(|| panic!("request {request_id} ({spec}): connection closed"))
 }
 
+/// `rmat=6,64` parses (the edges fit the grid) but asks for every cell of
+/// a 64 × 64 grid, which the generator's candidate budget refuses: it is
+/// answered within the read timeout, after the quota check, and releases
+/// its slot — with a quota of one, the valid Submit after it still runs.
 #[test]
 fn out_of_range_rmat_is_a_bad_spec_and_the_connection_keeps_serving() {
-    let server = NetServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let config = ServerConfig {
+        quota: 1,
+        ..ServerConfig::default()
+    };
+    let server = NetServer::bind("127.0.0.1:0", config).unwrap();
     let addr = server.local_addr().to_string();
     let server = thread::spawn(move || server.run());
 
     let (mut w, mut r) = connect_with_timeout(&addr, "rmat-bounds");
-    for (id, spec) in ["rmat=1,8", "rmat=32,1", "rmat=63,1", "rmat=64,1"]
-        .into_iter()
-        .enumerate()
+    for (id, spec) in [
+        "rmat=1,8",
+        "rmat=32,1",
+        "rmat=63,1",
+        "rmat=64,1",
+        "rmat=6,64",
+    ]
+    .into_iter()
+    .enumerate()
     {
         match submit_and_read(&mut w, &mut r, id as u64, spec) {
             Frame::Reject {
@@ -540,7 +554,8 @@ fn out_of_range_rmat_is_a_bad_spec_and_the_connection_keeps_serving() {
 
     write_frame(&mut w, &Frame::Shutdown).unwrap();
     let report = server.join().unwrap();
-    assert_eq!(report.other_rejected, 4);
+    assert_eq!(report.other_rejected, 5);
+    assert_eq!(report.quota_rejected, 0);
     assert_eq!(report.results, 1);
 }
 

@@ -20,7 +20,8 @@
 //! the budget.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Condvar, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use block_reorganizer::plan::ReorgPlan;
 use block_reorganizer::reorder::ReorderStrategy;
@@ -121,6 +122,12 @@ struct Inner {
     evictions: u64,
 }
 
+impl InFlight<PlanKey> for Inner {
+    fn in_flight(&mut self) -> &mut HashSet<PlanKey> {
+        &mut self.building
+    }
+}
+
 impl Inner {
     /// Evicts the least-recently-used entry if inserting `key` would
     /// overflow `capacity`, returning whether an eviction happened.
@@ -189,21 +196,52 @@ pub struct PlanCache {
     single_flight_waits: Counter,
 }
 
-/// Removes `key` from the building set and wakes waiters when dropped —
-/// covers the panic path of a [`PlanCache::get_or_build`] build closure, so
-/// waiters retry the build themselves instead of sleeping forever.
-struct BuildGuard<'a> {
-    cache: &'a PlanCache,
-    key: &'a PlanKey,
+/// A cache's locked state, recording which keys some caller is producing:
+/// the single-flight bookkeeping [`PlanCache`] and
+/// [`OperandCache`](crate::operands::OperandCache) share. Callers that
+/// find their key in flight wait on the cache's condvar instead of
+/// producing it again.
+pub(crate) trait InFlight<K> {
+    /// The keys being produced right now.
+    fn in_flight(&mut self) -> &mut HashSet<K>;
 }
 
-impl Drop for BuildGuard<'_> {
-    fn drop(&mut self) {
-        let mut inner = lock_recover(&self.cache.inner);
-        inner.building.remove(self.key);
-        drop(inner);
-        self.cache.ready.notify_all();
+/// Marks a key in flight until dropped. Dropping it — also on the panic
+/// path of the producing closure — unmarks the key and wakes the waiters,
+/// which then find the landed value or produce it themselves instead of
+/// sleeping forever.
+pub(crate) struct Claim<'a, S: InFlight<K>, K: Eq + Hash> {
+    state: &'a Mutex<S>,
+    ready: &'a Condvar,
+    key: &'a K,
+}
+
+impl<'a, S: InFlight<K>, K: Eq + Hash + Clone> Claim<'a, S, K> {
+    /// Claims `key` in `locked`, the content of `state` its caller holds
+    /// locked.
+    pub(crate) fn new(state: &'a Mutex<S>, locked: &mut S, ready: &'a Condvar, key: &'a K) -> Self {
+        locked.in_flight().insert(key.clone());
+        Claim { state, ready, key }
     }
+}
+
+impl<S: InFlight<K>, K: Eq + Hash> Drop for Claim<'_, S, K> {
+    fn drop(&mut self) {
+        let mut locked = lock_recover(self.state);
+        locked.in_flight().remove(self.key);
+        drop(locked);
+        self.ready.notify_all();
+    }
+}
+
+/// Sleeps on `ready` until some [`Claim`] is dropped, relocking `locked`.
+pub(crate) fn wait_for_claim<'a, S>(
+    ready: &Condvar,
+    locked: MutexGuard<'a, S>,
+) -> MutexGuard<'a, S> {
+    ready
+        .wait(locked)
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 impl PlanCache {
@@ -338,17 +376,13 @@ impl PlanCache {
                 self.single_flight_waits.inc();
                 counted_hit = true;
             }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            inner = wait_for_claim(&self.ready, inner);
         }
         // This call is the builder for `key`.
         self.count_miss(&mut inner);
-        inner.building.insert(key.clone());
+        let claim = Claim::new(&self.inner, &mut inner, &self.ready, key);
         drop(inner);
 
-        let guard = BuildGuard { cache: self, key };
         let plan = build();
         {
             let mut inner = lock_recover(&self.inner);
@@ -364,7 +398,7 @@ impl PlanCache {
             );
             inner.trim_patterns(key, self.pattern_budget);
         }
-        drop(guard); // clears the pending marker and wakes waiters
+        drop(claim); // clears the pending marker and wakes waiters
         (plan, false)
     }
 

@@ -29,7 +29,7 @@ use br_gpu_sim::sim::GpuSimulator;
 use br_obs::Registry;
 use br_sparse::CsrMatrix;
 use br_spgemm::accum::ScratchPool;
-use br_spgemm::context::ProblemContext;
+use br_spgemm::context::Problem;
 use br_spgemm::estimate::MethodChoice;
 use br_workloads::ChainError;
 
@@ -117,22 +117,25 @@ impl Engine {
     /// workers racing on the same absent key produce exactly one build (one
     /// miss) and one hit per other request, so cache counters depend only
     /// on the multiset of requests — not on worker count or scheduling.
+    ///
+    /// Key first: the shapes are checked and the operands signed once, and
+    /// the plan key is built from that signature. The problem is analyzed
+    /// only where something reads the analysis — the miss's build, whose
+    /// Cold execution reuses the context, or an execution that simulates —
+    /// so a hit that replays its plan's memo builds no context.
     pub fn run(
         &self,
         worker: &Worker,
         a: &Arc<CsrMatrix<f64>>,
         b: &Arc<CsrMatrix<f64>>,
     ) -> Result<RunOutcome, String> {
-        // `from_shared` bumps the operands' `Arc`s instead of deep-cloning
-        // A, B, and the CSC copy per request.
-        let ctx = ProblemContext::from_shared(a.clone(), b.clone())
-            .map_err(|e| format!("invalid operands: {e}"))?;
+        let problem = Problem::new(a, b).map_err(|e| format!("invalid operands: {e}"))?;
         let device = worker.device();
-        let key = PlanKey::for_settings(ctx.signature(), &device.name, &self.settings);
+        let key = PlanKey::for_settings(problem.signature(), &device.name, &self.settings);
         let (plan, cache_hit) = {
             let _span = self.registry.span("plan");
             self.cache.get_or_build(&key, || {
-                Arc::new(ReorgPlan::build(&ctx, device, &self.settings))
+                Arc::new(ReorgPlan::build(problem.context(), device, &self.settings))
             })
         };
         let mode = if cache_hit {
@@ -142,7 +145,7 @@ impl Engine {
         };
         let run = {
             let _span = self.registry.span("execute");
-            plan.execute_with_scratch(&worker.sim, &ctx, mode, Some(&worker.pool))
+            plan.execute_problem(&worker.sim, &problem, mode, Some(&worker.pool))
                 .map_err(|e| format!("execution failed: {e}"))?
         };
         Ok(RunOutcome {

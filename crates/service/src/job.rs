@@ -30,12 +30,13 @@
 use std::sync::Arc;
 
 use br_datasets::registry::{DatasetSpec, RealWorldRegistry, ScaleFactor};
-use br_datasets::rmat::{rmat, RmatConfig};
+use br_datasets::rmat::{try_rmat, RmatConfig};
 use br_sparse::io::read_matrix_market_file;
 use br_sparse::CsrMatrix;
 use br_workloads::Workload;
 
 use crate::chain::ChainRequest;
+use crate::operands::OperandCache;
 
 /// A failed (or refused) request.
 #[derive(Debug, Clone)]
@@ -48,8 +49,10 @@ pub struct JobError {
     pub message: String,
 }
 
-/// Where a job-file line gets its matrix from.
-#[derive(Debug, Clone, PartialEq)]
+/// Where a job-file line gets its matrix from. A parsed source is
+/// canonical: two spellings of one matrix compare (and hash) equal, so it
+/// keys the [`OperandCache`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MatrixSource {
     /// A Table II registry surrogate at `dim ÷ scale`.
     Dataset {
@@ -85,7 +88,9 @@ impl MatrixSource {
         }
     }
 
-    /// Realizes the matrix, with errors that name the valid choices.
+    /// Realizes the matrix, with errors that name the valid choices. An
+    /// `rmat=` spec too dense to draw within the generator's candidate
+    /// budget fails ([`try_rmat`]).
     pub fn load(&self) -> Result<CsrMatrix<f64>, String> {
         match self {
             MatrixSource::Dataset { name, scale } => {
@@ -95,7 +100,9 @@ impl MatrixSource {
                 scale,
                 edge_factor,
                 seed,
-            } => Ok(rmat(RmatConfig::graph500(*scale, *edge_factor, *seed)).to_csr()),
+            } => try_rmat(RmatConfig::graph500(*scale, *edge_factor, *seed))
+                .map(|coo| coo.to_csr())
+                .map_err(|e| format!("cannot generate rmat={scale},{edge_factor}: {e}")),
             MatrixSource::File(path) => read_matrix_market_file::<f64, _>(path)
                 .map_err(|e| format!("cannot read {path}: {e}")),
         }
@@ -131,18 +138,27 @@ impl JobSpec {
     /// Loads the operands into request `id`: a one-step multiplication
     /// labelled with the source's label, or, under `chain=`, the workload
     /// over the source labelled `<label>:<workload spec>`. One request
-    /// regardless of `repeat`.
-    pub fn request(&self, id: u64) -> Result<ChainRequest, String> {
-        let a = self.source.load()?;
+    /// regardless of `repeat`. A server passes its [`OperandCache`], so a
+    /// repeated spec is loaded twice and then shared; without one, every
+    /// call loads.
+    pub fn request(
+        &self,
+        id: u64,
+        operands: Option<&OperandCache>,
+    ) -> Result<ChainRequest, String> {
+        let load = |source: &MatrixSource| match operands {
+            Some(cache) => cache.load(source),
+            None => source.load().map(Arc::new),
+        };
+        let a = load(&self.source)?;
         Ok(match self.chain {
             Some(workload) => {
                 let label = format!("{}:{}", self.source.label(), workload.spec());
                 ChainRequest::workload(id, workload, &a).with_label(label)
             }
             None => {
-                let a = Arc::new(a);
                 let b = match &self.pair {
-                    Some(src) => Arc::new(src.load()?),
+                    Some(src) => load(src)?,
                     None => a.clone(),
                 };
                 ChainRequest::multiply(id, a, b).with_label(self.source.label())
@@ -289,7 +305,7 @@ fn parse_rmat(value: &str) -> Result<(u32, usize), String> {
 pub fn expand_submissions(specs: &[JobSpec]) -> Result<Vec<ChainRequest>, String> {
     let mut out = Vec::new();
     for spec in specs {
-        let template = spec.request(0)?;
+        let template = spec.request(0, None)?;
         for k in 0..spec.repeat {
             out.push(ChainRequest {
                 id: out.len() as u64,

@@ -42,6 +42,9 @@
 //!   submission and aggregated per multiplication.
 //! * [`job`] — job specs, plus the job-file format consumed by
 //!   `blockreorg-cli batch`.
+//! * [`operands::OperandCache`] — a server's byte-bounded, single-flight
+//!   cache from a canonical matrix source to its loaded matrix, admitting
+//!   a source on its second sighting.
 //!
 //! Observability: every service (and its engine's plan cache) registers
 //! its instruments — lifecycle spans rooted at the request's kind
@@ -77,6 +80,7 @@ pub mod cache;
 pub mod chain;
 pub mod engine;
 pub mod job;
+pub mod operands;
 pub mod queue;
 pub mod service;
 pub mod stats;
@@ -92,6 +96,7 @@ pub mod prelude {
     pub use crate::job::{
         expand_submissions, parse_job_file, JobError, JobKeys, JobSpec, MatrixSource,
     };
+    pub use crate::operands::OperandCache;
     pub use crate::queue::{JobQueue, Lane, PushError};
     pub use crate::service::{
         BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError,
@@ -106,6 +111,7 @@ pub use chain::{
 };
 pub use engine::{Engine, RunOutcome, Worker};
 pub use job::JobError;
+pub use operands::OperandCache;
 pub use queue::{JobQueue, Lane, PushError};
 pub use service::{BatchOutcome, Completion, Reply, ServiceConfig, SpgemmService, SubmitError};
 pub use stats::{ServiceStats, WorkerStats};

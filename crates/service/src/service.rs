@@ -343,6 +343,11 @@ impl SpgemmService {
         }
     }
 
+    /// The combined depth of the queue's two lanes.
+    pub fn queue_depth(&self) -> usize {
+        self.queue.depth()
+    }
+
     /// Opens a held worker gate; returns whether it was held.
     pub fn release(&self) -> bool {
         self.queue.release()

@@ -15,6 +15,6 @@ pub use flops::{compression_factor, multiply_flops, multiply_ops};
 pub use spgemm_ref::{sparse_add, spgemm_gustavson};
 pub use symbolic::{
     block_products, intermediate_nnz, row_intermediate_nnz, row_intermediate_nnz_threaded,
-    symbolic_nnz,
+    symbolic_nnz, symbolic_runs,
 };
 pub use vecops::{spmv, spmv_transpose};

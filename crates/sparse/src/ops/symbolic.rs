@@ -12,10 +12,21 @@
 //! * **exact symbolic nnz(C)** — the number of *unique* output positions,
 //!   needed to size the final matrix.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::error::SparseError;
 use crate::par;
 use crate::scalar::Scalar;
 use crate::{CsrMatrix, Result};
+
+/// Counts every [`symbolic_nnz`] pass — the tripwire showing which callers
+/// still pay the exact symbolic SPA.
+static SYMBOLIC_RUNS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of [`symbolic_nnz`] passes so far in this process.
+pub fn symbolic_runs() -> u64 {
+    SYMBOLIC_RUNS.load(Ordering::SeqCst)
+}
 
 /// Total number of intermediate products `nnz(Ĉ) = Σᵢ nnz(a₌ᵢ)·nnz(bᵢ₌)`.
 ///
@@ -99,6 +110,7 @@ pub fn symbolic_nnz<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<Vec
             rhs: (b.nrows(), b.ncols()),
         });
     }
+    SYMBOLIC_RUNS.fetch_add(1, Ordering::SeqCst);
     let mut mark = vec![u32::MAX; b.ncols()];
     let mut counts = Vec::with_capacity(a.nrows());
     for r in 0..a.nrows() {

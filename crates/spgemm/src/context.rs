@@ -4,9 +4,13 @@
 //! all blocks" (Section IV-B); the baselines need the same quantities to
 //! size their launches. Computing them once per `(A, B)` pair and sharing
 //! across the seven methods keeps the benchmark harness honest (identical
-//! inputs) and fast.
+//! inputs) and fast. A server keys and replays plans without them: its
+//! request path holds a [`Problem`], which builds the context only when
+//! something reads it.
 
-use std::sync::Arc;
+use std::cell::OnceCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use br_sparse::error::SparseError;
 use br_sparse::ops::symbolic::{block_products, row_intermediate_nnz, symbolic_nnz};
@@ -69,6 +73,16 @@ impl ProblemSignature {
     }
 }
 
+/// Counts every [`ProblemContext`] analyzed from operands — the tripwire
+/// showing which requests analyzed their problem. Row-permuted copies
+/// ([`ProblemContext::permute_rows`]) analyze nothing and are not counted.
+static CONTEXT_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Number of contexts analyzed from operands so far in this process.
+pub fn context_builds() -> u64 {
+    CONTEXT_BUILDS.load(Ordering::SeqCst)
+}
+
 /// Symbolic and structural facts about one multiplication `C = A · B`.
 ///
 /// Operands are held behind [`Arc`], so cloning a context — or building one
@@ -76,6 +90,20 @@ impl ProblemSignature {
 /// shares (as `br-service` does per job) — never deep-copies a matrix.
 /// Call sites keep reading `ctx.a` / `ctx.b` / `ctx.a_csc` as before via
 /// `Deref`.
+///
+/// The public fields are computed at construction: one block-products
+/// pass, one row-products pass and the CSC copy of `A`. Two quantities
+/// are lazy, because they cost more than all of those together and only
+/// a simulated launch stream or a report reads them:
+///
+/// * [`row_unique`](Self::row_unique) and
+///   [`output_total`](Self::output_total), C's row lengths and nnz. An
+///   execution that simulates seeds them from the C it merged just before
+///   ([`seed_output`](Self::seed_output)); otherwise the first read runs
+///   the exact symbolic SPA (`symbolic_nnz`). A row-permuted copy carries
+///   them over if known and stays lazy if not.
+/// * [`signature`](Self::signature), hashed on first read unless the
+///   context came from a [`Problem`], which seeds the one it keyed with.
 #[derive(Debug, Clone)]
 pub struct ProblemContext<T> {
     /// Left operand in CSR (rows drive the row-product scheme).
@@ -88,14 +116,25 @@ pub struct ProblemContext<T> {
     pub block_products: Vec<u64>,
     /// Intermediate products landing in each output row (duplicates in).
     pub row_products: Vec<u64>,
-    /// Unique output entries per row (`nnz(C)` rowwise).
-    pub row_unique: Vec<usize>,
     /// `nnz(Ĉ)` — total intermediate products.
     pub intermediate_total: u64,
-    /// `nnz(C)`.
-    pub output_total: usize,
     /// FLOP count under the `2·nnz(Ĉ)` convention.
     pub flops: u64,
+    /// Unique output entries per row and their sum, `nnz(C)`.
+    output: OnceLock<(Vec<usize>, usize)>,
+    signature: OnceLock<ProblemSignature>,
+}
+
+/// `A · B` must be defined: the one shape check every constructor makes.
+fn check_shapes<T: Scalar>(a: &CsrMatrix<T>, b: &CsrMatrix<T>) -> Result<()> {
+    if a.ncols() != b.nrows() {
+        return Err(SparseError::ShapeMismatch {
+            op: "spgemm",
+            lhs: (a.nrows(), a.ncols()),
+            rhs: (b.nrows(), b.ncols()),
+        });
+    }
+    Ok(())
 }
 
 impl<T: Scalar> ProblemContext<T> {
@@ -106,35 +145,66 @@ impl<T: Scalar> ProblemContext<T> {
     }
 
     /// Builds the context from already-shared operands — no matrix clone at
-    /// all; only the CSC view of `A` is materialised. This is the path
-    /// `br-service` uses per job: the job's `Arc`s are reference-bumped
-    /// into the context.
+    /// all; only the CSC view of `A` is materialised. Fails on shape
+    /// mismatch.
     pub fn from_shared(a: Arc<CsrMatrix<T>>, b: Arc<CsrMatrix<T>>) -> Result<Self> {
-        if a.ncols() != b.nrows() {
-            return Err(SparseError::ShapeMismatch {
-                op: "spgemm",
-                lhs: (a.nrows(), a.ncols()),
-                rhs: (b.nrows(), b.ncols()),
-            });
-        }
-        let blocks = block_products(&a, &b)?;
-        let rows = row_intermediate_nnz(&a, &b)?;
-        let unique = symbolic_nnz(&a, &b)?;
+        check_shapes(&a, &b)?;
+        Ok(Self::analyze(a, b, OnceLock::new()))
+    }
+
+    /// The eager passes over operands whose shapes agree.
+    fn analyze(
+        a: Arc<CsrMatrix<T>>,
+        b: Arc<CsrMatrix<T>>,
+        signature: OnceLock<ProblemSignature>,
+    ) -> Self {
+        CONTEXT_BUILDS.fetch_add(1, Ordering::SeqCst);
+        let blocks = block_products(&a, &b).expect("shapes checked by the caller");
+        let rows = row_intermediate_nnz(&a, &b).expect("shapes checked by the caller");
         let intermediate_total: u64 = blocks.iter().sum();
-        let output_total: usize = unique.iter().sum();
         let a_csc = Arc::new(a.to_csc());
-        Ok(ProblemContext {
+        ProblemContext {
             a,
             a_csc,
             b,
             block_products: blocks,
             row_products: rows,
-            row_unique: unique,
             intermediate_total,
-            output_total,
             flops: 2 * intermediate_total,
-            // (fields above)
+            output: OnceLock::new(),
+            signature,
+        }
+    }
+
+    /// Unique output entries per row (`nnz(C)` rowwise).
+    pub fn row_unique(&self) -> &[usize] {
+        &self.output().0
+    }
+
+    /// `nnz(C)`.
+    pub fn output_total(&self) -> usize {
+        self.output().1
+    }
+
+    fn output(&self) -> &(Vec<usize>, usize) {
+        self.output.get_or_init(|| {
+            let rows = symbolic_nnz(&self.a, &self.b).expect("shapes checked at construction");
+            let total = rows.iter().sum();
+            (rows, total)
         })
+    }
+
+    /// Seeds [`row_unique`](Self::row_unique) and
+    /// [`output_total`](Self::output_total) from `c`, this problem's
+    /// product as merged, unless they are already known. Exact: no merger
+    /// drops an explicit zero (DESIGN §8.1), so C's row lengths are what
+    /// the symbolic pass counts.
+    pub fn seed_output(&self, c: &CsrMatrix<T>) {
+        debug_assert_eq!((c.nrows(), c.ncols()), (self.nrows(), self.ncols()));
+        self.output.get_or_init(|| {
+            let rows: Vec<usize> = c.ptr().windows(2).map(|w| w[1] - w[0]).collect();
+            (rows, c.nnz())
+        });
     }
 
     /// Number of output rows.
@@ -177,9 +247,11 @@ impl<T: Scalar> ProblemContext<T> {
     }
 
     /// Structural signature of this problem — the plan-cache key used by
-    /// `br-service` (computed from the operands' pointer/index arrays).
+    /// `br-service` (computed from the operands' pointer/index arrays once).
     pub fn signature(&self) -> ProblemSignature {
-        ProblemSignature::of(&self.a, &self.b)
+        *self
+            .signature
+            .get_or_init(|| ProblemSignature::of(&self.a, &self.b))
     }
 
     /// Exclusive prefix sum of `row_products` — row-major `Ĉ` offsets.
@@ -203,26 +275,106 @@ impl<T: Scalar> ProblemContext<T> {
     ///   dimension and column nnz never changes under a row permutation,
     ///   so the per-pair workloads — and every total derived from them —
     ///   carry over verbatim;
-    /// * `row_products` / `row_unique` are per-output-row and permute
-    ///   elementwise;
+    /// * `row_products` and, when known, `row_unique` are per-output-row
+    ///   and permute elementwise; unknown, `row_unique` stays lazy;
     /// * `B` is shared untouched (an `Arc` bump, zero-copy).
     pub fn permute_rows(&self, forward: &[u32]) -> ProblemContext<T> {
         let a = Arc::new(self.a.permute_rows(forward));
         let a_csc = Arc::new(self.a_csc.permute_rows(forward));
-        let gather = |v: &[u64]| -> Vec<u64> { forward.iter().map(|&r| v[r as usize]).collect() };
+        let output = match self.output.get() {
+            Some((rows, total)) => {
+                OnceLock::from((forward.iter().map(|&r| rows[r as usize]).collect(), *total))
+            }
+            None => OnceLock::new(),
+        };
         ProblemContext {
             a,
             a_csc,
             b: Arc::clone(&self.b),
             block_products: self.block_products.clone(),
-            row_products: gather(&self.row_products),
-            row_unique: forward
+            row_products: forward
                 .iter()
-                .map(|&r| self.row_unique[r as usize])
+                .map(|&r| self.row_products[r as usize])
                 .collect(),
             intermediate_total: self.intermediate_total,
-            output_total: self.output_total,
             flops: self.flops,
+            output,
+            signature: OnceLock::new(),
+        }
+    }
+}
+
+/// One multiplication `C = A · B` as the request path holds it: operands
+/// whose shapes agree, their signature, and — built on first use only —
+/// their [`ProblemContext`].
+///
+/// Keying a plan and replaying one read only the operands and the
+/// signature, so a request served from a plan's replay memo analyzes
+/// nothing. [`Problem::context`] builds the context at most once, seeded
+/// with the signature: in a plan-cache miss's build closure, whose Cold
+/// execution then reuses it, or in an execution that simulates.
+pub struct Problem<'a, T> {
+    a: &'a Arc<CsrMatrix<T>>,
+    b: &'a Arc<CsrMatrix<T>>,
+    signature: ProblemSignature,
+    given: Option<&'a ProblemContext<T>>,
+    built: OnceCell<ProblemContext<T>>,
+}
+
+impl<'a, T: Scalar> Problem<'a, T> {
+    /// Checks that `a · b` is defined and signs the operands: all a
+    /// plan-cache lookup needs. Fails on shape mismatch with the error
+    /// [`ProblemContext::from_shared`] gives.
+    pub fn new(a: &'a Arc<CsrMatrix<T>>, b: &'a Arc<CsrMatrix<T>>) -> Result<Self> {
+        check_shapes(a, b)?;
+        Ok(Problem {
+            a,
+            b,
+            signature: ProblemSignature::of(a, b),
+            given: None,
+            built: OnceCell::new(),
+        })
+    }
+
+    /// The left operand.
+    pub fn a(&self) -> &'a Arc<CsrMatrix<T>> {
+        self.a
+    }
+
+    /// The right operand.
+    pub fn b(&self) -> &'a Arc<CsrMatrix<T>> {
+        self.b
+    }
+
+    /// The operands' signature, computed once.
+    pub fn signature(&self) -> ProblemSignature {
+        self.signature
+    }
+
+    /// The problem's context: the one it was made from, else the one the
+    /// first call builds.
+    pub fn context(&self) -> &ProblemContext<T> {
+        self.given.unwrap_or_else(|| {
+            self.built.get_or_init(|| {
+                ProblemContext::analyze(
+                    self.a.clone(),
+                    self.b.clone(),
+                    OnceLock::from(self.signature),
+                )
+            })
+        })
+    }
+}
+
+impl<'a, T: Scalar> From<&'a ProblemContext<T>> for Problem<'a, T> {
+    /// The problem an analyzed context describes.
+    fn from(ctx: &'a ProblemContext<T>) -> Self {
+        Problem {
+            a: &ctx.a,
+            b: &ctx.b,
+            signature: ctx.signature(),
+            given: Some(ctx),
+            built: OnceCell::new(),
         }
     }
 }
@@ -250,8 +402,8 @@ mod tests {
         assert_eq!(c.intermediate_total, 8);
         assert_eq!(c.flops, 16);
         assert_eq!(c.row_products.iter().sum::<u64>(), c.intermediate_total);
-        assert_eq!(c.row_unique.iter().sum::<usize>(), c.output_total);
-        assert!(c.output_total <= c.intermediate_total as usize);
+        assert_eq!(c.row_unique().iter().sum::<usize>(), c.output_total());
+        assert!(c.output_total() <= c.intermediate_total as usize);
     }
 
     #[test]
@@ -286,25 +438,64 @@ mod tests {
         assert_eq!(*permuted.a_csc, *fresh.a_csc);
         assert_eq!(permuted.block_products, fresh.block_products);
         assert_eq!(permuted.row_products, fresh.row_products);
-        assert_eq!(permuted.row_unique, fresh.row_unique);
+        assert_eq!(permuted.row_unique(), fresh.row_unique());
         assert_eq!(permuted.intermediate_total, c.intermediate_total);
-        assert_eq!(permuted.output_total, c.output_total);
+        assert_eq!(permuted.output_total(), c.output_total());
         assert_eq!(permuted.flops, c.flops);
         // B is shared, not copied.
         assert!(Arc::ptr_eq(&permuted.b, &c.b));
         // Row quantities moved with their rows.
         for (i, &r) in forward.iter().enumerate() {
             assert_eq!(permuted.row_products[i], c.row_products[r as usize]);
-            assert_eq!(permuted.row_unique[i], c.row_unique[r as usize]);
+            assert_eq!(permuted.row_unique()[i], c.row_unique()[r as usize]);
         }
     }
 
     #[test]
     fn shape_mismatch_rejected() {
-        let a = CsrMatrix::<f64>::zeros(2, 3);
-        let b = CsrMatrix::<f64>::zeros(2, 3);
+        let a = Arc::new(CsrMatrix::<f64>::zeros(2, 3));
+        let b = Arc::new(CsrMatrix::<f64>::zeros(2, 3));
         assert!(ProblemContext::new(&a, &b).is_err());
-        assert!(ProblemContext::from_shared(Arc::new(a), Arc::new(b)).is_err());
+        let err = ProblemContext::from_shared(a.clone(), b.clone()).unwrap_err();
+        let problem_err = Problem::new(&a, &b).err().unwrap();
+        assert_eq!(problem_err.to_string(), err.to_string());
+    }
+
+    #[test]
+    fn row_lengths_seeded_from_the_product_equal_the_symbolic_pass() {
+        let exact = ctx();
+        let (a, b) = (exact.a.clone(), exact.b.clone());
+        let c = br_sparse::ops::spgemm_gustavson(&a, &b).unwrap();
+        let seeded = ProblemContext::from_shared(a, b).unwrap();
+        seeded.seed_output(&c);
+        assert_eq!(seeded.row_unique(), exact.row_unique());
+        assert_eq!(seeded.output_total(), exact.output_total());
+        // A later seed changes nothing: the first value stays.
+        seeded.seed_output(&CsrMatrix::<f64>::zeros(3, 3));
+        assert_eq!(seeded.row_unique(), exact.row_unique());
+        // Permuting carries the seeded lengths over.
+        let forward = [1u32, 2, 0];
+        assert_eq!(
+            seeded.permute_rows(&forward).row_unique(),
+            exact.permute_rows(&forward).row_unique()
+        );
+    }
+
+    #[test]
+    fn a_problem_builds_its_context_once_and_only_when_asked() {
+        let c = ctx();
+        let (a, b) = (c.a.clone(), c.b.clone());
+        let problem = Problem::new(&a, &b).unwrap();
+        assert_eq!(problem.signature(), c.signature());
+        assert!(problem.built.get().is_none(), "keying analyzes nothing");
+        let first: *const ProblemContext<f64> = problem.context();
+        assert!(std::ptr::eq(first, problem.context()), "built once");
+        assert_eq!(problem.context().row_products, c.row_products);
+        assert_eq!(problem.context().signature.get(), Some(&c.signature()));
+        // A problem made from a context hands that context back.
+        let given = Problem::from(&c);
+        assert!(std::ptr::eq(given.context(), &c));
+        assert!(Arc::ptr_eq(given.a(), &c.a));
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
 ///
 /// Reads only what a lean cold-path planner would have in hand: the CSC
 /// view of `A`, row lengths of `B`, and the operands' structure — never
-/// `ctx.row_products` / `ctx.row_unique` / `ctx.output_total`.
+/// `ctx.row_products` / `ctx.row_unique()` / `ctx.output_total()`.
 pub fn estimate_workload<T: Scalar>(
     ctx: &ProblemContext<T>,
     config: &EstimatorConfig,
@@ -462,7 +462,7 @@ mod tests {
         let est = estimate_workload(&ctx, &config);
         assert!(est.exact);
         assert_eq!(est.row_products, ctx.row_products);
-        assert_eq!(est.output_total, ctx.output_total);
+        assert_eq!(est.output_total, ctx.output_total());
         assert_eq!(est.rel_band, 0.0);
         assert!(est.within(&config));
     }
@@ -637,7 +637,7 @@ mod tests {
             if samples >= ctx.inner_dim() {
                 proptest::prop_assert!(est.exact);
                 proptest::prop_assert_eq!(&est.row_products, &ctx.row_products);
-                proptest::prop_assert_eq!(est.output_total, ctx.output_total);
+                proptest::prop_assert_eq!(est.output_total, ctx.output_total());
                 proptest::prop_assert_eq!(est.rel_band, 0.0);
             }
             let _ = select_method(&ctx, &est);

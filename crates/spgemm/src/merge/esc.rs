@@ -60,7 +60,7 @@ pub fn esc_merge_launches<T: Scalar>(
     // remainder), and each share is ≤ the tile's input length.
     let mut c_written = 0u64;
     let mut blocks = Vec::with_capacity(tiles as usize);
-    let output = ctx.output_total as u128;
+    let output = ctx.output_total() as u128;
     for t in 0..tiles {
         let start = t * SORT_TILE;
         let len = SORT_TILE.min(total - start);
@@ -75,7 +75,7 @@ pub fn esc_merge_launches<T: Scalar>(
         blocks.push(tb.barriers(2).build());
         c_written += unique;
     }
-    debug_assert_eq!(c_written, ctx.output_total as u64);
+    debug_assert_eq!(c_written, ctx.output_total() as u64);
     launches.push(KernelLaunch::new("esc-compress", blocks));
     launches
 }
@@ -131,7 +131,7 @@ mod tests {
         // must not truncate (output_total % tiles used to go missing).
         let compress = launches.last().unwrap();
         let compress_written: u64 = compress.blocks.iter().map(|b| b.bytes_written()).sum();
-        assert_eq!(compress_written, c.output_total as u64 * ELEM_BYTES);
+        assert_eq!(compress_written, c.output_total() as u64 * ELEM_BYTES);
     }
 
     #[test]

@@ -66,10 +66,10 @@ pub fn gustavson_merge_launch_filtered<T: Scalar>(
             continue;
         }
         if skip(r) {
-            c_written += ctx.row_unique[r] as u64;
+            c_written += ctx.row_unique()[r] as u64;
             continue;
         }
-        let unique = ctx.row_unique[r] as u64;
+        let unique = ctx.row_unique()[r] as u64;
         let effective = products.min(block_size as u64) as u32;
         let coarsen = products.div_ceil(block_size as u64).max(1);
         let (acc_off, acc_len) = ws.accum_slice(blocks.len());
@@ -143,7 +143,7 @@ mod tests {
             .filter(|s| s.write && !s.atomic && s.region == ws.c_data)
             .map(|s| s.bytes)
             .sum();
-        assert_eq!(c_bytes, c.output_total as u64 * ELEM_BYTES);
+        assert_eq!(c_bytes, c.output_total() as u64 * ELEM_BYTES);
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         let ws = Workspace::for_context(&c);
         let k = gustavson_merge_launch(&c, &ws, 256, true, |_| 0);
         for (b, r) in k.blocks.iter().zip([0usize, 1, 2]) {
-            let expect = c.row_products[r] as f64 / c.row_unique[r].max(1) as f64;
+            let expect = c.row_products[r] as f64 / c.row_unique()[r].max(1) as f64;
             assert!((b.atomic_conflict - expect).abs() < 1e-9);
         }
     }

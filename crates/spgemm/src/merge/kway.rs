@@ -56,7 +56,7 @@ pub fn kway_merge_launch<T: Scalar>(
         if products == 0 {
             continue;
         }
-        let unique = ctx.row_unique[r] as u64;
+        let unique = ctx.row_unique()[r] as u64;
         if bins.bin(r) != RowBin::Kway {
             c_written += unique;
             continue;
@@ -206,7 +206,7 @@ mod tests {
             .filter(|s| s.write && !s.atomic && s.region == ws.c_data)
             .map(|s| s.bytes)
             .sum();
-        assert_eq!(c_bytes, c.output_total as u64 * ELEM_BYTES);
+        assert_eq!(c_bytes, c.output_total() as u64 * ELEM_BYTES);
     }
 
     #[test]

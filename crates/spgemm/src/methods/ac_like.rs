@@ -58,7 +58,7 @@ pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<Kerne
         // from B (data-dependent rows) and sort/combine locally in shared
         // memory, writing locally-merged runs plus boundary metadata.
         let chunks = total.div_ceil(CHUNK);
-        let avg_unique_per_chunk = (ctx.output_total as u64).div_ceil(chunks.max(1)).max(1);
+        let avg_unique_per_chunk = (ctx.output_total() as u64).div_ceil(chunks.max(1)).max(1);
         let mut blocks = Vec::with_capacity(chunks as usize);
         for c in 0..chunks {
             let start = c * CHUNK;
@@ -100,7 +100,7 @@ pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<Kerne
         // Cross-chunk combine: rows straddling chunk borders are merged in
         // a final pass over the locally-merged runs (bounded by nnz(C) —
         // the final output size).
-        let runs = (chunks * avg_unique_per_chunk).min(ctx.output_total.max(1) as u64);
+        let runs = (chunks * avg_unique_per_chunk).min(ctx.output_total().max(1) as u64);
         let mut blocks = Vec::new();
         let mut off = 0u64;
         while off < runs {

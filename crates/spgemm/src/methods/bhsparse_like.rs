@@ -43,7 +43,7 @@ pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<Kerne
         if products == 0 {
             continue;
         }
-        let unique = ctx.row_unique[r] as u64;
+        let unique = ctx.row_unique()[r] as u64;
         let k = ctx.a.row_nnz(r) as u64;
         let (a_cols, _) = ctx.a.row(r);
         let mut max_work = 0u64;

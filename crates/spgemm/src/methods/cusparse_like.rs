@@ -64,7 +64,7 @@ pub fn launches<T: Scalar>(ctx: &ProblemContext<T>, ws: &Workspace) -> Vec<Kerne
         if products == 0 {
             continue;
         }
-        let unique = ctx.row_unique[row] as u64;
+        let unique = ctx.row_unique()[row] as u64;
         // Lane j walks row b_{a_idx[j]}: divergent like the row product,
         // but with only 32 lanes the hub rows serialize hard.
         let (a_cols, _) = ctx.a.row(row);

@@ -35,7 +35,7 @@ pub fn time_ms<T: Scalar>(ctx: &ProblemContext<T>, cpu: &CpuConfig) -> f64 {
     // Traffic: read A and B (with re-reads of B rows ≈ products), write C.
     let bytes = (ctx.a.nnz() as f64 + ctx.b.nnz() as f64) * 12.0
         + ctx.intermediate_total as f64 * 12.0
-        + ctx.output_total as f64 * 12.0;
+        + ctx.output_total() as f64 * 12.0;
     let memory_s = bytes / (cpu.mem_bandwidth_gbs * cpu.scatter_efficiency * 1e9);
 
     // Imbalance stretches the critical path whichever resource binds: the
@@ -87,7 +87,7 @@ mod tests {
         // ms per byte of traffic must be worse for the skewed problem: its
         // critical path is one thread long.
         let traffic = |c: &ProblemContext<f64>| {
-            (c.a.nnz() + c.b.nnz() + c.intermediate_total as usize + c.output_total) as f64
+            (c.a.nnz() + c.b.nnz() + c.intermediate_total as usize + c.output_total()) as f64
         };
         let per_s = rs.total_ms / traffic(&ctx_s);
         let per_u = ru.total_ms / traffic(&ctx_u);

@@ -57,7 +57,7 @@ impl Workspace {
         let b_data = layout.alloc(ctx.b.nnz() as u64 * ELEM_BYTES);
         let b_ptr = layout.alloc((ctx.b.nrows() as u64 + 1) * PTR_BYTES);
         let chat = layout.alloc(ctx.intermediate_total.max(1) * ELEM_BYTES);
-        let c_data = layout.alloc(ctx.output_total.max(1) as u64 * ELEM_BYTES);
+        let c_data = layout.alloc(ctx.output_total().max(1) as u64 * ELEM_BYTES);
         let ncols = ctx.ncols() as u64;
         let accum = layout.alloc(ncols.max(1) * ACC_BYTES * ACC_SLICES);
         Workspace {

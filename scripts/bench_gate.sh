@@ -145,16 +145,21 @@ for ext in prom prom.jsonl; do
 done
 # The held-gate flood admits exactly 6 and sheds exactly 10, per lane 3/5;
 # the admitted 6 enter and finish through the job service's one pool.
+# Shedding comes before loading, so only the admitted 6 look their spec up
+# in the operand cache: its first two sightings load, the other 4 hit.
 families "$work/net.t8.prom" br_net_requests_total br_net_admitted_total \
     br_net_shed_total br_net_saturation_total br_net_rejects_total \
-    br_net_results_total br_net_drain_notices_total
+    br_net_results_total br_net_drain_notices_total \
+    br_operand_loads_total br_operand_cache_hits_total
 expect "$work/net.t8.prom" \
     'br_net_shed_total{lane="batch"} 5' \
     'br_net_shed_total{lane="interactive"} 5' \
     'br_net_results_total{lane="batch"} 3' \
     'br_net_results_total{lane="interactive"} 3' \
     'br_jobs_submitted_total 6' \
-    'br_jobs_completed_total 6'
+    'br_jobs_completed_total 6' \
+    'br_operand_loads_total 2' \
+    'br_operand_cache_hits_total 4'
 echo "ok: shed/quota accounting is byte-identical across thread counts and reruns"
 
 # The sampling estimator is seeded from the operands' structure hashes and

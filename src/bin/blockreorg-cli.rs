@@ -346,9 +346,14 @@ impl ServiceFlags {
     }
 }
 
-/// A job spec's matrix; a file that cannot be read is a runtime failure.
+/// A job spec's matrix. A file that cannot be read is a runtime failure;
+/// an `--rmat` grid too dense for the generator to fill is a usage error,
+/// like the bounds the parser checks.
 fn load(source: &MatrixSource) -> CsrMatrix<f64> {
-    source.load().unwrap_or_else(|e| runtime_error(&e))
+    source.load().unwrap_or_else(|e| match source {
+        MatrixSource::Rmat { .. } => usage_and_exit(&e),
+        _ => runtime_error(&e),
+    })
 }
 
 fn device_of(name: &str) -> DeviceConfig {

@@ -196,6 +196,9 @@ fn rmat_bounds_exit_2_naming_the_bound() {
         ("1,8", "exceeds 2^scale = 2"),
         ("40,1", "exceeds 31"),
         ("64,1", "exceeds 31"),
+        // Within the parser's bounds, but every cell of a 64 × 64 grid:
+        // the generator's candidate budget runs out.
+        ("6,64", "after 1048576 candidates"),
     ] {
         for args in [
             &["--rmat", rmat][..],

@@ -238,13 +238,13 @@ fn fig16b_shape_ab_compression_is_low() {
     let a = spec.generate_a(ScaleFactor::Div(32));
     let b = spec.generate_b(ScaleFactor::Div(32));
     let pair = ProblemContext::new(&a, &b).unwrap();
-    let pair_compression = pair.intermediate_total as f64 / pair.output_total.max(1) as f64;
+    let pair_compression = pair.intermediate_total as f64 / pair.output_total().max(1) as f64;
 
     // Compare against A² on a hub-heavy network: hub collisions force many
     // products onto the same output coordinates. (as-caida keeps its hubs
     // even at CI scale; diffuse networks only show this at larger scales.)
     let net = ctx_of("as-caida");
-    let net_compression = net.intermediate_total as f64 / net.output_total.max(1) as f64;
+    let net_compression = net.intermediate_total as f64 / net.output_total().max(1) as f64;
     assert!(
         pair_compression < 1.5,
         "independent AB should barely compress: {pair_compression}"
